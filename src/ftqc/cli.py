@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -31,6 +32,7 @@ from . import firstq, frontier as frontier_mod, qvr as qvr_mod, secondq
 from .core import ResourceProfile, circuit_to_text, rz_matrix
 from .kickback import GammaRegister, kickback_rotation
 from .par import par_statistics
+from .sim import SimulationError
 from .synth import synthesize
 
 __all__ = ["DEFAULT_SEED", "RunConfig", "build_parser", "parse_args", "run", "main"]
@@ -64,7 +66,7 @@ def _profile_record(profile: ResourceProfile) -> dict:
 
 def _emit_json(record: dict, path: str | None) -> None:
     record = {"schema": SCHEMA_VERSION, **record}
-    text = json.dumps(record, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -352,8 +354,27 @@ _HANDLERS: dict[str, Callable[[RunConfig], tuple[dict, int]]] = {
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise ValueError(message)  # becomes an error record, not usage text
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:  # also rejects nan and inf
+        raise argparse.ArgumentTypeError(f"{text!r} is not in (0, 1]")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ftqc",
         description="Fault-tolerant rotation compilation and resource estimation.",
     )
@@ -368,38 +389,38 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--circuit", help="write the circuit text here")
 
     p = sub.add_parser("synth", help="compile one Z rotation to the fixed gate set")
-    p.add_argument("--angle", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--angle", type=_finite, required=True)
+    p.add_argument("--epsilon", type=_tolerance, required=True)
     add_common(p)
 
     p = sub.add_parser("kickback", help="build a kickback rotation circuit")
-    p.add_argument("--phi", type=float, required=True)
+    p.add_argument("--phi", type=_finite, required=True)
     p.add_argument("--bits", type=int, required=True, help="eigenstate register width")
     p.add_argument("--k", type=int, default=1, help="odd eigenstate index")
     p.add_argument("--controlled", action="store_true")
     add_common(p, circuit=True)
 
     p = sub.add_parser("qvr", help="build a variable-rotation circuit")
-    p.add_argument("--xi", type=float, required=True)
+    p.add_argument("--xi", type=_finite, required=True)
     p.add_argument("--q", type=int, required=True, help="value register width")
     p.add_argument("--mode", choices=("bitwise", "kickback"), default="kickback")
-    p.add_argument("--epsilon", type=float, default=1e-3, help="bitwise synthesis budget")
+    p.add_argument("--epsilon", type=_tolerance, default=1e-3, help="bitwise synthesis budget")
     add_common(p, circuit=True)
 
     p = sub.add_parser("par-sim", help="seeded Monte Carlo over the ancilla cascade")
-    p.add_argument("--phi", type=float, required=True)
+    p.add_argument("--phi", type=_finite, required=True)
     p.add_argument("--ancillas", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     add_common(p)
 
     p = sub.add_parser("estimate-2q", help="second-quantized resource report")
     p.add_argument("--integrals", required=True, help="orbital integral table file")
-    p.add_argument("--cutoff", type=float, default=0.0, help="drop terms at or below this magnitude")
+    p.add_argument("--cutoff", type=_finite, default=0.0, help="drop terms at or below this magnitude")
     p.add_argument("--readout-bits", type=int, required=True)
-    p.add_argument("--dt", type=float, required=True)
+    p.add_argument("--dt", type=_finite, required=True)
     p.add_argument("--method", choices=secondq.METHODS, required=True)
-    p.add_argument("--epsilon", type=float, default=1e-4)
-    p.add_argument("--seconds-per-gate", type=float, default=1e-3)
+    p.add_argument("--epsilon", type=_tolerance, default=1e-4)
+    p.add_argument("--seconds-per-gate", type=_finite, default=1e-3)
     add_common(p, csv_out=True)
 
     p = sub.add_parser("estimate-1q", help="first-quantized resource report")
@@ -408,14 +429,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--mode", choices=tuple(_MODE_NAMES), required=True)
     p.add_argument("--width", type=int, default=firstq.DEFAULT_WIDTH, help="arithmetic width in bits")
-    p.add_argument("--dt", type=float, default=1e-3, help="step length in atomic units")
+    p.add_argument("--dt", type=_finite, default=1e-3, help="step length in atomic units")
     add_common(p, csv_out=True)
 
     p = sub.add_parser("frontier", help="efficient frontier over estimator outputs")
     p.add_argument("--in", dest="inputs", nargs="+", required=True, help="estimator JSON files")
     p.add_argument("--cost", choices=frontier_mod.BUILTIN_COSTS, default="depth")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--alpha", type=_finite, default=1.0)
+    p.add_argument("--beta", type=_finite, default=1.0)
     p.add_argument("--cap", type=int, help="qubit cap for depth-with-qubit-cap")
     add_common(p, csv_out=True)
 
@@ -450,16 +471,16 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        config = parse_args(argv)
-    except SystemExit as exc:  # argparse already printed the usage message
+        return run(parse_args(argv))
+    except SystemExit as exc:  # --help printed its text
         return int(exc.code or 0)
-    try:
-        return run(config)
-    except (ValueError, OSError, ArithmeticError, KeyError) as exc:
+    except (ValueError, OSError, ArithmeticError, KeyError, SimulationError) as exc:
         error = {
             "schema": SCHEMA_VERSION,
-            "command": config.command,
+            # the top-level parser takes no options, so a subcommand comes first
+            "command": argv[0] if argv and argv[0] in _HANDLERS else None,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
         sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")

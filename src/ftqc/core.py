@@ -25,6 +25,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+TWO_PI = 2.0 * math.pi
+
 # Gate kinds.  Order matters only for deterministic iteration in searches.
 X, Y, Z, H, S, SDG, T, TDG = "X", "Y", "Z", "H", "S", "SDG", "T", "TDG"
 CNOT, TOFFOLI = "CNOT", "TOFFOLI"

@@ -35,7 +35,7 @@ from .core import (
     rz,
     toffoli,
 )
-from .kickback import RIPPLE_CARRY, AdderSpec, build_adder
+from .kickback import emit_register_add, ripple_profile
 from .qvr import build_qft_via_qvr, build_qvr_bitwise, build_qvr_kickback, qvr_params
 
 __all__ = [
@@ -299,37 +299,6 @@ def pair_schedule(b: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 # ---------------------------------------------------------------------------
 # gate-level reversible arithmetic (simulator scale)
 
-def _emit_maj(builder: CircuitBuilder, c: int, b: int, a: int) -> None:
-    builder.extend([cnot(a, b), cnot(a, c), toffoli(c, b, a)])
-
-
-def _emit_uma(builder: CircuitBuilder, c: int, b: int, a: int) -> None:
-    builder.extend([toffoli(c, b, a), cnot(a, c), cnot(c, b)])
-
-
-def emit_register_add(builder, a_wires, b_wires, carry: int) -> None:
-    """Emit |a>|b> -> |a>|a + b mod 2^n> (MAJ/UMA ripple, little-endian).
-
-    carry is one clean ancilla seeding the chain; the a register and the
-    ancilla are restored.  Dropping the carry-out keeps the sum modular.
-    """
-    a_wires = list(a_wires)
-    b_wires = list(b_wires)
-    if len(a_wires) != len(b_wires):
-        raise ValueError("registers must have equal width")
-    if not a_wires:
-        raise ValueError("registers need at least one bit")
-    chain = []
-    prev = carry
-    for a, b in zip(a_wires, b_wires):
-        chain.append((prev, b, a))
-        prev = a
-    for c, b, a in chain:
-        _emit_maj(builder, c, b, a)
-    for c, b, a in reversed(chain):
-        _emit_uma(builder, c, b, a)
-
-
 def build_register_adder(width: int) -> Circuit:
     """|a>|b>|0> -> |a>|a + b mod 2^width>|0>.
 
@@ -421,17 +390,9 @@ def build_copy_expansion(width: int, instances: int) -> Circuit:
 # ---------------------------------------------------------------------------
 # arithmetic cost models
 
-@lru_cache(maxsize=None)
-def _ripple_profile(width: int, controlled: bool) -> ResourceProfile:
-    """Worst-case constant-adder cost at this width: addend 2^width - 1
-    maximizes the carry chain."""
-    spec = AdderSpec(RIPPLE_CARRY, width, controlled=controlled)
-    return build_adder(spec, (1 << width) - 1).profile()
-
-
 def adder_profile(width: int) -> ResourceProfile:
     """Constant-addition cost at this width (ripple carry, worst addend)."""
-    return _ripple_profile(width, False)
+    return ripple_profile(width)
 
 
 @lru_cache(maxsize=None)
@@ -447,7 +408,7 @@ def multiply_profile(width: int) -> ResourceProfile:
     truncated product and the carry chain: 4*width - 1 wires."""
     if width < 1:
         raise ValueError("multiplier needs at least one bit")
-    row = _ripple_profile(width, True)
+    row = ripple_profile(width, True)
     return row.times(width).with_qubits(4 * width - 1)
 
 

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
+    TWO_PI,
     Circuit,
     CircuitBuilder,
     Gate,
@@ -37,8 +39,6 @@ from .core import (
 from .core import T as T_KIND
 from .core import TDG, S, SDG, X, Z
 from .sim import StateVector
-
-TWO_PI = 2.0 * math.pi
 
 RIPPLE_CARRY = "ripple-carry"
 LOOKAHEAD_MODEL = "lookahead-model"
@@ -218,6 +218,30 @@ def emit_add_constant(
         builder.append(cnot(control, data[low]))
 
 
+def emit_register_add(builder: CircuitBuilder, addend, target, carry: int) -> None:
+    """Emit |a>|t> -> |a>|t + a mod 2^len(target)>; len(addend) in {len-1, len}.
+
+    MAJ/UMA ripple (little-endian) with one clean ancilla, carry, seeding
+    the chain; the addend and the ancilla are restored.  A width-(len-1)
+    addend stands for a zero top bit, in which case the top sum bit needs
+    only the final carry, one CNOT.
+    """
+    width = len(target)
+    reach = len(addend)
+    if width < 1 or reach not in (width - 1, width):
+        raise ValueError("addend must be as wide as the target or one bit narrower")
+    chain = []
+    for i in range(reach):
+        chain.append((carry, target[i], addend[i]))
+        carry = addend[i]
+    for c, t, a in chain:  # MAJ
+        builder.extend([cnot(a, t), cnot(a, c), toffoli(c, t, a)])
+    if reach == width - 1:
+        builder.append(cnot(carry, target[width - 1]))
+    for c, t, a in reversed(chain):  # UMA
+        builder.extend([toffoli(c, t, a), cnot(a, c), cnot(c, t)])
+
+
 def lookahead_profile(n: int, controlled: bool = False) -> ResourceProfile:
     """Cost model for a carry-lookahead constant adder (no gate list).
 
@@ -236,6 +260,13 @@ def lookahead_profile(n: int, controlled: bool = False) -> ResourceProfile:
         total_gates=toffolis + 4 * n,
         qubits=2 * n + (1 if controlled else 0),
     )
+
+
+@lru_cache(maxsize=None)
+def ripple_profile(n: int, controlled: bool = False) -> ResourceProfile:
+    """Worst-case ripple-carry constant-adder cost at this width: addend
+    2^n - 1 maximizes the carry chain.  Built once per (n, controlled)."""
+    return build_adder(AdderSpec(RIPPLE_CARRY, n, controlled), (1 << n) - 1).profile()
 
 
 def build_adder(spec: AdderSpec, addend: int) -> Circuit | ResourceProfile:

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import rz_matrix
+from .core import TWO_PI, rz_matrix
 from .kickback import (
     RIPPLE_CARRY,
     AdderSpec,
@@ -40,8 +40,6 @@ from .kickback import (
 )
 from .sim import product_state, project_onto, run
 from .synth import min_sequence
-
-TWO_PI = 2.0 * math.pi
 
 PREPARE_EXACT = "exact"
 PREPARE_KICKBACK = "kickback"

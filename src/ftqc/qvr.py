@@ -37,6 +37,7 @@ import numpy as np
 
 from .core import (
     H,
+    TWO_PI,
     CircuitBuilder,
     Circuit,
     ResourceProfile,
@@ -52,14 +53,13 @@ from .kickback import (
     RIPPLE_CARRY,
     AdderSpec,
     GammaRegister,
+    emit_register_add,
     gamma_state,
     lookahead_profile,
 )
 from .par import PREPARE_EXACT, ParAncillaSet
 from .sim import StateVector, product_state, project_onto, run
 from .synth import synthesize
-
-TWO_PI = 2.0 * math.pi
 
 ROTATION_EXACT = "exact"
 ROTATION_SEQUENCE = "sequence"
@@ -216,30 +216,6 @@ def qvr_layout(params: QvrParams, controlled: bool = False) -> QvrLayout:
     return QvrLayout(theta, gamma, control, scratch, pads, nxt)
 
 
-def _emit_register_add(builder: CircuitBuilder, addend, target, ancilla: int) -> None:
-    """target += addend mod 2^len(target); len(addend) in {len-1, len}.
-
-    MAJ/UMA ripple with a single borrowed-zero ancilla seeding the carry
-    chain.  A width-(len-1) addend stands for a zero top bit, in which
-    case the top sum bit needs only the final carry, one CNOT.
-    """
-    width = len(target)
-    reach = len(addend)
-    if reach not in (width - 1, width):
-        raise ValueError("addend must be as wide as the target or one bit narrower")
-    chain = []
-    carry = ancilla
-    for i in range(reach):
-        chain.append((carry, target[i], addend[i]))
-        carry = addend[i]
-    for c, t, a in chain:
-        builder.extend([cnot(a, t), cnot(a, c), toffoli(c, t, a)])
-    if reach == width - 1:
-        builder.append(cnot(carry, target[width - 1]))
-    for c, t, a in reversed(chain):
-        builder.extend([toffoli(c, t, a), cnot(a, c), cnot(c, t)])
-
-
 def eigenstate_for(params: QvrParams, *, dtype=np.complex128) -> StateVector:
     """The addition eigenstate the kickback circuit expects on its gamma wires."""
     return gamma_state(GammaRegister(params.k_reduced, params.n), dtype=dtype)
@@ -273,7 +249,7 @@ def build_qvr_kickback(
         addend = layout.scratch + layout.pads
     else:
         addend = addend_bits + layout.pads
-    _emit_register_add(builder, addend, layout.gamma, layout.ancilla)
+    emit_register_add(builder, addend, layout.gamma, layout.ancilla)
     if controlled:
         for data_bit, copy_bit in zip(addend_bits, layout.scratch):
             builder.append(toffoli(layout.control, data_bit, copy_bit))
@@ -330,7 +306,7 @@ def build_qft_via_qvr(q: int, approx_drop: int = 0) -> Circuit:
         used = scratch[: len(bits)]
         for data_bit, copy_bit in zip(bits, used):
             builder.append(toffoli(t, data_bit, copy_bit))
-        _emit_register_add(builder, used, gamma_slice, ancilla)
+        emit_register_add(builder, used, gamma_slice, ancilla)
         for data_bit, copy_bit in zip(bits, used):
             builder.append(toffoli(t, data_bit, copy_bit))
     for i in range(q // 2):

@@ -39,6 +39,7 @@ from .core import (
     H,
     S,
     SDG,
+    TWO_PI,
     Circuit,
     CircuitBuilder,
     ResourceProfile,
@@ -50,12 +51,10 @@ from .core import (
     rz_matrix,
     toffoli,
 )
-from .kickback import RIPPLE_CARRY, AdderSpec, build_adder
+from .kickback import ripple_profile
 from .par import register_bits_for
 from .qvr import ROTATION_EXACT, ROTATION_SEQUENCE
 from .synth import min_sequence, synthesize
-
-TWO_PI = 2.0 * math.pi
 
 # Rotation methods priced by the estimator.  The first two also exist at
 # gate level (build_excitation); kickback and PAR circuits live in their
@@ -541,7 +540,8 @@ def rotation_profile(method: str, epsilon: float, angle: float | None = None) ->
     """Cost model for one single-qubit phase rotation at accuracy epsilon.
 
     kickback: gate-level ripple-carry controlled addition at the register
-    width that quantizes angles to epsilon (worst-case addend).
+    width that quantizes angles to epsilon (worst-case addend); the width
+    depends on epsilon alone, so the adder is built and priced once per width.
     sequence: exhaustive minimal sequence when epsilon (and the angle) is
     within search reach, else the fit lines.  sk: power law
     coeff * log10(1/eps)^4 in depth and T.  par: four gates mean, with
@@ -551,9 +551,7 @@ def rotation_profile(method: str, epsilon: float, angle: float | None = None) ->
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if method == METHOD_KICKBACK:
-        n = register_bits_for(epsilon)
-        circ = build_adder(AdderSpec(RIPPLE_CARRY, n, controlled=True), (1 << n) - 1)
-        return circ.profile()
+        return ripple_profile(register_bits_for(epsilon), True)
     if method == METHOD_SEQUENCE:
         if angle is not None and epsilon >= SEQUENCE_SEARCH_REACH:
             seq = min_sequence(rz_matrix(angle), epsilon)

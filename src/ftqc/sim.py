@@ -218,9 +218,6 @@ class PauliFrame:
         f.phase_i = self.phase_i
         return f
 
-    def is_identity(self) -> bool:
-        return not self.x.any() and not self.z.any() and self.phase_i == 0
-
     def update(self, qubit: int, pauli: str) -> None:
         """Fold a new X or Z correction onto the existing frame (left side)."""
         if pauli == "X":
@@ -495,8 +492,10 @@ def effective_unitary(
     Ancilla qubits (everything outside data_qubits) start in the supplied
     block states (default |0>) and are projected back onto those same
     states at the end.  Returns (matrix, worst leakage), where leakage for
-    a column is sqrt(1 - ||column||^2): the amplitude that left the
+    a column is ||psi - |ref> (x) column||, the norm of the output's part
+    orthogonal to the ancilla reference state: the amplitude that left the
     ancilla subspace.  The matrix is exactly unitary iff leakage is zero.
+    Unlike sqrt(1 - ||column||^2), it does not turn rounding eps into sqrt(eps).
     """
     fixed = dict(fixed or {})
     n = circuit.n_qubits
@@ -521,6 +520,14 @@ def effective_unitary(
         res = run(circuit, product_state(n, parts, cap=cap), seed=0, cap=cap)
         if ancillas:
             amps, rest = project_onto(res.state, ancillas, anc_ref)
+            # the output's part orthogonal to |ref>: psi - |ref> (x) amps, with
+            # the ancilla axes moved first in the block order project_onto uses
+            m = len(ancillas)
+            anc_axes = [n - 1 - q for q in reversed(ancillas)]
+            psi = np.moveaxis(res.state.amps.reshape([2] * n), anc_axes, range(m))
+            ortho = np.multiply.outer(anc_ref.reshape([2] * m), amps.reshape([2] * (n - m)))
+            np.subtract(psi, ortho, out=ortho)
+            worst = max(worst, float(np.linalg.norm(ortho)))
         else:
             amps, rest = res.state.amps, tuple(range(n))
         # rest lists the data qubits ascending; reorder to the given data order
@@ -529,7 +536,6 @@ def effective_unitary(
         perm = [k - 1 - pos[data_qubits[k - 1 - j]] for j in range(k)]
         column = np.transpose(amps.reshape([2] * k), perm).reshape(-1)
         mat[:, col] = column
-        worst = max(worst, math.sqrt(max(0.0, 1.0 - float(np.sum(np.abs(column) ** 2)))))
     return mat, worst
 
 

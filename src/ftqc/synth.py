@@ -319,6 +319,9 @@ def balanced_commutator_factors(delta: np.ndarray) -> tuple[np.ndarray, np.ndarr
     transform aligns the commutator's axis with delta's.
     """
     d = _to_su2(np.asarray(delta, dtype=complex))
+    if (d[0, 0] + d[1, 1]).real < 0:
+        # -d is the same correction up to phase; its branch lies nearer I
+        d = -d
     axis_d, theta = _axis_angle(d)
     if theta < 1e-7:
         # below double-precision resolution of the axis; the commutator

@@ -14,8 +14,10 @@ import math
 
 import pytest
 
+from ftqc import cli
 from ftqc.cli import DEFAULT_SEED, main, parse_args
 from ftqc.core import circuit_from_text
+from ftqc.sim import SimulationError
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -191,6 +193,30 @@ class TestEstimate2q:
         assert thresholds == sorted(thresholds, reverse=True)
         assert retained == sorted(retained)
 
+    @pytest.mark.parametrize(
+        "epsilon,per_step",
+        [
+            ("1e-4", {"depth": 119214, "t_count": 303996, "total_gates": 246022, "qubits": 63}),
+            ("1e-6", {"depth": 169880, "t_count": 455994, "total_gates": 303926, "qubits": 77}),
+        ],
+    )
+    def test_kickback_figures_are_pinned(self, capsys, epsilon, per_step):
+        # kickback rotations are priced from the cached worst-case adder
+        # profile; these are the figures of the adder built per rotation
+        status, out, _ = run_cli(
+            capsys,
+            "estimate-2q",
+            "--integrals", "tests/data/integrals_12.txt",
+            "--readout-bits", "10",
+            "--dt", "0.1",
+            "--method", "kickback",
+            "--epsilon", epsilon,
+        )
+        record = json.loads(out)
+        assert status == 0
+        assert record["per_step"] == per_step
+        assert record["rotation_count"] == 1057782
+
     def test_missing_integral_file_is_an_error_record(self, capsys):
         status, _, err = run_cli(
             capsys,
@@ -322,6 +348,39 @@ class TestArgumentHandling:
     def test_missing_subcommand_is_rejected(self, capsys):
         status, _, _ = run_cli(capsys)
         assert status == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("par-sim", "--phi", "nan", "--ancillas", "6", "--trials", "100"),
+            ("synth", "--angle", "0.5", "--epsilon", "inf"),
+            ("estimate-2q", "--integrals", "tests/data/integrals_12.txt",
+             "--readout-bits", "10", "--dt", "0.1", "--method", "par", "--epsilon", "2"),
+        ],
+        ids=["phi-nan", "epsilon-inf", "epsilon-above-one"],
+    )
+    def test_non_finite_or_out_of_range_floats_are_rejected(self, capsys, argv):
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["schema"] == 1
+        assert record["command"] == argv[0]
+        assert record["error"]["message"].startswith("argument --")
+
+    def test_simulation_error_is_an_error_record(self, capsys, monkeypatch):
+        def failing(config):
+            raise SimulationError("state exceeds the qubit cap")
+
+        monkeypatch.setitem(cli._HANDLERS, "synth", failing)
+        status, out, err = run_cli(capsys, "synth", "--angle", "0.5", "--epsilon", "1e-2")
+        assert status == 2
+        assert out == ""
+        assert "Traceback" not in err
+        record = json.loads(err)
+        assert record["command"] == "synth"
+        assert record["error"]["type"] == "SimulationError"
 
     def test_error_records_are_single_line_json(self, capsys):
         _, _, err = run_cli(

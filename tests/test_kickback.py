@@ -7,6 +7,7 @@ e^{2 pi i k u / 2^n} evaluated directly, and modular solutions against
 exhaustive search.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -14,7 +15,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftqc.core import CNOT, TOFFOLI, X, Z, decompose_toffolis, dist, rz_matrix
+from ftqc.core import (
+    CNOT,
+    TOFFOLI,
+    CircuitBuilder,
+    X,
+    Z,
+    circuit_to_text,
+    decompose_toffolis,
+    dist,
+    rz_matrix,
+)
+from ftqc.firstq import (
+    PhysicalConstants,
+    build_multiplier,
+    build_potential_phase_circuit,
+    build_register_adder,
+)
 from ftqc.kickback import (
     LOOKAHEAD_MODEL,
     RIPPLE_CARRY,
@@ -22,12 +39,14 @@ from ftqc.kickback import (
     GammaRegister,
     build_adder,
     carries_needed,
+    emit_register_add,
     gamma_state,
     kickback_rotation,
     phase_error,
     solve_mod,
     transform_gamma,
 )
+from ftqc.qvr import build_qft_via_qvr, build_qvr_kickback, qvr_params
 from ftqc.sim import (
     StateVector,
     block_overlap,
@@ -227,6 +246,45 @@ class TestRippleAdder:
         assert out >> n == 0
 
 
+class TestRegisterAdder:
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    @pytest.mark.parametrize("narrow", [False, True])
+    def test_adds_modulo_register_width(self, width, narrow):
+        reach = width - 1 if narrow else width
+        builder = CircuitBuilder(reach + width + 1)
+        addend = tuple(range(reach))
+        target = tuple(range(reach, reach + width))
+        emit_register_add(builder, addend, target, reach + width)
+        circuit = builder.build()
+        for a in range(1 << reach):
+            for t in range(1 << width):
+                out = classical_apply(circuit, a | t << reach)
+                assert out == a | ((a + t) % (1 << width)) << reach
+
+    def test_rejects_mismatched_widths(self):
+        with pytest.raises(ValueError):
+            emit_register_add(CircuitBuilder(6), (0, 1, 2), (3, 4), 5)
+        with pytest.raises(ValueError):
+            emit_register_add(CircuitBuilder(1), (), (), 0)
+
+    def test_builders_keep_their_circuit_texts(self):
+        # every builder that emits the register adder, on a fixed sample;
+        # the digest is of the texts before the adder had one definition
+        texts = [circuit_to_text(build_register_adder(w)) for w in range(1, 7)]
+        texts += [circuit_to_text(build_multiplier(w)) for w in range(1, 5)]
+        texts += [
+            circuit_to_text(build_qvr_kickback(qvr_params(xi, q), controlled))
+            for xi in (0.8125, 0.3, 1 / 3, 2.7)
+            for q in (1, 3, 5)
+            for controlled in (False, True)
+        ]
+        texts += [circuit_to_text(build_qft_via_qvr(q, d)) for q in range(1, 7) for d in range(3)]
+        constants = PhysicalConstants(charges=(-1.0, 1.0), masses=(1.0, 1.0), dt=0.1)
+        texts.append(circuit_to_text(build_potential_phase_circuit(2, 4, constants)[0]))
+        digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+        assert digest == "775db3b321969bff48f7c68692b6b97cb0b84d8abf3920b8bdaa9900266da5fa"
+
+
 class TestLookaheadModel:
     def test_returns_profile_not_circuit(self):
         p = build_adder(AdderSpec(LOOKAHEAD_MODEL, 16), 5)
@@ -336,6 +394,17 @@ class TestKickbackRotation:
         assert leak < 1e-12
         target = np.diag([1.0, 1.0, 1.0, np.exp(1j * (1.0 - kr.delta_phi))])
         assert dist(mat.astype(complex), target) <= 1e-9
+
+    @pytest.mark.parametrize("n", [5, 7])
+    @pytest.mark.parametrize("controlled", [False, True])
+    def test_leakage_is_rounding_sized(self, n, controlled):
+        # the register returns to gamma_state exactly; complex128 rounding
+        # must show as leakage of its own size, not its square root
+        reg = GammaRegister(1, n)
+        kr = kickback_rotation(0.7, reg, controlled=controlled)
+        data = (kr.layout.control, kr.layout.target) if controlled else (kr.layout.target,)
+        _, leak = effective_unitary(kr.circuit, data, {kr.layout.gamma: gamma_state(reg).amps})
+        assert leak <= 1e-12
 
     def test_fault_tolerant_gate_set(self):
         kr = kickback_rotation(1.0, GammaRegister(7, 5))

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ftqc import kickback
 from ftqc.core import (
     CNOT,
     FRAME,
@@ -31,6 +32,7 @@ from ftqc.core import (
     gate,
     measure,
 )
+from ftqc.kickback import RIPPLE_CARRY, AdderSpec, build_adder, ripple_profile
 from ftqc.par import register_bits_for
 from ftqc.qvr import ROTATION_EXACT, ROTATION_SEQUENCE
 from ftqc.secondq import (
@@ -557,6 +559,26 @@ class TestRotationProfiles:
         assert prof.qubits > n  # register plus carries
         assert prof.t_count > 0 and prof.depth > 1
         assert rotation_profile(METHOD_KICKBACK, 1e-8).depth > prof.depth
+
+    @pytest.mark.parametrize("epsilon", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_kickback_profile_is_the_built_adder(self, epsilon):
+        n = register_bits_for(epsilon)
+        circuit = build_adder(AdderSpec(RIPPLE_CARRY, n, controlled=True), (1 << n) - 1)
+        assert rotation_profile(METHOD_KICKBACK, epsilon) == circuit.profile()
+
+    def test_kickback_estimate_builds_the_adder_once(self, monkeypatch):
+        built = []
+
+        def counting_build_adder(spec, addend):
+            built.append((spec, addend))
+            return build_adder(spec, addend)
+
+        ripple_profile.cache_clear()
+        monkeypatch.setattr(kickback, "build_adder", counting_build_adder)
+        estimate_second_quantized(
+            load_integrals(FIXTURE), TrotterPlan(dt=0.1, readout_bits=10, method=METHOD_KICKBACK)
+        )
+        assert len(built) <= 1
 
     def test_single_rotation_depth_ordering(self):
         depths = {

@@ -21,13 +21,28 @@ from ftqc.synth import (
 )
 
 
+def dist_to_each(reps, v):
+    """dist(r, v) for every row r of reps (flattened 2x2 matrices), by the
+    same difference form as core.dist, zero-overlap case included."""
+    overlap = reps.conj() @ v.ravel()
+    size = np.abs(overlap)
+    phase = np.ones_like(overlap)
+    nonzero = size > 0
+    phase[nonzero] = overlap[nonzero].conj() / size[nonzero]
+    diff = reps - phase[:, None] * v.ravel()
+    return np.sqrt(np.einsum("ij,ij->i", diff.conj(), diff).real / (2 * 2))
+
+
 def brute_distinct_by_level(max_len):
     """Independent enumeration: no canonicalization, no shared key function.
 
     Dedup is pairwise distance clustering with a threshold far above float
     noise and far below the observed in-group gap (~0.14 at these lengths).
+    Each candidate is compared with all representatives in one numpy call.
     """
-    reps = [np.eye(2, dtype=complex)]
+    reps = np.zeros((64, 4), dtype=complex)
+    reps[0] = np.eye(2).ravel()
+    count = 1
     levels = [[np.eye(2, dtype=complex)]]
     frontier = levels[0]
     for _ in range(max_len):
@@ -35,8 +50,11 @@ def brute_distinct_by_level(max_len):
         for u in frontier:
             for g in ALPHABET:
                 v = GATE_MATRICES[g] @ u
-                if all(dist(r, v) >= 1e-6 for r in reps):
-                    reps.append(v)
+                if np.all(dist_to_each(reps[:count], v) >= 1e-6):
+                    if count == len(reps):
+                        reps = np.concatenate([reps, np.zeros_like(reps)])
+                    reps[count] = v.ravel()
+                    count += 1
                     new.append(v)
         levels.append(new)
         frontier = new
@@ -103,6 +121,24 @@ class TestNet:
         brute = brute_distinct_by_level(5)
         net_sizes = [len(lvl.kinds) for lvl in db.levels()]
         assert net_sizes == [len(level) for level in brute]
+
+    def test_vectorized_oracle_matches_loop(self):
+        # reference: the same enumeration with one dist call per pair
+        reps = [np.eye(2, dtype=complex)]
+        levels = [[np.eye(2, dtype=complex)]]
+        for _ in range(5):
+            new = []
+            for u in levels[-1]:
+                for g in ALPHABET:
+                    v = GATE_MATRICES[g] @ u
+                    if all(dist(r, v) >= 1e-6 for r in reps):
+                        reps.append(v)
+                        new.append(v)
+            levels.append(new)
+        fast = brute_distinct_by_level(5)
+        assert [len(level) for level in fast] == [len(level) for level in levels]
+        for got, want in zip(fast, levels):
+            np.testing.assert_array_equal(np.array(got), np.array(want))
 
     def test_every_brute_element_is_represented(self):
         db = build_net(4)
@@ -183,6 +219,28 @@ class TestSolovayKitaev:
             target = rz_matrix(rng.uniform(0, 2 * math.pi))
             seq = solovay_kitaev(target, 2, db)
             assert abs(seq.achieved_distance - dist(seq.matrix(), target)) <= 1e-12
+
+    def test_level_three_beats_lookup(self):
+        # The commutator must correct toward the target on either SU(2)
+        # branch of delta; a branch near -I makes every level worse.
+        def rotation(angle, axis):
+            n = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+            ns = sum(c * GATE_MATRICES[p] for c, p in zip(n, "XYZ"))
+            return math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * ns
+
+        rng = np.random.default_rng(31)
+        haar = []
+        for _ in range(30):
+            # a uniform unit quaternion is a Haar-random SU(2) element
+            q = rng.standard_normal(4)
+            a, b, c, d = q / np.linalg.norm(q)
+            haar.append(np.array([[a + 1j * d, c + 1j * b], [-c + 1j * b, a - 1j * d]]))
+        targets = [rz_matrix(2.714), rotation(2.22, (math.cos(1.0), math.sin(1.0), 0.5))] + haar
+        db = build_net(14)
+        for target in targets:
+            d0 = solovay_kitaev(target, 0, db).achieved_distance
+            d3 = solovay_kitaev(target, 3, db).achieved_distance
+            assert d3 < d0
 
     def test_rejects_bad_target(self):
         db = build_net(2)
