@@ -12,6 +12,11 @@ minimal quoting).  Randomized commands take --seed, which falls back to
 the FTQC_SEED environment variable and then to DEFAULT_SEED, so a fixed
 (config, seed) pair always produces byte-identical output.  Failures
 exit nonzero after writing a machine-readable error record to stderr.
+
+Exit statuses: 0 on success; 2 for an error record (bad input, unreadable
+file, failed simulation); EXIT_UNSATISFIED (3) when ``synth`` met no
+sequence within --epsilon, after writing its record with ``satisfied``
+false; ``verify`` passes on the status of the acceptance run.
 """
 
 from __future__ import annotations
@@ -35,9 +40,12 @@ from .par import par_statistics
 from .sim import SimulationError
 from .synth import synthesize
 
-__all__ = ["DEFAULT_SEED", "RunConfig", "build_parser", "parse_args", "run", "main"]
+__all__ = [
+    "DEFAULT_SEED", "EXIT_UNSATISFIED", "RunConfig", "build_parser", "parse_args", "run", "main",
+]
 
 DEFAULT_SEED = 1729
+EXIT_UNSATISFIED = 3
 SCHEMA_VERSION = 1
 
 _MODE_NAMES = {"inplace": firstq.IN_PLACE, "parallel": firstq.FULLY_PARALLEL}
@@ -106,7 +114,7 @@ def _cmd_synth(config: RunConfig) -> tuple[dict, int]:
         "achieved_distance": seq.achieved_distance,
         "satisfied": seq.satisfied,
     }
-    return record, 0
+    return record, 0 if seq.satisfied else EXIT_UNSATISFIED
 
 
 def _cmd_kickback(config: RunConfig) -> tuple[dict, int]:

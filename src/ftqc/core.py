@@ -27,6 +27,10 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
+# |+>, the input of PAR and QVR ancillas; shared, so read-only
+PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
+PLUS.setflags(write=False)
+
 # Gate kinds.  Order matters only for deterministic iteration in searches.
 X, Y, Z, H, S, SDG, T, TDG = "X", "Y", "Z", "H", "S", "SDG", "T", "TDG"
 CNOT, TOFFOLI = "CNOT", "TOFFOLI"

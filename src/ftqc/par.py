@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import TWO_PI, rz_matrix
+from .core import PLUS, TWO_PI, rz_matrix
 from .kickback import (
     RIPPLE_CARRY,
     AdderSpec,
@@ -94,9 +94,6 @@ def _exact_ancilla(theta: float) -> np.ndarray:
     return np.array([1.0, cmath.exp(1j * theta)]) / math.sqrt(2.0)
 
 
-_PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
-
-
 def _kickback_ancilla(theta: float, n: int) -> np.ndarray:
     """Simulate a kickback rotation on |+> and read back the qubit state."""
     reg = GammaRegister(1, n)
@@ -104,7 +101,7 @@ def _kickback_ancilla(theta: float, n: int) -> np.ndarray:
     circuit = kr.circuit
     g = gamma_state(reg).amps
     init = product_state(
-        circuit.n_qubits, {(kr.layout.target,): _PLUS, kr.layout.gamma: g}
+        circuit.n_qubits, {(kr.layout.target,): PLUS, kr.layout.gamma: g}
     )
     final = run(circuit, init).state
     others = tuple(q for q in range(circuit.n_qubits) if q != kr.layout.target)
@@ -116,7 +113,7 @@ def _kickback_ancilla(theta: float, n: int) -> np.ndarray:
 
 
 def _sequence_ancilla(theta: float, epsilon: float) -> np.ndarray:
-    return min_sequence(rz_matrix(theta), epsilon).matrix() @ _PLUS
+    return min_sequence(rz_matrix(theta), epsilon).matrix() @ PLUS
 
 
 def prepare_ancillas(
@@ -275,7 +272,7 @@ def execute_controlled_par(
     rounds = aset.m_count
     control_debt = 0.0  # accumulated control=1 phase from failed rounds
     for m in range(1, aset.m_count + 1):
-        branch = (_PLUS, aset.ancillas[m - 1])
+        branch = (PLUS, aset.ancillas[m - 1])
         p0 = sum(
             abs(branch[c][b] * psi_cd[c][b]) ** 2 for c in (0, 1) for b in (0, 1)
         )
@@ -361,7 +358,7 @@ def par_statistics(
     fallbacks = 0
     total_rounds = 0
     for _ in range(trials):
-        out = execute_par(_PLUS, aset, rng=rng)
+        out = execute_par(PLUS, aset, rng=rng)
         histogram[out.rounds] += 1
         total_rounds += out.rounds
         if out.fallback_used:

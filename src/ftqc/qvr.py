@@ -37,6 +37,7 @@ import numpy as np
 
 from .core import (
     H,
+    PLUS,
     TWO_PI,
     CircuitBuilder,
     Circuit,
@@ -65,8 +66,6 @@ ROTATION_EXACT = "exact"
 ROTATION_SEQUENCE = "sequence"
 
 DEFAULT_FRAC_BITS = 32
-
-_PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -372,14 +371,14 @@ def par_ancillas_via_qvr(
     params = fitted_qvr_params(xi, m_count, frac_bits=frac_bits, max_qubits=max_qubits)
     if params.empty:
         return ParAncillaSet(
-            float(phi), m_count, PREPARE_EXACT, 0.0, (_PLUS.copy(),) * m_count
+            float(phi), m_count, PREPARE_EXACT, 0.0, (PLUS.copy(),) * m_count
         )
     layout = qvr_layout(params)
     circuit = build_qvr_kickback(params)
     initial = product_state(
         circuit.n_qubits,
         {
-            **{(j,): _PLUS for j in layout.theta},
+            **{(j,): PLUS for j in layout.theta},
             layout.gamma: eigenstate_for(params).amps,
         },
     )

@@ -23,7 +23,9 @@ from . import _kernels_py, core, kernels
 from .core import Circuit, Gate
 
 DEFAULT_QUBIT_CAP = 22
-DEFAULT_SEED = 740021  # arbitrary fixed constant; FTQC_SEED overrides in the CLI
+# arbitrary fixed constant for direct library calls; the CLI never reads it:
+# its seeded command takes --seed, else FTQC_SEED, else cli.DEFAULT_SEED (1729)
+DEFAULT_SEED = 740021
 
 
 class SimulationError(RuntimeError):

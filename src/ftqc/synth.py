@@ -10,12 +10,20 @@ Sequences are written in circuit order (first gate applied first), so the
 composed matrix is the right-to-left product.  All searches share one
 lazily grown net keyed by a global-phase-invariant fingerprint of the
 composed unitary; growth, search and tie-breaking are deterministic.
+
+Both compilers look the net up the same way: the grown net's matrices
+are stored as one stacked (N, 4) array in length order, so a lookup
+scores every entry with one matrix-vector product, takes the per-length
+minima with ``np.minimum.reduceat`` and breaks ties only on the length
+it chooses.  SK reports the distance of the product its recursion
+already built, not of the word multiplied out again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -92,7 +100,7 @@ REDUCTIONS = _build_reduction_table()
 
 
 class _Level:
-    """All canonical sequences of one fixed length, scan-friendly."""
+    """All canonical sequences of one fixed length."""
 
     __slots__ = ("kinds", "stack")
 
@@ -102,15 +110,26 @@ class _Level:
 
 
 class _Net:
-    """Shared, lazily grown enumeration of canonical sequences by length."""
+    """Shared, lazily grown enumeration of canonical sequences by length.
+
+    The levels are also kept concatenated in row order: ``kinds`` per row,
+    ``starts`` the first row of each length, and ``rows`` the flattened
+    matrices, of which each level's ``stack`` is a view.  Levels never
+    change once grown, so a prefix of rows is the net up to any grown
+    length.
+    """
 
     def __init__(self) -> None:
         self.levels: list[_Level] = [_Level([()], [_ID2])]
         self.seen: set[bytes] = {unitary_key(_ID2)}
+        self.kinds: list[tuple[str, ...]] = [()]
+        self.starts: list[int] = [0, 1]
+        self.rows = self.levels[0].stack.reshape(1, 4)
 
     def grow_to(self, max_len: int) -> None:
         if max_len > MAX_NET_LEN:
             raise ValueError(f"net length {max_len} exceeds enumeration bound {MAX_NET_LEN}")
+        grown = len(self.levels)
         while len(self.levels) - 1 < max_len:
             prev = self.levels[-1]
             kinds_out: list[tuple[str, ...]] = []
@@ -128,6 +147,16 @@ class _Net:
                     kinds_out.append(seq + (g,))
                     mats_out.append(v)
             self.levels.append(_Level(kinds_out, mats_out))
+            self.kinds += kinds_out
+            self.starts.append(len(self.kinds))
+        if len(self.levels) > grown:
+            self.rows = np.concatenate([lvl.stack.reshape(-1, 4) for lvl in self.levels])
+            self.rows.setflags(write=False)
+            for lvl, a, b in zip(self.levels, self.starts, self.starts[1:]):
+                lvl.stack = self.rows[a:b].reshape(-1, 2, 2)
+
+    def matrix(self, row: int) -> np.ndarray:
+        return self.rows[row].reshape(2, 2)
 
 
 _SHARED_NET = _Net()
@@ -146,20 +175,20 @@ class SequenceDB:
         self._levels = _SHARED_NET.levels[: max_len + 1]
 
     def __len__(self) -> int:
-        return sum(len(lvl.kinds) for lvl in self._levels)
+        return _SHARED_NET.starts[self.max_len + 1]
 
     def sequences(self) -> Iterator[tuple[str, ...]]:
-        for lvl in self._levels:
-            yield from lvl.kinds
+        yield from _SHARED_NET.kinds[: len(self)]
+
+    @cached_property
+    def _row_of(self) -> dict[tuple[str, ...], int]:
+        return {kinds: row for row, kinds in enumerate(self.sequences())}
 
     def __contains__(self, kinds: tuple[str, ...]) -> bool:
-        if len(kinds) > self.max_len:
-            return False
-        return kinds in self._levels[len(kinds)].kinds
+        return kinds in self._row_of
 
     def matrix(self, kinds: tuple[str, ...]) -> np.ndarray:
-        i = self._levels[len(kinds)].kinds.index(kinds)
-        return self._levels[len(kinds)].stack[i]
+        return _SHARED_NET.matrix(self._row_of[kinds])
 
     def levels(self) -> Iterator[_Level]:
         yield from self._levels
@@ -206,39 +235,67 @@ class GateSequence:
         return [gate(k, qubit) for k in self.kinds]
 
 
-def _batch_dist(stack: np.ndarray, target: np.ndarray) -> np.ndarray:
-    ov = np.abs(np.einsum("nij,ij->n", stack.conj(), target))
+def _batch_dist(rows: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """dist to ``target`` of each row of flattened 2x2 matrices."""
+    # |tr(U^dag V)| = |sum conj(u) v| = |sum u conj(v)|: no conjugated copy
+    ov = np.abs(rows @ target.reshape(4).conj())
     return np.sqrt(np.maximum(0.0, (2.0 - ov) / 2.0))
 
 
-def _scan_level(lvl: _Level, target: np.ndarray) -> tuple[float, tuple[str, ...]] | None:
-    """Best (distance, kinds) in one level, ties broken lexicographically."""
-    if not lvl.kinds:
-        return None
-    d = _batch_dist(lvl.stack, target)
+def _pick(d: np.ndarray, first: int, target: np.ndarray) -> tuple[float, int]:
+    """Best (distance, row) of one level, ties broken lexicographically.
+
+    ``d`` holds the batched distances of the level's rows, which start at
+    net row ``first``.
+    """
     dmin = float(d.min())
-    idx = np.flatnonzero(d <= dmin + 1e-12)
+    rows = first + np.flatnonzero(d <= dmin + 1e-12)
     if dmin < 1e-6:
-        # near-exact hits: the batched trace form above turns rounding into
+        # near-exact hits: the batched trace form turns rounding into
         # sqrt(eps) noise, so re-evaluate through dist(), whose difference
         # form keeps it at eps and ranks exact hits correctly
-        refined = [(dist(lvl.stack[i], target), lvl.kinds[i]) for i in idx]
-        dmin = min(r[0] for r in refined)
-        tied = [kinds for rd, kinds in refined if rd <= dmin + 1e-12]
-    else:
-        tied = [lvl.kinds[i] for i in idx]
-    return dmin, min(tied)
+        refined = [(dist(_SHARED_NET.matrix(i), target), i) for i in rows]
+        dmin = min(r for r, _ in refined)
+        rows = [i for r, i in refined if r <= dmin + 1e-12]
+    return dmin, min(rows, key=_SHARED_NET.kinds.__getitem__)
+
+
+def _lookup(target: np.ndarray, max_len: int, epsilon: float | None = None) -> tuple[float, int]:
+    """Nearest (distance, row) over lengths 0..max_len of the shared net.
+
+    Shortest first, then lexicographic order; a longer level wins only by
+    more than 1e-12.  With ``epsilon`` the search stops at the first length
+    that reaches it, which is then minimal.  The grown prefix is scored in
+    one batched scan; lengths past it are grown and scanned one at a time,
+    so a hit at length L never enumerates length L + 1.
+    """
+    net = _SHARED_NET
+    best_d, best = math.inf, None
+    length = 0
+    while length <= max_len:
+        top = max(length, min(max_len, len(net.levels) - 1))
+        net.grow_to(top)
+        starts = net.starts[length : top + 2]
+        lo = starts[0]
+        d = _batch_dist(net.rows[lo : starts[-1]], target)
+        # no level is empty (sizes grow with length), so neither is a segment
+        level_mins = np.minimum.reduceat(d, [a - lo for a in starts[:-1]]).tolist()
+        for a, b, dmin in zip(starts, starts[1:], level_mins):
+            level = (d[a - lo : b - lo], a)
+            if dmin < 1e-6:
+                dmin = _pick(*level, target)[0]
+            if dmin < best_d - 1e-12:
+                best_d, best = dmin, level
+            if epsilon is not None and dmin <= epsilon:
+                return _pick(*level, target)
+        length = top + 1
+    return _pick(*best, target)
 
 
 def _nearest(target: np.ndarray, db: SequenceDB) -> tuple[tuple[str, ...], np.ndarray]:
-    """Nearest net element; shortest first, then lexicographic order."""
-    best_d = math.inf
-    best_kinds: tuple[str, ...] = ()
-    for lvl in db.levels():
-        found = _scan_level(lvl, target)
-        if found is not None and found[0] < best_d - 1e-12:
-            best_d, best_kinds = found
-    return best_kinds, compose_kinds(best_kinds)
+    """Nearest net element and its stored matrix."""
+    _, row = _lookup(target, db.max_len)
+    return _SHARED_NET.kinds[row], _SHARED_NET.matrix(row)
 
 
 def _check_target(target: np.ndarray) -> np.ndarray:
@@ -259,24 +316,11 @@ def min_sequence(target: np.ndarray, epsilon: float, max_len: int = 14) -> GateS
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if max_len > MAX_NET_LEN:
-        raise ValueError(f"max_len {max_len} exceeds enumeration bound {MAX_NET_LEN}")
+    if not 0 <= max_len <= MAX_NET_LEN:
+        raise ValueError(f"max_len {max_len} is outside the enumeration bound 0..{MAX_NET_LEN}")
     target = _check_target(target)
-    best_d = math.inf
-    best_kinds: tuple[str, ...] = ()
-    for length in range(max_len + 1):
-        # grow lazily so a hit at length L never enumerates length L+1
-        _SHARED_NET.grow_to(length)
-        found = _scan_level(_SHARED_NET.levels[length], target)
-        if found is None:
-            continue
-        d, kinds = found
-        if d < best_d - 1e-12:
-            best_d, best_kinds = d, kinds
-        if d <= epsilon:
-            # everything shorter has been scanned already: minimal length
-            return GateSequence(kinds, target, d, tolerance=epsilon)
-    return GateSequence(best_kinds, target, best_d, tolerance=epsilon)
+    d, row = _lookup(target, max_len, epsilon)
+    return GateSequence(_SHARED_NET.kinds[row], target, d, tolerance=epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +416,9 @@ def solovay_kitaev(target: np.ndarray, level: int, db: SequenceDB) -> GateSequen
     if level < 0:
         raise ValueError("level must be non-negative")
     target = _check_target(target)
-    kinds, _ = _sk(target, level, db)
-    return GateSequence(kinds, target, dist(compose_kinds(kinds), target))
+    # the recursion's product is the word's matrix, rounded differently
+    kinds, mat = _sk(target, level, db)
+    return GateSequence(kinds, target, dist(mat, target))
 
 
 def synthesize(target: np.ndarray, epsilon: float, *, max_level: int = 8) -> GateSequence:

@@ -18,6 +18,7 @@ from ftqc import cli
 from ftqc.cli import DEFAULT_SEED, main, parse_args
 from ftqc.core import circuit_from_text
 from ftqc.sim import SimulationError
+from ftqc.synth import GateSequence
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -58,6 +59,23 @@ class TestSynth:
         text = out_file.read_text()
         assert text.endswith("\n")
         assert json.loads(text)["command"] == "synth"
+
+    def test_unsatisfied_tolerance_has_its_own_status(self, tmp_path, capsys, monkeypatch):
+        def short_of_budget(target, epsilon):
+            return GateSequence(("T",), target, 0.25, tolerance=epsilon)
+
+        monkeypatch.setattr(cli, "synthesize", short_of_budget)
+        out_file = tmp_path / "synth.json"
+        status, out, err = run_cli(
+            capsys, "synth", "--angle", "0.3", "--epsilon", "1e-3", "--json", str(out_file)
+        )
+        assert status == cli.EXIT_UNSATISFIED
+        assert status not in (0, 2)
+        assert out == "" and err == ""
+        record = json.loads(out_file.read_text())
+        assert record["satisfied"] is False
+        assert record["achieved_distance"] == 0.25
+        assert record["sequence"] == ["T"]
 
 
 class TestDeterminism:

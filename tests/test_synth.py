@@ -1,6 +1,7 @@
 """Sequence synthesis: canonical net enumeration, Solovay-Kitaev, and the
 breadth-first minimal search, each checked against independent oracles."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -17,8 +18,23 @@ from ftqc.synth import (
     compose_kinds,
     min_sequence,
     solovay_kitaev,
+    synthesize,
     unitary_key,
 )
+
+
+def haar_su2(rng):
+    """A uniform unit quaternion is a Haar-random SU(2) element."""
+    q = rng.standard_normal(4)
+    a, b, c, d = q / np.linalg.norm(q)
+    return np.array([[a + 1j * d, c + 1j * b], [-c + 1j * b, a - 1j * d]])
+
+
+def words_digest(words):
+    h = hashlib.sha256()
+    for kinds in words:
+        h.update((" ".join(kinds) + "\n").encode())
+    return h.hexdigest()
 
 
 def dist_to_each(reps, v):
@@ -213,12 +229,15 @@ class TestSolovayKitaev:
         assert np.median(d2) < np.median(d0)
 
     def test_achieved_distance_invariant(self):
-        db = build_net(5)
+        # the reported distance must be that of the emitted word, at every
+        # level up to words of ~165k gates
+        db = build_net(14)
         rng = np.random.default_rng(23)
-        for _ in range(5):
-            target = rz_matrix(rng.uniform(0, 2 * math.pi))
-            seq = solovay_kitaev(target, 2, db)
-            assert abs(seq.achieved_distance - dist(seq.matrix(), target)) <= 1e-12
+        for target in [rz_matrix(2.714)] + [haar_su2(rng) for _ in range(5)]:
+            for level in range(7):
+                seq = solovay_kitaev(target, level, db)
+                honest = dist(compose_kinds(seq.kinds), target)
+                assert abs(seq.achieved_distance - honest) <= 1e-12
 
     def test_level_three_beats_lookup(self):
         # The commutator must correct toward the target on either SU(2)
@@ -229,12 +248,7 @@ class TestSolovayKitaev:
             return math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * ns
 
         rng = np.random.default_rng(31)
-        haar = []
-        for _ in range(30):
-            # a uniform unit quaternion is a Haar-random SU(2) element
-            q = rng.standard_normal(4)
-            a, b, c, d = q / np.linalg.norm(q)
-            haar.append(np.array([[a + 1j * d, c + 1j * b], [-c + 1j * b, a - 1j * d]]))
+        haar = [haar_su2(rng) for _ in range(30)]
         targets = [rz_matrix(2.714), rotation(2.22, (math.cos(1.0), math.sin(1.0), 0.5))] + haar
         db = build_net(14)
         for target in targets:
@@ -309,6 +323,8 @@ class TestMinSequence:
     def test_budget_bound(self):
         with pytest.raises(ValueError):
             min_sequence(rz_matrix(0.3), 1e-3, max_len=17)
+        with pytest.raises(ValueError):
+            min_sequence(rz_matrix(0.3), 1e-3, max_len=-1)
 
     def test_length_trend_grows_with_precision(self):
         rng = np.random.default_rng(15)
@@ -329,3 +345,33 @@ class TestMinSequence:
         np.testing.assert_allclose(
             compose_kinds(adj), compose_kinds(kinds).conj().T, atol=1e-12
         )
+
+
+class TestGoldenWords:
+    """Digests of emitted words, pinned so that a faster lookup or
+    recursion must reproduce every choice, tie-breaks included."""
+
+    def test_solovay_kitaev_words(self):
+        db = build_net(14)
+        rng = np.random.default_rng(2024)
+        targets = [rz_matrix(a) for a in rng.uniform(0, 2 * math.pi, 12)]
+        targets += [haar_su2(rng) for _ in range(10)]
+        words = [solovay_kitaev(t, level, db).kinds for t in targets for level in range(5)]
+        assert words_digest(words) == (
+            "9e737d1c0530a982a29ae8fa568de71fed95b0d91a27f80277c97329526e5207"
+        )
+
+    def test_synthesize_words(self):
+        # at 0.05 about half of the targets fall through to SK
+        rng = np.random.default_rng(2025)
+        targets = [rz_matrix(a) for a in rng.uniform(0, 2 * math.pi, 250)]
+        targets += [haar_su2(rng) for _ in range(250)]
+        words = [synthesize(t, eps).kinds for eps in (0.12, 0.05) for t in targets]
+        assert words_digest(words) == (
+            "5e15ea45a0eea5d93db76122c79fbb2db55662ecaa863243a0a05398bc3e6d5a"
+        )
+
+    def test_exact_words(self):
+        for word in (("T",), ("S",), ("T", "H")):
+            seq = synthesize(compose_kinds(word), 1e-9)
+            assert seq.kinds == word and seq.satisfied
