@@ -3,10 +3,8 @@
 Same contract as the compiled module ftqc._kernels: every function takes a
 flat complex amplitude array of length 2**n (qubit j = j-th least
 significant bit of the index) and returns the updated array, modifying it
-in place where the operation allows.  Unlike the compiled module this one
-is dtype-agnostic, which is what the extended-precision verification path
-relies on.  Summation order inside prob_one is fixed (C order) so runs are
-reproducible for a given seed.
+in place where the operation allows.  Summation order inside prob_one is
+fixed (C order) so runs are reproducible for a given seed.
 """
 
 from __future__ import annotations

@@ -2,8 +2,10 @@
 
 The compiled Cython module is preferred when it imported cleanly; setting
 FTQC_PURE_PYTHON=1 forces the numpy fallback.  Both expose the same
-functions (see ftqc._kernels_py for the contract) and both are exercised
-by the test suite and benchmarks.
+functions (see ftqc._kernels_py for the contract).  CI and the benchmark
+run from a source checkout with no extension built, so they exercise the
+numpy kernels; the two tests that compare the backends skip unless
+ftqc._kernels has been built.
 """
 
 from __future__ import annotations

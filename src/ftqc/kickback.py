@@ -80,21 +80,16 @@ class GammaRegister:
         return 1 << self.n
 
 
-_PI_LD = np.longdouble("3.14159265358979323846264338327950288")
-
-
-def gamma_state(reg: GammaRegister, *, dtype=np.complex128) -> StateVector:
+def gamma_state(reg: GammaRegister) -> StateVector:
     """Eigenstate of modular addition: amplitudes e^{-2 pi i k y / 2^n} / sqrt(2^n).
 
     The state is a product state; qubit j holds
-    (|0> + e^{-2 pi i k / 2^(n-j)} |1>) / sqrt(2).
+    (|0> + e^{-2 pi i k / 2^(n-j)} |1>) / sqrt(2).  k y is reduced modulo
+    2^n in integers, so each phase is one rounding of an angle in (-2 pi, 0].
     """
     n_amp = reg.modulus
-    angles = np.arange(n_amp, dtype=np.longdouble) * (-2 * _PI_LD * reg.k / n_amp)
-    amps = (np.cos(angles) + np.clongdouble(1j) * np.sin(angles)) / np.sqrt(
-        np.longdouble(n_amp)
-    )
-    return StateVector(reg.n, amps.astype(dtype))
+    turns = (np.arange(n_amp, dtype=np.int64) * reg.k) % n_amp
+    return StateVector(reg.n, np.exp((-TWO_PI / n_amp) * turns * 1j) / np.sqrt(n_amp))
 
 
 def _reduce_angle(phi: float) -> float:

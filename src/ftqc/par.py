@@ -31,14 +31,12 @@ import numpy as np
 
 from .core import PLUS, TWO_PI, rz_matrix
 from .kickback import (
-    RIPPLE_CARRY,
-    AdderSpec,
     GammaRegister,
     gamma_state,
     kickback_rotation,
     phase_error,
 )
-from .sim import product_state, project_onto, run
+from .sim import run_with_helpers
 from .synth import min_sequence
 
 PREPARE_EXACT = "exact"
@@ -94,21 +92,13 @@ def _exact_ancilla(theta: float) -> np.ndarray:
     return np.array([1.0, cmath.exp(1j * theta)]) / math.sqrt(2.0)
 
 
-def _kickback_ancilla(theta: float, n: int) -> np.ndarray:
-    """Simulate a kickback rotation on |+> and read back the qubit state."""
+def _kickback_ancilla(theta: float, n: int, chi: np.ndarray = PLUS) -> np.ndarray:
+    """Simulate a kickback rotation on chi (default |+>) and read back the qubit state."""
     reg = GammaRegister(1, n)
     kr = kickback_rotation(theta, reg)
-    circuit = kr.circuit
-    g = gamma_state(reg).amps
-    init = product_state(
-        circuit.n_qubits, {(kr.layout.target,): PLUS, kr.layout.gamma: g}
+    vec, _ = run_with_helpers(
+        kr.circuit, {(kr.layout.target,): chi}, {kr.layout.gamma: gamma_state(reg).amps}
     )
-    final = run(circuit, init).state
-    others = tuple(q for q in range(circuit.n_qubits) if q != kr.layout.target)
-    block = product_state(
-        len(others), {tuple(range(len(kr.layout.gamma))): g}
-    ).amps
-    vec, _ = project_onto(final, others, block)
     return vec / np.linalg.norm(vec)
 
 
@@ -177,20 +167,7 @@ def _fallback_state(chi: np.ndarray, aset: ParAncillaSet) -> np.ndarray:
     if aset.method == PREPARE_SEQUENCE:
         seq = min_sequence(rz_matrix(alpha), aset.epsilon_each)
         return seq.matrix() @ chi
-    n = register_bits_for(aset.epsilon_each)
-    reg = GammaRegister(1, n)
-    kr = kickback_rotation(alpha, reg, spec=AdderSpec(RIPPLE_CARRY, n))
-    init = product_state(
-        kr.circuit.n_qubits,
-        {(kr.layout.target,): chi, kr.layout.gamma: gamma_state(reg).amps},
-    )
-    final = run(kr.circuit, init).state
-    others = tuple(q for q in range(kr.circuit.n_qubits) if q != kr.layout.target)
-    block = product_state(
-        len(others), {tuple(range(len(kr.layout.gamma))): gamma_state(reg).amps}
-    ).amps
-    vec, _ = project_onto(final, others, block)
-    return vec / np.linalg.norm(vec)
+    return _kickback_ancilla(alpha, register_bits_for(aset.epsilon_each), chi)
 
 
 def execute_par(
@@ -299,24 +276,11 @@ def execute_controlled_par(
             reg = GammaRegister(1, n)
             kr = kickback_rotation(alpha, reg, controlled=True)
             lay = kr.layout
-            init = product_state(
-                kr.circuit.n_qubits,
-                {
-                    (lay.control, lay.target): np.array(
-                        [psi_cd[0][0], psi_cd[1][0], psi_cd[0][1], psi_cd[1][1]]
-                    ),
-                    lay.gamma: gamma_state(reg).amps,
-                },
+            vec, _ = run_with_helpers(
+                kr.circuit,
+                {(lay.control, lay.target): psi_cd.T.reshape(-1)},  # index c + 2 d
+                {lay.gamma: gamma_state(reg).amps},
             )
-            final = run(kr.circuit, init).state
-            others = tuple(
-                q for q in range(kr.circuit.n_qubits) if q not in (lay.control, lay.target)
-            )
-            pos = {q: i for i, q in enumerate(others)}
-            block = product_state(
-                len(others), {tuple(pos[q] for q in lay.gamma): gamma_state(reg).amps}
-            ).amps
-            vec, _ = project_onto(final, others, block)
             vec = vec / np.linalg.norm(vec)
             psi_cd = np.array([[vec[0], vec[2]], [vec[1], vec[3]]])
     if control_debt:

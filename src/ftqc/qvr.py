@@ -59,7 +59,7 @@ from .kickback import (
     lookahead_profile,
 )
 from .par import PREPARE_EXACT, ParAncillaSet
-from .sim import StateVector, product_state, project_onto, run
+from .sim import StateVector, run_with_helpers
 from .synth import synthesize
 
 ROTATION_EXACT = "exact"
@@ -215,9 +215,9 @@ def qvr_layout(params: QvrParams, controlled: bool = False) -> QvrLayout:
     return QvrLayout(theta, gamma, control, scratch, pads, nxt)
 
 
-def eigenstate_for(params: QvrParams, *, dtype=np.complex128) -> StateVector:
+def eigenstate_for(params: QvrParams) -> StateVector:
     """The addition eigenstate the kickback circuit expects on its gamma wires."""
-    return gamma_state(GammaRegister(params.k_reduced, params.n), dtype=dtype)
+    return gamma_state(GammaRegister(params.k_reduced, params.n))
 
 
 def build_qvr_kickback(
@@ -314,13 +314,13 @@ def build_qft_via_qvr(q: int, approx_drop: int = 0) -> Circuit:
     return builder.build()
 
 
-def qft_gamma_state(q: int, approx_drop: int = 0, *, dtype=np.complex128) -> StateVector | None:
+def qft_gamma_state(q: int, approx_drop: int = 0) -> StateVector | None:
     """Eigenstate to feed build_qft_via_qvr's gamma wires (None if it has none)."""
     drop = approx_drop
     gamma_width = q - drop if q - 1 >= drop + 1 else 0
     if gamma_width == 0:
         return None
-    return gamma_state(GammaRegister(1, gamma_width), dtype=dtype)
+    return gamma_state(GammaRegister(1, gamma_width))
 
 
 def qft_drop_bound(q: int, approx_drop: int) -> float:
@@ -374,20 +374,11 @@ def par_ancillas_via_qvr(
             float(phi), m_count, PREPARE_EXACT, 0.0, (PLUS.copy(),) * m_count
         )
     layout = qvr_layout(params)
-    circuit = build_qvr_kickback(params)
-    initial = product_state(
-        circuit.n_qubits,
-        {
-            **{(j,): PLUS for j in layout.theta},
-            layout.gamma: eigenstate_for(params).amps,
-        },
+    vec, _ = run_with_helpers(
+        build_qvr_kickback(params),
+        {(j,): PLUS for j in layout.theta},
+        {layout.gamma: eigenstate_for(params).amps},
     )
-    final = run(circuit, initial).state
-    helpers = layout.gamma + layout.pads + (layout.ancilla,)
-    helper_block = product_state(
-        len(helpers), {tuple(range(len(layout.gamma))): eigenstate_for(params).amps}
-    ).amps
-    vec, _ = project_onto(final, helpers, helper_block)
     vec = vec / np.linalg.norm(vec)
     ancillas = []
     for j in range(m_count):

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import _kernels_py, core, kernels
+from . import core, kernels
 from .core import Circuit, Gate
 
 DEFAULT_QUBIT_CAP = 22
@@ -33,14 +33,7 @@ class SimulationError(RuntimeError):
 
 
 class StateVector:
-    """Dense state on n qubits; qubit j is bit j of the basis index.
-
-    Amplitudes are complex128 by default.  Passing clongdouble arrays (or
-    dtype=np.clongdouble to the constructors) switches the whole run onto
-    the pure-python kernels in extended precision, which is what the
-    verification suite uses when a tolerance sits near the double-precision
-    noise floor of the distance metric.
-    """
+    """Dense complex128 state on n qubits; qubit j is bit j of the basis index."""
 
     __slots__ = ("n_qubits", "amps")
 
@@ -49,45 +42,37 @@ class StateVector:
             raise SimulationError(f"{n_qubits} qubits exceeds the simulator cap of {cap}")
         if amps.shape != (1 << n_qubits,):
             raise ValueError(f"amplitude array has shape {amps.shape}, expected {(1 << n_qubits,)}")
-        if not np.issubdtype(amps.dtype, np.complexfloating):
-            amps = amps.astype(np.complex128)
         self.n_qubits = n_qubits
-        self.amps = np.ascontiguousarray(amps)
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.amps.dtype
+        self.amps = np.ascontiguousarray(amps, dtype=np.complex128)
 
     @classmethod
-    def zero(cls, n_qubits: int, *, cap: int = DEFAULT_QUBIT_CAP, dtype=np.complex128) -> "StateVector":
-        return cls.basis(n_qubits, 0, cap=cap, dtype=dtype)
+    def zero(cls, n_qubits: int, *, cap: int = DEFAULT_QUBIT_CAP) -> "StateVector":
+        return cls.basis(n_qubits, 0, cap=cap)
 
     @classmethod
-    def basis(cls, n_qubits: int, index: int, *, cap: int = DEFAULT_QUBIT_CAP, dtype=np.complex128) -> "StateVector":
+    def basis(cls, n_qubits: int, index: int, *, cap: int = DEFAULT_QUBIT_CAP) -> "StateVector":
         if n_qubits > cap:
             raise SimulationError(f"{n_qubits} qubits exceeds the simulator cap of {cap}")
-        amps = np.zeros(1 << n_qubits, dtype=dtype)
+        amps = np.zeros(1 << n_qubits, dtype=np.complex128)
         amps[index] = 1.0
         return cls(n_qubits, amps, cap=cap)
 
     @classmethod
     def from_amplitudes(cls, amps: Sequence[complex], *, cap: int = DEFAULT_QUBIT_CAP) -> "StateVector":
-        arr = np.asarray(amps)
-        if not np.issubdtype(arr.dtype, np.complexfloating):
-            arr = arr.astype(np.complex128)
+        arr = np.array(amps, dtype=np.complex128)
         n = int(round(math.log2(arr.size)))
         if 1 << n != arr.size:
             raise ValueError("amplitude count must be a power of two")
-        return cls(n, arr.copy(), cap=cap)
+        return cls(n, arr, cap=cap)
 
     @classmethod
-    def plus(cls, n_qubits: int, *, cap: int = DEFAULT_QUBIT_CAP, dtype=np.complex128) -> "StateVector":
-        one = np.ones((), dtype=dtype)
-        amps = np.full(1 << n_qubits, one / np.sqrt(one.real * (1 << n_qubits)), dtype=dtype)
+    def plus(cls, n_qubits: int, *, cap: int = DEFAULT_QUBIT_CAP) -> "StateVector":
+        amps = np.full(1 << n_qubits, 1.0 / np.sqrt(1 << n_qubits), dtype=np.complex128)
         return cls(n_qubits, amps, cap=cap)
 
     def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amps.copy())
+        # the original already passed its caller's cap
+        return StateVector(self.n_qubits, self.amps.copy(), cap=self.n_qubits)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -122,21 +107,16 @@ def product_state(
         if np.asarray(vec).shape != (1 << len(qubits),):
             raise ValueError("block amplitude length does not match its qubit count")
         claimed.update(qubits)
-    dtype = np.result_type(np.complex128, *(np.asarray(v).dtype for _, v in items)) if items else np.complex128
     idx = np.zeros(1, dtype=np.int64)
-    amp = np.ones(1, dtype=dtype)
+    amp = np.ones(1, dtype=np.complex128)
     for qubits, vec in items:
-        k = len(qubits)
-        offsets = np.zeros(1 << k, dtype=np.int64)
-        for local in range(1 << k):
-            off = 0
-            for j, q in enumerate(qubits):
-                if (local >> j) & 1:
-                    off |= 1 << q
-            offsets[local] = off
+        # bit j of the local index sets qubit qubits[j]
+        offsets = np.zeros(1, dtype=np.int64)
+        for q in qubits:
+            offsets = np.concatenate((offsets, offsets | (1 << q)))
         idx = (idx[:, None] | offsets[None, :]).reshape(-1)
         amp = (amp[:, None] * np.asarray(vec)[None, :]).reshape(-1)
-    out = np.zeros(1 << n_qubits, dtype=dtype)
+    out = np.zeros(1 << n_qubits, dtype=np.complex128)
     out[idx] = amp
     return StateVector(n_qubits, out, cap=cap)
 
@@ -280,13 +260,11 @@ class PauliFrame:
         """Materialize the correction: returns E|state>."""
         out = state.copy()
         n = out.n_qubits
-        K = _kernel_module(out.amps.dtype)
-        xmat = _matrices_for(out.amps.dtype)[0][core.X]
         for q in range(n):
             if self.x[q]:
-                out.amps = K.apply_1q(out.amps, n, q, xmat)
+                out.amps = kernels.apply_1q(out.amps, n, q, _DENSE[core.X])
             if self.z[q]:
-                out.amps = K.apply_diag_1q(out.amps, n, q, 1.0, -1.0)
+                out.amps = kernels.apply_diag_1q(out.amps, n, q, 1.0, -1.0)
         if self.phase_i:
             out.amps *= 1j ** self.phase_i
         return out
@@ -303,54 +281,15 @@ class SimResult:
         return self.frame.apply_to(self.state)
 
 
-_PI_LD = np.longdouble("3.141592653589793238462643383279502884")
-
-
-def _kernel_module(dtype: np.dtype):
-    return kernels if dtype == np.complex128 else _kernels_py
-
-
-_MATRIX_CACHE: dict = {}
-
-
-def _matrices_for(dtype) -> tuple[dict, dict]:
-    """(dense 1q matrices, diagonal entries) for the requested precision."""
-    key = np.dtype(dtype)
-    if key in _MATRIX_CACHE:
-        return _MATRIX_CACHE[key]
-    if key == np.complex128:
-        dense = {k: core.GATE_MATRICES[k] for k in (core.X, core.Y, core.H)}
-        diag = {
-            core.Z: (1.0, -1.0),
-            core.S: (1.0, 1j),
-            core.SDG: (1.0, -1j),
-            core.T: (1.0, np.exp(1j * math.pi / 4)),
-            core.TDG: (1.0, np.exp(-1j * math.pi / 4)),
-        }
-    else:
-        one = np.ones((), dtype=key)
-        sq = one / np.sqrt(np.longdouble(2))
-        dense = {
-            core.X: np.array([[0, 1], [1, 0]], dtype=key),
-            core.Y: np.array([[0, -1j], [1j, 0]], dtype=key),
-            core.H: np.array([[sq, sq], [sq, -sq]], dtype=key),
-        }
-        eighth = np.exp(1j * np.clongdouble(_PI_LD) / 4).astype(key)
-        diag = {
-            core.Z: (one * 1.0, one * -1.0),
-            core.S: (one * 1.0, one * 1j),
-            core.SDG: (one * 1.0, one * -1j),
-            core.T: (one * 1.0, eighth),
-            core.TDG: (one * 1.0, np.conj(eighth)),
-        }
-    _MATRIX_CACHE[key] = (dense, diag)
-    return dense, diag
-
-
-def _phase_at(angle: float, dtype) -> complex:
-    if np.dtype(dtype) == np.complex128:
-        return np.exp(1j * angle)
-    return np.exp(1j * np.clongdouble(np.longdouble(angle)))
+# the gate table run() dispatches on: dense 1q matrices, and diagonal entries
+_DENSE = {k: core.GATE_MATRICES[k] for k in (core.X, core.Y, core.H)}
+_DIAG = {
+    core.Z: (1.0, -1.0),
+    core.S: (1.0, 1j),
+    core.SDG: (1.0, -1j),
+    core.T: (1.0, np.exp(1j * math.pi / 4)),
+    core.TDG: (1.0, np.exp(-1j * math.pi / 4)),
+}
 
 
 def run(
@@ -382,8 +321,7 @@ def run(
     record: dict[int, int] = {}
     qubit_outcomes: dict[int, int] = {}
     amps = state.amps
-    K = _kernel_module(amps.dtype)
-    dense, diag = _matrices_for(amps.dtype)
+    K = kernels
 
     for layer in circuit.layers:
         for g in layer:
@@ -408,25 +346,25 @@ def run(
                     frame.update(g.qubits[0], g.pauli)
                 continue
             frame.propagate(g)
-            if kind in diag:
-                d0, d1 = diag[kind]
+            if kind in _DIAG:
+                d0, d1 = _DIAG[kind]
                 amps = K.apply_diag_1q(amps, n, g.qubits[0], d0, d1)
             elif kind == core.RZ:
-                amps = K.apply_diag_1q(amps, n, g.qubits[0], 1.0, _phase_at(g.angle, amps.dtype))
+                amps = K.apply_diag_1q(amps, n, g.qubits[0], 1.0, np.exp(1j * g.angle))
             elif kind == core.CNOT:
                 amps = K.apply_cnot(amps, n, g.qubits[0], g.qubits[1])
             elif kind == core.TOFFOLI:
                 amps = K.apply_toffoli(amps, n, *g.qubits)
             elif kind == core.CRZ:
                 mask = (1 << g.qubits[0]) | (1 << g.qubits[1])
-                amps = K.apply_phase_on_ones(amps, n, mask, _phase_at(g.angle, amps.dtype))
+                amps = K.apply_phase_on_ones(amps, n, mask, np.exp(1j * g.angle))
             else:
-                amps = K.apply_1q(amps, n, g.qubits[0], dense[kind])
+                amps = K.apply_1q(amps, n, g.qubits[0], _DENSE[kind])
     state.amps = amps
     return SimResult(state=state, record=record, frame=frame, qubit_outcomes=qubit_outcomes)
 
 
-def to_unitary(circuit: Circuit, *, cap: int = 12, dtype=np.complex128) -> np.ndarray:
+def to_unitary(circuit: Circuit, *, cap: int = 12) -> np.ndarray:
     """Dense unitary of a measurement-free circuit, built column by column."""
     n = circuit.n_qubits
     if n > cap:
@@ -434,9 +372,9 @@ def to_unitary(circuit: Circuit, *, cap: int = 12, dtype=np.complex128) -> np.nd
     if any(not g.is_unitary for g in circuit.gates()):
         raise ValueError("circuit contains measurements or frame updates")
     dim = 1 << n
-    u = np.empty((dim, dim), dtype=dtype)
+    u = np.empty((dim, dim), dtype=np.complex128)
     for col in range(dim):
-        res = run(circuit, StateVector.basis(n, col, cap=cap, dtype=dtype), seed=0, cap=cap)
+        res = run(circuit, StateVector.basis(n, col, cap=cap), seed=0, cap=cap)
         u[:, col] = res.state.amps
     return u
 
@@ -453,8 +391,6 @@ def project_onto(
     n = state.n_qubits
     m = len(qubits)
     a = state.amps.reshape([2] * n)
-    # keep the caller's precision: extended-precision blocks must not be
-    # silently downcast to complex128 here
     vec = np.asarray(block).reshape([2] * m) if m else np.asarray(block)
     state_axes = [n - 1 - q for q in qubits]
     # block axis j corresponds to bit (m-1-j) of the block index
@@ -481,63 +417,71 @@ def block_overlap(state: StateVector, qubits: tuple[int, ...], block: np.ndarray
     return float(np.sum(np.abs(res) ** 2))
 
 
+def run_with_helpers(
+    circuit: Circuit,
+    data: Mapping[tuple[int, ...], np.ndarray],
+    helpers: Mapping[tuple[int, ...], np.ndarray] | None = None,
+    *,
+    cap: int = DEFAULT_QUBIT_CAP,
+) -> tuple[np.ndarray, float]:
+    """Run a measurement-free circuit with helper registers, then project them back.
+
+    The data blocks and the helper blocks start in one product state; every
+    qubit outside the data blocks is a helper, in |0> unless a helper block
+    names it.  After the run the helpers are projected back onto that same
+    reference state.  Returns (amplitudes, leakage).  The amplitudes are the
+    data register's, unnormalized, with bit j on the j-th data qubit in the
+    order the data blocks list them.  Leakage is ||psi - |ref> (x) amps||,
+    the norm of the output's part orthogonal to the helper reference state:
+    the amplitude that left it.  Unlike sqrt(1 - ||amps||^2), it does not
+    turn rounding eps into sqrt(eps).
+    """
+    helpers = dict(helpers or {})
+    data_qubits = tuple(q for qs in data for q in qs)
+    n = circuit.n_qubits
+    res = run(circuit, product_state(n, [*data.items(), *helpers.items()], cap=cap), seed=0, cap=cap)
+    ancillas = tuple(q for q in range(n) if q not in data_qubits)
+    leak = 0.0
+    if ancillas:
+        m = len(ancillas)
+        anc_pos = {q: i for i, q in enumerate(ancillas)}
+        local = {tuple(anc_pos[q] for q in qs): vec for qs, vec in helpers.items()}
+        ref = product_state(m, local, cap=max(cap, m)).amps
+        amps, rest = project_onto(res.state, ancillas, ref)
+        # the output's part orthogonal to |ref>: psi - |ref> (x) amps, with
+        # the ancilla axes moved first in the block order project_onto uses
+        anc_axes = [n - 1 - q for q in reversed(ancillas)]
+        psi = np.moveaxis(res.state.amps.reshape([2] * n), anc_axes, range(m))
+        ortho = np.multiply.outer(ref.reshape([2] * m), amps.reshape([2] * (n - m)))
+        np.subtract(psi, ortho, out=ortho)
+        leak = float(np.linalg.norm(ortho))
+    else:
+        amps, rest = res.state.amps, tuple(range(n))
+    return _in_order(amps, rest, data_qubits), leak
+
+
 def effective_unitary(
     circuit: Circuit,
     data_qubits: tuple[int, ...],
     fixed: Mapping[tuple[int, ...], np.ndarray] | None = None,
     *,
     cap: int = DEFAULT_QUBIT_CAP,
-    dtype=np.complex128,
 ) -> tuple[np.ndarray, float]:
     """Action on a data block, with ancilla blocks fixed to given states.
 
-    Ancilla qubits (everything outside data_qubits) start in the supplied
-    block states (default |0>) and are projected back onto those same
-    states at the end.  Returns (matrix, worst leakage), where leakage for
-    a column is ||psi - |ref> (x) column||, the norm of the output's part
-    orthogonal to the ancilla reference state: the amplitude that left the
-    ancilla subspace.  The matrix is exactly unitary iff leakage is zero.
-    Unlike sqrt(1 - ||column||^2), it does not turn rounding eps into sqrt(eps).
+    Column j is run_with_helpers on basis state j of the data block, with
+    the ancillas (everything outside data_qubits) in the supplied block
+    states, default |0>.  Returns (matrix, worst leakage over the columns);
+    the matrix is exactly unitary iff leakage is zero.
     """
-    fixed = dict(fixed or {})
-    n = circuit.n_qubits
-    ancillas = tuple(q for q in range(n) if q not in data_qubits)
-    # one combined reference state over every ancilla qubit (fixed blocks,
-    # remaining ones |0>), expressed on the ancilla register alone
-    anc_pos = {q: i for i, q in enumerate(ancillas)}
-    local_parts = {
-        tuple(anc_pos[q] for q in qs): np.asarray(vec, dtype=dtype)
-        for qs, vec in fixed.items()
-    }
-    anc_ref = product_state(max(len(ancillas), 1), local_parts, cap=max(cap, len(ancillas))).amps
     dim = 1 << len(data_qubits)
-    mat = np.zeros((dim, dim), dtype=dtype)
+    mat = np.zeros((dim, dim), dtype=np.complex128)
     worst = 0.0
     for col in range(dim):
-        col_vec = np.zeros(dim, dtype=dtype)
+        col_vec = np.zeros(dim, dtype=np.complex128)
         col_vec[col] = 1.0
-        parts: dict[tuple[int, ...], np.ndarray] = {tuple(data_qubits): col_vec}
-        for qs, vec in fixed.items():
-            parts[qs] = np.asarray(vec, dtype=dtype)
-        res = run(circuit, product_state(n, parts, cap=cap), seed=0, cap=cap)
-        if ancillas:
-            amps, rest = project_onto(res.state, ancillas, anc_ref)
-            # the output's part orthogonal to |ref>: psi - |ref> (x) amps, with
-            # the ancilla axes moved first in the block order project_onto uses
-            m = len(ancillas)
-            anc_axes = [n - 1 - q for q in reversed(ancillas)]
-            psi = np.moveaxis(res.state.amps.reshape([2] * n), anc_axes, range(m))
-            ortho = np.multiply.outer(anc_ref.reshape([2] * m), amps.reshape([2] * (n - m)))
-            np.subtract(psi, ortho, out=ortho)
-            worst = max(worst, float(np.linalg.norm(ortho)))
-        else:
-            amps, rest = res.state.amps, tuple(range(n))
-        # rest lists the data qubits ascending; reorder to the given data order
-        pos = {q: i for i, q in enumerate(rest)}
-        k = len(data_qubits)
-        perm = [k - 1 - pos[data_qubits[k - 1 - j]] for j in range(k)]
-        column = np.transpose(amps.reshape([2] * k), perm).reshape(-1)
-        mat[:, col] = column
+        mat[:, col], leak = run_with_helpers(circuit, {tuple(data_qubits): col_vec}, fixed, cap=cap)
+        worst = max(worst, leak)
     return mat, worst
 
 
@@ -609,11 +553,13 @@ def _run_and_extract(
     weight = float(np.sum(np.abs(amps) ** 2))
     if abs(weight - 1.0) > 1e-9:
         return None  # output entangled with leftover qubits: not a clean channel
-    # reorder from ascending physical order to the logical output order
+    return _in_order(amps, rest, out_map)
+
+
+def _in_order(amps: np.ndarray, rest: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
+    """Amplitudes over the ascending qubits `rest`, reordered so bit j is order[j]."""
     pos = {q: i for i, q in enumerate(rest)}
-    k = len(out_map)
-    a = amps.reshape([2] * k)
-    # axis for physical qubit rest[i] is (k-1-i); build permutation so that
-    # logical bit j (out_map[j]) becomes bit j
-    perm = [k - 1 - pos[out_map[k - 1 - j]] for j in range(k)]
-    return np.transpose(a, perm).reshape(-1)
+    k = len(order)
+    # axis for qubit rest[i] is (k-1-i); logical bit j (order[j]) becomes bit j
+    perm = [k - 1 - pos[order[k - 1 - j]] for j in range(k)]
+    return np.transpose(amps.reshape([2] * k), perm).reshape(-1)

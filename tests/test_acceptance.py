@@ -122,12 +122,11 @@ def test_02_rotation_precision_bound():
             assert abs(kr.delta_phi) <= bound, (n, phi, k)
     for n in (4, 8):
         reg = GammaRegister(1, n)
-        g = gamma_state(reg, dtype=np.clongdouble).amps
+        g = gamma_state(reg).amps
         for phi in (0.3, 2.0, 5.5):
             kr = kickback_rotation(phi, reg)
             mat, leak = effective_unitary(
-                kr.circuit, (kr.layout.target,), {kr.layout.gamma: g},
-                dtype=np.clongdouble,
+                kr.circuit, (kr.layout.target,), {kr.layout.gamma: g}
             )
             assert leak < 1e-9
             measured = float(np.angle(complex(mat[1, 1] / mat[0, 0])))
@@ -181,16 +180,12 @@ def test_05_qvr_cross_validation():
             circuit = build_qvr_kickback(params)
             fixed = {}
             if not params.empty:
-                fixed[layout.gamma] = eigenstate_for(
-                    params, dtype=np.clongdouble
-                ).amps
+                fixed[layout.gamma] = eigenstate_for(params).amps
                 for w in layout.scratch + layout.pads + (layout.ancilla,):
                     fixed[(w,)] = np.array([1.0, 0.0])
-            u_kb, leak = effective_unitary(
-                circuit, layout.theta, fixed=fixed, dtype=np.clongdouble
-            )
+            u_kb, leak = effective_unitary(circuit, layout.theta, fixed=fixed)
             assert leak <= 1e-10
-            u_bw = to_unitary(build_qvr_bitwise(q, xi), dtype=np.clongdouble)
+            u_bw = to_unitary(build_qvr_bitwise(q, xi))
             d = 1 << q
             probes = [np.full(d, 1.0 / math.sqrt(d), dtype=complex)]
             for _ in range(10):
@@ -205,16 +200,14 @@ def test_05_qvr_cross_validation():
 def test_06_qft_via_qvr(q):
     # The eigenstate-driven Fourier transform matches the DFT matrix.
     circuit = build_qft_via_qvr(q)
-    g = qft_gamma_state(q, 0, dtype=np.clongdouble)
+    g = qft_gamma_state(q, 0)
     fixed = {}
     if g is not None:
         gw = tuple(range(q, q + g.n_qubits))
         fixed[gw] = g.amps
         for w in range(q + g.n_qubits, circuit.n_qubits):
             fixed[(w,)] = np.array([1.0, 0.0])
-    u, leak = effective_unitary(
-        circuit, tuple(range(q)), fixed=fixed, dtype=np.clongdouble
-    )
+    u, leak = effective_unitary(circuit, tuple(range(q)), fixed=fixed)
     assert leak <= 1e-10
     size = 1 << q
     x = np.arange(size, dtype=np.longdouble)
@@ -264,8 +257,7 @@ def test_08_excitation_propagator():
     for dt in (0.3, 0.83, 2.0):
         eigvals, eigvecs = np.linalg.eigh(generator)
         oracle = eigvecs @ np.diag(np.exp(-1j * dt * eigvals)) @ eigvecs.conj().T
-        u = to_unitary(build_excitation(OneBodyTerm(0, 1, h), dt),
-                       dtype=np.clongdouble)
+        u = to_unitary(build_excitation(OneBodyTerm(0, 1, h), dt))
         assert dist(u, oracle) <= 1e-8
 
 

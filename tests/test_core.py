@@ -373,11 +373,39 @@ class TestToffoliExpansion:
     def test_exact_at_extended_precision(self):
         from ftqc.sim import to_unitary
 
-        exp = sequential_circuit(3, toffoli_expansion(0, 1, 2))
+        gates = toffoli_expansion(0, 1, 2)
+        exp = sequential_circuit(3, gates)
         ref = sequential_circuit(3, [toffoli(0, 1, 2)])
-        u = to_unitary(exp, dtype=np.clongdouble)
-        v = to_unitary(ref, dtype=np.clongdouble)
-        assert dist(u, v) < 1e-12  # not merely close: exact up to rounding
+        assert dist(to_unitary(exp), to_unitary(ref)) < 1e-12
+        # not merely close: the same product, taken in clongdouble from
+        # natively built entries (qubit j is bit j), is the Toffoli exactly
+        # up to rounding
+        ld = np.clongdouble
+        sq = 1 / np.sqrt(np.longdouble(2))
+        eighth = (1 + ld(1j)) * sq  # e^{i pi / 4}
+        one_q = {
+            "H": np.array([[sq, sq], [sq, -sq]], dtype=ld),
+            "T": np.array([[1, 0], [0, eighth]], dtype=ld),
+            "TDG": np.array([[1, 0], [0, np.conj(eighth)]], dtype=ld),
+        }
+
+        def permutation(f):
+            m = np.zeros((8, 8), dtype=ld)
+            for i in range(8):
+                m[f(i), i] = 1
+            return m
+
+        u = np.eye(8, dtype=ld)
+        for g in gates:
+            if g.kind == "CNOT":
+                c, t = g.qubits
+                m = permutation(lambda i: i ^ (((i >> c) & 1) << t))
+            else:
+                m = np.ones((1, 1), dtype=ld)
+                for q in reversed(range(3)):
+                    m = np.kron(m, one_q[g.kind] if q == g.qubits[0] else np.eye(2, dtype=ld))
+            u = m @ u
+        v = permutation(lambda i: i ^ (4 if i & 3 == 3 else 0))
         assert np.max(np.abs(u - v)) < 1e-18
 
 

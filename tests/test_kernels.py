@@ -151,22 +151,6 @@ class TestBackendAgreement:
         )
 
 
-class TestPythonBackendExtendedPrecision:
-    def test_clongdouble_supported(self):
-        py = kernels.get_backend("python")
-        n = 2
-        v = np.zeros(4, dtype=np.clongdouble)
-        v[0] = 1.0
-        # build the matrix natively at extended precision; casting the
-        # float64 H up would keep its double-rounded entries
-        hd = np.array([[1, 1], [1, -1]], dtype=np.clongdouble) / np.sqrt(np.longdouble(2))
-        v = py.apply_1q(v, n, 0, hd)
-        v = py.apply_cnot(v, n, 0, 1)
-        assert v.dtype == np.dtype(np.clongdouble)
-        sq = 1 / np.sqrt(np.longdouble(2))
-        assert abs(v[0] - sq) < 1e-18 and abs(v[3] - sq) < 1e-18
-
-
 class TestBackendSelection:
     def test_module_exports_match_contract(self):
         for name in (

@@ -4,9 +4,8 @@ excitation circuits, teleported parity ladders, and the run estimator.
 Oracles: annihilation operators assembled as dense kron products (the
 symbolic Pauli expansion is checked against them with no circuit in the
 loop), a clongdouble Taylor/scaling-squaring matrix exponential for the
-propagator checks (an eigh-based double-precision oracle bottoms out right
-at the 1e-8 tolerance because the distance metric amplifies entry noise as
-a square root), and direct statevector simulation for channel equality and
+propagator checks (kept apart from the complex128 arithmetic of the
+circuits it checks), and direct statevector simulation for channel equality and
 the small-system phase-estimation readout.
 """
 
@@ -387,7 +386,7 @@ class TestBuildExcitation:
     def test_propagator_matches_dense_exponential(self, term):
         m = max(term.indices) + 1
         circ = build_excitation(term, self.DT)
-        u = to_unitary(circ, dtype=np.clongdouble)
+        u = to_unitary(circ)
         oracle = expm_ld(-1j * self.DT * term_matrix(term, m))
         assert dist(u, oracle) <= 1e-8
 
@@ -395,7 +394,7 @@ class TestBuildExcitation:
         term = OneBodyTerm(0, 1, 0.5)
         oracle_generator = term_matrix(term, 2)
         for dt in (0.3, 0.83, 2.0):
-            u = to_unitary(build_excitation(term, dt), dtype=np.clongdouble)
+            u = to_unitary(build_excitation(term, dt))
             assert u.shape == (4, 4)
             assert dist(u, expm_ld(-1j * dt * oracle_generator)) <= 1e-8
 
@@ -415,9 +414,7 @@ class TestBuildExcitation:
     def test_controlled_block_is_exact_controlled_propagator(self, term):
         m = max(term.indices) + 1
         circ = build_excitation(term, self.DT, controlled=True)
-        mat, leak = effective_unitary(
-            circ, tuple(range(m + 1)), dtype=np.clongdouble
-        )
+        mat, leak = effective_unitary(circ, tuple(range(m + 1)))
         assert leak <= 1e-9  # the AND ancilla returns to |0> exactly
         d = 1 << m
         expected = np.eye(2 * d, dtype=np.clongdouble)
