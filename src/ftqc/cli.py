@@ -9,7 +9,7 @@ estimator outputs (frontier), and run the acceptance suite (verify).
 Artifacts are deterministic: JSON records carry a ``schema: 1`` marker
 and are emitted with sorted keys; CSV follows RFC 4180 (CRLF line ends,
 minimal quoting).  Randomized commands take --seed, which falls back to
-the FTQC_SEED environment variable and then to DEFAULT_SEED, so a fixed
+the FTQC_SEED environment variable and then to sim.DEFAULT_SEED, so a fixed
 (config, seed) pair always produces byte-identical output.  Failures
 exit nonzero after writing a machine-readable error record to stderr.
 
@@ -37,14 +37,13 @@ from . import firstq, frontier as frontier_mod, qvr as qvr_mod, secondq
 from .core import ResourceProfile, circuit_to_text, rz_matrix
 from .kickback import GammaRegister, kickback_rotation
 from .par import par_statistics
-from .sim import SimulationError
+from .sim import DEFAULT_SEED, SimulationError
 from .synth import synthesize
 
 __all__ = [
     "DEFAULT_SEED", "EXIT_UNSATISFIED", "RunConfig", "build_parser", "parse_args", "run", "main",
 ]
 
-DEFAULT_SEED = 1729
 EXIT_UNSATISFIED = 3
 SCHEMA_VERSION = 1
 

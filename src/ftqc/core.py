@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -403,6 +403,68 @@ def decompose_toffolis(c: Circuit) -> Circuit:
             else:
                 b.append(g)
     return b.build()
+
+
+# ---------------------------------------------------------------------------
+# Pauli operators in symplectic form (Aaronson & Gottesman, quant-ph/0406196)
+
+
+class Pauli(NamedTuple):
+    """The Pauli operator i^phase * Z^z X^x over integer bit masks.
+
+    Bit q of ``x`` (``z``) puts an X (Z) factor on qubit q, the Z factor to
+    the left, so a qubit with both bits set carries Z X = i Y.  ``phase``
+    is an exponent of i, mod 4.  The identity is ``Pauli()``.
+    """
+
+    x: int = 0
+    z: int = 0
+    phase: int = 0
+
+    def __mul__(self, other: "Pauli") -> "Pauli":
+        # moving X^x1 right past Z^z2 costs (-1)^|x1 & z2|
+        return Pauli(
+            self.x ^ other.x,
+            self.z ^ other.z,
+            (self.phase + other.phase + 2 * (self.x & other.z).bit_count()) % 4,
+        )
+
+    def letters(self) -> tuple[tuple[int, str], ...]:
+        """(qubit, letter) pairs in ascending qubit order, phase dropped.
+
+        Z^z X^x is i^|x & z| times this tensor product of X, Y and Z.
+        """
+        codes = ((q, (self.x >> q & 1) | (self.z >> q & 1) << 1)
+                 for q in range((self.x | self.z).bit_length()))
+        return tuple((q, "_XZY"[code]) for q, code in codes if code)
+
+    def conjugate(self, kind: str, qubits: tuple[int, ...]) -> "Pauli":
+        """G P G^dag for a Clifford gate G of the given kind on those qubits."""
+        x, z, s = self
+        q = qubits[0]
+        xq, zq = x >> q & 1, z >> q & 1
+        if kind == CNOT:
+            # X_c -> X_c X_t and Z_t -> Z_c Z_t; no factor reorders
+            t = qubits[1]
+            return Pauli(x ^ xq << t, z ^ (z >> t & 1) << q, s)
+        if kind == X:
+            s += 2 * zq
+        elif kind == Z:
+            s += 2 * xq
+        elif kind == Y:
+            s += 2 * (xq ^ zq)
+        elif kind == H:
+            # X <-> Z, and Z X -> X Z = -Z X
+            flip = (xq ^ zq) << q
+            x, z = x ^ flip, z ^ flip
+            s += 2 * (xq & zq)
+        elif kind in (S, SDG):
+            # S X S^dag = Y = i^3 Z X, S^dag X S = -Y = i Z X
+            z ^= xq << q
+            s += (3 if kind == S else 1) * xq
+        else:
+            raise ValueError(f"{kind} is not a Clifford gate")
+        return Pauli(x, z, s % 4)
 
 
 # ---------------------------------------------------------------------------

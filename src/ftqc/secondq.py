@@ -7,7 +7,9 @@ maps each term to qubits with the Jordan-Wigner transform, and builds the
 Trotter-step propagator circuits:
 
 * ``excitation_operator_strings`` expands the hermitian generator of a
-  term into commuting Pauli strings (symbolic ladder-operator algebra),
+  term into commuting Pauli strings: each ladder operator is a sum of two
+  ``core.Pauli`` bit-mask operators, products are mask XORs with a phase,
+  and only the returned strings are spelled out as letters,
 * ``build_excitation`` turns those strings into a circuit: basis changes
   into the Z basis (H for an X factor, H.S.H / H.S^dag.H around a Y
   factor), a CNOT parity ladder, one phase rotation on the parity wire,
@@ -42,6 +44,7 @@ from .core import (
     TWO_PI,
     Circuit,
     CircuitBuilder,
+    Pauli,
     ResourceProfile,
     cnot,
     frame_update,
@@ -250,58 +253,64 @@ def apply_cutoff(table: IntegralTable, threshold: float) -> tuple[IntegralTable,
 #
 # Modes map to qubits in register order with a_j = (prod_{k<j} Z_k) (X_j +
 # iY_j)/2, so qubit j's |1> marks an occupied orbital j and the Z chain
-# carries the fermionic sign.  Strings are kept sparse ({qubit: letter})
-# and multiplied with the single-qubit Pauli phase table.
+# carries the fermionic sign.  Since iY_j = Z_j X_j, the ladder operators
+# are a_j = (X_j + Z_j X_j)/2 and a_j^dag = (X_j - Z_j X_j)/2 on the chain
+# z = (1 << j) - 1: two core.Pauli masks with real coefficients.  A product
+# of ladder operators expands into one Pauli product per choice of factors,
+# collected as {(x, z): coeff} over Z^z X^x with each product's phase folded
+# into the complex coefficient.  Every coefficient before the term value
+# enters is a small dyadic rational, so these sums are exact.
 
-_PAULI_MUL = {
-    ("X", "Y"): (1j, "Z"),
-    ("Y", "X"): (-1j, "Z"),
-    ("Y", "Z"): (1j, "X"),
-    ("Z", "Y"): (-1j, "X"),
-    ("Z", "X"): (1j, "Y"),
-    ("X", "Z"): (-1j, "Y"),
-}
+_I_POW = (1, 1j, -1, -1j)
 
 
-def _mul_strings(c1, s1, c2, s2):
-    coeff = c1 * c2
-    out = dict(s1)
-    for q, letter in s2.items():
-        have = out.pop(q, None)
-        if have is None:
-            out[q] = letter
-        elif have != letter:
-            phase, combined = _PAULI_MUL[(have, letter)]
-            coeff *= phase
-            out[q] = combined
-        # have == letter: squares to identity, qubit drops out
-    return coeff, out
-
-
-def _mode_factors(j: int, dagger: bool):
-    chain = {k: "Z" for k in range(j)}
-    return [
-        (0.5, {**chain, j: "X"}),
-        (-0.5j if dagger else 0.5j, {**chain, j: "Y"}),
-    ]
-
-
-def _expand(mode_ops) -> list:
-    """Pauli expansion of a product of ladder operators [(index, dagger)]."""
-    strings = [(1.0 + 0.0j, {})]
+def _ladder_product(mode_ops) -> list[tuple[float, Pauli]]:
+    """A product of ladder operators [(index, dagger)], one term per choice of factors."""
+    terms = [(1.0, Pauli())]
     for j, dagger in mode_ops:
-        grown = []
-        for c1, s1 in strings:
-            for c2, s2 in _mode_factors(j, dagger):
-                grown.append(_mul_strings(c1, s1, c2, s2))
-        collected: dict[tuple, complex] = {}
-        for c, s in grown:
-            key = tuple(sorted(s.items()))
-            collected[key] = collected.get(key, 0.0j) + c
-        strings = [
-            (c, dict(key)) for key, c in collected.items() if abs(c) > 1e-15
-        ]
-    return strings
+        bit, chain = 1 << j, (1 << j) - 1
+        factors = ((0.5, Pauli(bit, chain)), (-0.5 if dagger else 0.5, Pauli(bit, chain | bit)))
+        terms = [(c * f, p * factor) for c, p in terms for f, factor in factors]
+    return terms
+
+
+def _generator_paulis(term: Term, n_orbitals: int | None) -> list[tuple[float, Pauli]]:
+    """The hermitian generator of a term as (real coeff, Pauli) pairs, unordered.
+
+    Each Pauli carries the phase i^-|x & z| that makes it the hermitian
+    tensor product of its letters.
+    """
+    if n_orbitals is not None and max(term.indices) >= n_orbitals:
+        raise ValueError(
+            f"term {term.indices} outside register of {n_orbitals} orbitals"
+        )
+    if isinstance(term, OneBodyTerm):
+        ops = [(term.p, True), (term.q, False)]
+        conj = [(term.q, True), (term.p, False)]
+        self_adjoint = term.p == term.q
+    else:
+        ops = [(term.p, True), (term.q, True), (term.r, False), (term.s, False)]
+        conj = [(term.s, True), (term.r, True), (term.q, False), (term.p, False)]
+        self_adjoint = term.s == term.p and term.r == term.q
+    collected: dict[tuple[int, int], complex] = {}
+    for product in [ops] if self_adjoint else [ops, conj]:
+        # collect each product exactly before the term value scales it
+        exact: dict[tuple[int, int], complex] = {}
+        for c, p in _ladder_product(product):
+            exact[p.x, p.z] = exact.get((p.x, p.z), 0.0j) + c * _I_POW[p.phase]
+        for key, c in exact.items():
+            collected[key] = collected.get(key, 0.0j) + c * term.value
+    out = []
+    for (x, z), c in collected.items():
+        if abs(c) <= 1e-15 * max(1.0, abs(term.value)):
+            continue
+        n_y = (x & z).bit_count()
+        c *= _I_POW[n_y % 4]  # Z^z X^x = i^n_y * (its letters)
+        p = Pauli(x, z, -n_y % 4)
+        if abs(c.imag) > 1e-12 * max(1.0, abs(c)):
+            raise ValueError(f"expansion of {term} is not hermitian: {p.letters()} -> {c}")
+        out.append((float(c.real), p))
+    return out
 
 
 class PauliString(NamedTuple):
@@ -322,34 +331,10 @@ def excitation_operator_strings(
     (s=p and r=q).  All returned coefficients are real and the strings of
     one term pairwise commute, so exp(-iA dt) factors exactly into one
     rotation per string.  A string with empty ops is a global phase.
+    Strings are sorted by their ops.
     """
-    if n_orbitals is not None and max(term.indices) >= n_orbitals:
-        raise ValueError(
-            f"term {term.indices} outside register of {n_orbitals} orbitals"
-        )
-    if isinstance(term, OneBodyTerm):
-        ops = [(term.p, True), (term.q, False)]
-        conj = [(term.q, True), (term.p, False)]
-        self_adjoint = term.p == term.q
-    else:
-        ops = [(term.p, True), (term.q, True), (term.r, False), (term.s, False)]
-        conj = [(term.s, True), (term.r, True), (term.q, False), (term.p, False)]
-        self_adjoint = term.s == term.p and term.r == term.q
-    expansion = _expand(ops)
-    if not self_adjoint:
-        expansion = expansion + _expand(conj)
-    collected: dict[tuple, complex] = {}
-    for c, s in expansion:
-        key = tuple(sorted(s.items()))
-        collected[key] = collected.get(key, 0.0j) + c * term.value
-    out = []
-    for key, c in sorted(collected.items()):
-        if abs(c) <= 1e-15 * max(1.0, abs(term.value)):
-            continue
-        if abs(c.imag) > 1e-12 * max(1.0, abs(c)):
-            raise ValueError(f"expansion of {term} is not hermitian: {key} -> {c}")
-        out.append(PauliString(float(c.real), key))
-    return tuple(out)
+    strings = (PauliString(c, p.letters()) for c, p in _generator_paulis(term, n_orbitals))
+    return tuple(sorted(strings, key=lambda s: s.ops))
 
 
 # ---------------------------------------------------------------------------
@@ -713,20 +698,20 @@ def estimate_second_quantized(
     ladder_extra_qubits = 0
     rot_extra_qubits = 0
     for term in table.sorted_terms():
-        for coeff, ops in excitation_operator_strings(term, table.n_orbitals):
-            if not ops:
+        for coeff, p in _generator_paulis(term, table.n_orbitals):
+            weight = (p.x | p.z).bit_count()
+            if not weight:
                 continue  # global phase: repaid inside a neighbouring rotation
-            letters = [letter for _, letter in ops]
-            n_x = letters.count("X")
-            n_y = letters.count("Y")
+            n_y = (p.x & p.z).bit_count()
+            n_x = p.x.bit_count() - n_y
             basis_depth = 3 if n_y else (1 if n_x else 0)
             depth += 2 * basis_depth
             gates += 2 * (n_x + 3 * n_y)
-            ladder = _ladder_profile(len(ops), ladder_mode, ladder_cache)
+            ladder = _ladder_profile(weight, ladder_mode, ladder_cache)
             depth += 2 * ladder.depth
             t_count += 2 * ladder.t_count
             gates += 2 * ladder.total_gates
-            ladder_extra_qubits = max(ladder_extra_qubits, ladder.qubits - len(ops))
+            ladder_extra_qubits = max(ladder_extra_qubits, ladder.qubits - weight)
             cost = controlled_rotation_profile(
                 plan.method, plan.epsilon_max, 2.0 * coeff * plan.dt
             )

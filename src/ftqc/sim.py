@@ -5,8 +5,9 @@ in the package.  Measurements draw from a single per-run PRNG via the
 inverse CDF of the measured qubit's marginal, so a (circuit, seed) pair
 always reproduces bit-identical results.  Pauli corrections entering
 through FRAME gates are not applied to the amplitudes; they are tracked as
-an exact Pauli operator (phase included) and conjugated through subsequent
-Clifford gates, which is how hardware defers such corrections.  Reported
+one exact Pauli operator, a ``core.Pauli`` i^phase * Z^z X^x over integer
+bit masks (bit q for qubit q), and conjugated through subsequent Clifford
+gates, which is how hardware defers such corrections.  Reported
 measurement outcomes are frame-corrected, i.e. they are the outcomes the
 corrected state would have produced.
 """
@@ -20,11 +21,11 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import core, kernels
-from .core import Circuit, Gate
+from .core import Circuit, Gate, Pauli
 
 DEFAULT_QUBIT_CAP = 22
-# arbitrary fixed constant for direct library calls; the CLI never reads it:
-# its seeded command takes --seed, else FTQC_SEED, else cli.DEFAULT_SEED (1729)
+# the one default seed: run() and channel_equal() use it when given none, and
+# the CLI's seeded command falls back to it after --seed and FTQC_SEED
 DEFAULT_SEED = 740021
 
 
@@ -124,91 +125,49 @@ def product_state(
 # ---------------------------------------------------------------------------
 # Pauli frames
 
-def _pauli_zx(z: int, x: int) -> np.ndarray:
-    m = np.eye(2, dtype=complex)
-    if x:
-        m = core.GATE_MATRICES[core.X] @ m
-    if z:
-        m = core.GATE_MATRICES[core.Z] @ m
-    return m
-
-
-def _match_pauli(m: np.ndarray, n_qubits: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Write m as i^s * prod_q Z^z X^x; raises if m is not such a product."""
-    for s in range(4):
-        for code in range(4 ** n_qubits):
-            zx = []
-            cand = np.array([[1.0 + 0j]])
-            for q in range(n_qubits):
-                z = (code >> (2 * q)) & 1
-                x = (code >> (2 * q + 1)) & 1
-                zx.append((z, x))
-                cand = np.kron(cand, _pauli_zx(z, x))
-            if np.allclose(m, (1j ** s) * cand, atol=1e-12):
-                return s, tuple(zx)
-    raise ValueError("matrix is not a phased Pauli product")
-
-
-def _build_conj_tables() -> tuple[dict, dict]:
-    one_q: dict[str, dict[tuple[int, int], tuple[int, int, int]]] = {}
-    for kind in (core.X, core.Y, core.Z, core.H, core.S, core.SDG):
-        g = core.GATE_MATRICES[kind]
-        table = {}
-        for z in (0, 1):
-            for x in (0, 1):
-                s, ((z2, x2),) = _match_pauli(g @ _pauli_zx(z, x) @ g.conj().T, 1)
-                table[(z, x)] = (s, z2, x2)
-        one_q[kind] = table
-    cnot_table: dict[tuple[int, int, int, int], tuple[int, int, int, int, int]] = {}
-    g = core._CNOT_M  # basis |control target>, control is the high bit
-    for zc in (0, 1):
-        for xc in (0, 1):
-            for zt in (0, 1):
-                for xt in (0, 1):
-                    p = np.kron(_pauli_zx(zc, xc), _pauli_zx(zt, xt))
-                    s, ((zc2, xc2), (zt2, xt2)) = _match_pauli(g @ p @ g.conj().T, 2)
-                    cnot_table[(zc, xc, zt, xt)] = (s, zc2, xc2, zt2, xt2)
-    return one_q, cnot_table
-
-
-_CONJ_1Q, _CONJ_CNOT = _build_conj_tables()
-
 
 class PauliFrame:
-    """Deferred Pauli correction E = i^s * prod_q Z^{z_q} X^{x_q}.
+    """Deferred Pauli correction E = i^s * prod_q Z^{z_q} X^{x_q}, held as one core.Pauli.
 
-    The tracked simulation holds |psi_sim> while the corrected state is
-    E|psi_sim>.  Updates toggle single X/Z factors; propagation conjugates
-    E through a Clifford gate, phase included, so materializing the frame
-    reproduces the explicit-gate simulation exactly (not just up to
-    phase).  Composing a frame with itself cancels every X/Z factor but can
-    leave a global sign in ``phase_i``.
+    ``x`` and ``z`` are that Pauli's integer bit masks (bit q for qubit q)
+    and ``phase_i`` its exponent s of i, mod 4.  The tracked simulation
+    holds |psi_sim> while the corrected state is E|psi_sim>.  Updates and
+    composition are Pauli products; propagation conjugates E through a
+    Clifford gate, phase included, so materializing the frame reproduces
+    the explicit-gate simulation exactly (not just up to phase).  Composing
+    a frame with itself cancels every X/Z factor but can leave a global
+    sign in ``phase_i``.
     """
 
-    __slots__ = ("n_qubits", "x", "z", "phase_i")
+    __slots__ = ("n_qubits", "pauli")
 
-    def __init__(self, n_qubits: int):
+    def __init__(self, n_qubits: int, pauli: Pauli = Pauli()):
         self.n_qubits = n_qubits
-        self.x = np.zeros(n_qubits, dtype=np.uint8)
-        self.z = np.zeros(n_qubits, dtype=np.uint8)
-        self.phase_i = 0  # exponent of i, mod 4
+        self.pauli = pauli
+
+    @property
+    def x(self) -> int:
+        return self.pauli.x
+
+    @property
+    def z(self) -> int:
+        return self.pauli.z
+
+    @property
+    def phase_i(self) -> int:
+        return self.pauli.phase
 
     def copy(self) -> "PauliFrame":
-        f = PauliFrame(self.n_qubits)
-        f.x[:] = self.x
-        f.z[:] = self.z
-        f.phase_i = self.phase_i
-        return f
+        return PauliFrame(self.n_qubits, self.pauli)
 
     def update(self, qubit: int, pauli: str) -> None:
         """Fold a new X or Z correction onto the existing frame (left side)."""
+        if not 0 <= qubit < self.n_qubits:
+            raise ValueError(f"qubit {qubit} outside a frame of {self.n_qubits}")
         if pauli == "X":
-            # X * (Z^z X^x) reorders to Z^z X^(x+1) at cost (-1)^z
-            if self.z[qubit]:
-                self.phase_i = (self.phase_i + 2) % 4
-            self.x[qubit] ^= 1
+            self.pauli = Pauli(x=1 << qubit) * self.pauli
         elif pauli == "Z":
-            self.z[qubit] ^= 1
+            self.pauli = Pauli(z=1 << qubit) * self.pauli
         else:
             raise ValueError(f"unknown pauli {pauli!r}")
 
@@ -216,57 +175,40 @@ class PauliFrame:
         """Frame for other applied first, then self."""
         if self.n_qubits != other.n_qubits:
             raise ValueError("frame size mismatch")
-        out = other.copy()
-        out.phase_i = (out.phase_i + self.phase_i) % 4
-        for q in range(self.n_qubits):
-            if self.x[q]:
-                out.update(q, "X")
-            if self.z[q]:
-                # Z * Z^z X^x needs no reorder
-                out.z[q] ^= 1
-        return out
+        return PauliFrame(self.n_qubits, self.pauli * other.pauli)
 
     def propagate(self, g: Gate) -> None:
         """Replace E by G E G^dag for a gate G the frame can cross."""
         kind = g.kind
-        if kind in _CONJ_1Q:
-            q = g.qubits[0]
-            s, z2, x2 = _CONJ_1Q[kind][(self.z[q], self.x[q])]
-            self.phase_i = (self.phase_i + s) % 4
-            self.z[q], self.x[q] = z2, x2
-            return
-        if kind == core.CNOT:
-            c, t = g.qubits
-            s, zc, xc, zt, xt = _CONJ_CNOT[(self.z[c], self.x[c], self.z[t], self.x[t])]
-            self.phase_i = (self.phase_i + s) % 4
-            self.z[c], self.x[c], self.z[t], self.x[t] = zc, xc, zt, xt
-            return
-        if kind in (core.T, core.TDG, core.S, core.SDG, core.Z, core.RZ):
-            if self.x[g.qubits[0]]:
+        x, z, _ = self.pauli
+        if kind in core.CLIFFORD_KINDS:
+            if x | z:  # a pure phase commutes with every gate
+                self.pauli = self.pauli.conjugate(kind, g.qubits)
+        elif kind in (core.T, core.TDG, core.RZ):
+            if x >> g.qubits[0] & 1:
                 raise SimulationError(f"X frame cannot cross diagonal gate {kind}")
-            return
-        if kind == core.CRZ:
-            if any(self.x[q] for q in g.qubits):
+        elif kind == core.CRZ:
+            if any(x >> q & 1 for q in g.qubits):
                 raise SimulationError("X frame cannot cross CRZ")
-            return
-        if kind == core.TOFFOLI:
+        elif kind == core.TOFFOLI:
             c1, c2, t = g.qubits
-            if self.x[c1] or self.x[c2] or self.z[t]:
+            if x >> c1 & 1 or x >> c2 & 1 or z >> t & 1:
                 raise SimulationError("frame cannot cross Toffoli on these qubits")
-            return
-        raise SimulationError(f"cannot propagate frame through {kind}")
+        else:
+            raise SimulationError(f"cannot propagate frame through {kind}")
 
     def apply_to(self, state: StateVector) -> StateVector:
         """Materialize the correction: returns E|state>."""
         out = state.copy()
         n = out.n_qubits
+        x, z, phase = self.pauli
         for q in range(n):
-            if self.x[q]:
+            if x >> q & 1:
                 out.amps = kernels.apply_1q(out.amps, n, q, _DENSE[core.X])
-            if self.z[q]:
+            if z >> q & 1:
                 out.amps = kernels.apply_diag_1q(out.amps, n, q, 1.0, -1.0)
-        if self.phase_i:
-            out.amps *= 1j ** self.phase_i
+        if phase:
+            out.amps *= 1j ** phase
         return out
 
 
@@ -332,12 +274,12 @@ def run(
                 p0 = 1.0 - p1
                 outcome = 0 if rng.random() < p0 else 1
                 amps = K.collapse(amps, n, q, outcome, p0 if outcome == 0 else p1)
-                true_outcome = outcome ^ int(frame.x[q])
-                if frame.z[q]:
+                x, z, phase = frame.pauli
+                true_outcome = outcome ^ (x >> q & 1)
+                if z >> q & 1:
                     # Z^z X^x |m_sim> = (-1)^(z * m_true) X^x |m_sim>: the Z
                     # factor on a collapsed qubit reduces to a phase
-                    frame.phase_i = (frame.phase_i + 2 * true_outcome) % 4
-                    frame.z[q] = 0
+                    frame.pauli = Pauli(x, z ^ 1 << q, (phase + 2 * true_outcome) % 4)
                 record[g.key] = true_outcome
                 qubit_outcomes[q] = true_outcome
                 continue

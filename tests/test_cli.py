@@ -212,22 +212,35 @@ class TestEstimate2q:
         assert retained == sorted(retained)
 
     @pytest.mark.parametrize(
-        "epsilon,per_step",
+        "method,epsilon,per_step",
         [
-            ("1e-4", {"depth": 119214, "t_count": 303996, "total_gates": 246022, "qubits": 63}),
-            ("1e-6", {"depth": 169880, "t_count": 455994, "total_gates": 303926, "qubits": 77}),
+            ("kickback", "1e-4", {"depth": 119214, "t_count": 303996, "total_gates": 246022, "qubits": 63}),
+            ("kickback", "1e-6", {"depth": 169880, "t_count": 455994, "total_gates": 303926, "qubits": 77}),
+            ("par", "1e-4", {"depth": 23052, "t_count": 229548, "total_gates": 135384, "qubits": 39}),
+            ("par", "1e-6", {"depth": 23052, "t_count": 347424, "total_gates": 135384, "qubits": 39}),
+            ("sequence", "1e-4", {"depth": 211240, "t_count": 76516, "total_gates": 323572, "qubits": 33}),
+            ("sequence", "1e-6", {"depth": 314640, "t_count": 115808, "total_gates": 426972, "qubits": 33}),
+            ("sk", "1e-4", {"depth": 8226808, "t_count": 3932302, "total_gates": 8339140, "qubits": 34}),
+            ("sk", "1e-6", {"depth": 41562968, "t_count": 19847630, "total_gates": 41675300, "qubits": 34}),
+        ],
+        # the kickback rows keep the ids they had before the other methods joined
+        ids=[
+            "1e-4-per_step0", "1e-6-per_step1", "par-1e-4", "par-1e-6",
+            "sequence-1e-4", "sequence-1e-6", "sk-1e-4", "sk-1e-6",
         ],
     )
-    def test_kickback_figures_are_pinned(self, capsys, epsilon, per_step):
+    def test_kickback_figures_are_pinned(self, capsys, method, epsilon, per_step):
         # kickback rotations are priced from the cached worst-case adder
-        # profile; these are the figures of the adder built per rotation
+        # profile; these are the figures of the adder built per rotation.
+        # The other methods' figures were taken from the letter-string
+        # estimator, so all four tie the mask-count path to it.
         status, out, _ = run_cli(
             capsys,
             "estimate-2q",
             "--integrals", "tests/data/integrals_12.txt",
             "--readout-bits", "10",
             "--dt", "0.1",
-            "--method", "kickback",
+            "--method", method,
             "--epsilon", epsilon,
         )
         record = json.loads(out)

@@ -21,8 +21,10 @@ from ftqc.core import (
     TOFFOLI,
     Circuit,
     CircuitBuilder,
+    GATE_MATRICES,
     Gate,
     H,
+    Pauli,
     ResourceProfile,
     S,
     T,
@@ -407,6 +409,92 @@ class TestToffoliExpansion:
             u = m @ u
         v = permutation(lambda i: i ^ (4 if i & 3 == 3 else 0))
         assert np.max(np.abs(u - v)) < 1e-18
+
+
+def pauli_matrix(p: Pauli, n: int) -> np.ndarray:
+    """Dense i^phase * Z^z X^x on n qubits; qubit j is bit j of the index."""
+    m = np.ones((1, 1), dtype=complex)
+    for q in reversed(range(n)):
+        f = np.eye(2, dtype=complex)
+        if p.x >> q & 1:
+            f = GATE_MATRICES[X] @ f
+        if p.z >> q & 1:
+            f = GATE_MATRICES[Z] @ f
+        m = np.kron(m, f)
+    return 1j**p.phase * m
+
+
+def one_qubit_on(u: np.ndarray, q: int, n: int) -> np.ndarray:
+    m = np.ones((1, 1), dtype=complex)
+    for k in reversed(range(n)):
+        m = np.kron(m, u if k == q else np.eye(2))
+    return m
+
+
+def cnot_on(c: int, t: int, n: int) -> np.ndarray:
+    m = np.zeros((1 << n, 1 << n), dtype=complex)
+    for i in range(1 << n):
+        m[i ^ ((i >> c) & 1) << t, i] = 1
+    return m
+
+
+@st.composite
+def paulis(draw, n):
+    top = (1 << n) - 1
+    return Pauli(draw(st.integers(0, top)), draw(st.integers(0, top)), draw(st.integers(0, 3)))
+
+
+class TestPauli:
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), paulis(n), paulis(n))))
+    @settings(max_examples=200, deadline=None)
+    def test_product_matches_dense(self, case):
+        n, p1, p2 = case
+        np.testing.assert_array_equal(pauli_matrix(p1 * p2, n), pauli_matrix(p1, n) @ pauli_matrix(p2, n))
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(st.just(n), paulis(n), st.integers(0, n - 1))
+        ),
+        st.sampled_from([X, Y, Z, H, S, SDG]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_single_qubit_conjugation_matches_dense(self, case, kind):
+        n, p, q = case
+        g = one_qubit_on(GATE_MATRICES[kind], q, n)
+        np.testing.assert_allclose(
+            pauli_matrix(p.conjugate(kind, (q,)), n),
+            g @ pauli_matrix(p, n) @ g.conj().T,
+            atol=1e-14,
+        )
+
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda n: st.tuples(st.just(n), paulis(n), st.permutations(range(n)))
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cnot_conjugation_matches_dense(self, case):
+        n, p, order = case
+        c, t = order[:2]
+        g = cnot_on(c, t, n)
+        np.testing.assert_array_equal(
+            pauli_matrix(p.conjugate(CNOT, (c, t)), n), g @ pauli_matrix(p, n) @ g.T
+        )
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), paulis(n))))
+    @settings(max_examples=100, deadline=None)
+    def test_letters_drop_the_y_phase(self, case):
+        n, p = case
+        letters = np.ones((1, 1), dtype=complex)
+        named = dict(p.letters())
+        for q in reversed(range(n)):
+            letters = np.kron(letters, GATE_MATRICES[named[q]] if q in named else np.eye(2))
+        n_y = (p.x & p.z).bit_count()
+        np.testing.assert_array_equal(pauli_matrix(p, n), 1j ** (p.phase + n_y) * letters)
+
+    def test_non_clifford_gate_is_refused(self):
+        with pytest.raises(ValueError, match="not a Clifford"):
+            Pauli(x=1).conjugate(T, (0,))
 
 
 class TestTextFormat:

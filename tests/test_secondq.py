@@ -9,6 +9,7 @@ circuits it checks), and direct statevector simulation for channel equality and
 the small-system phase-estimation readout.
 """
 
+import hashlib
 import io
 import itertools
 import math
@@ -349,6 +350,17 @@ class TestExcitationStrings:
     def test_register_bound_enforced(self):
         with pytest.raises(ValueError, match="outside"):
             excitation_operator_strings(OneBodyTerm(0, 3, 1.0), n_orbitals=2)
+
+    def test_fixture_expansion_is_pinned(self):
+        # sha256 over the repr of every term's strings, in file order: the
+        # coefficients (repr round-trips floats) and the letter tuples must
+        # not move by one bit
+        table = load_integrals(FIXTURE)
+        digest = hashlib.sha256()
+        for term in table.terms():
+            digest.update(repr(excitation_operator_strings(term, table.n_orbitals)).encode())
+        assert table.n_terms == 231
+        assert digest.hexdigest() == "23ab659c2c4fef5f231f5f01774c0cfdd4f08ee8d2962d51e53e8ef94960c056"
 
     @given(
         st.integers(0, 4),

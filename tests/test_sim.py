@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ftqc import core
 from ftqc.core import (
     CircuitBuilder,
+    Pauli,
     cnot,
     crz,
     frame_update,
@@ -205,9 +206,9 @@ def frame_matrix(f: PauliFrame) -> np.ndarray:
     m = np.array([[1.0 + 0j]])
     for q in reversed(range(f.n_qubits)):
         p = np.eye(2, dtype=complex)
-        if f.x[q]:
+        if f.x >> q & 1:
             p = matrix_of(gate(core.X, 0)) @ p
-        if f.z[q]:
+        if f.z >> q & 1:
             p = matrix_of(gate(core.Z, 0)) @ p
         m = np.kron(m, p)
     return (1j ** f.phase_i) * m
@@ -227,7 +228,15 @@ class TestPauliFrame:
         f = PauliFrame(2)
         f.update(0, "X")
         f.update(0, "X")
-        assert not f.x.any() and f.phase_i == 0
+        assert not f.x and f.phase_i == 0
+
+    def test_update_rejects_qubit_outside_frame(self):
+        # the masks have no length of their own, so the frame checks the index
+        f = PauliFrame(2)
+        for q in (2, -1):
+            with pytest.raises(ValueError, match="outside"):
+                f.update(q, "X")
+        assert f.pauli == Pauli()
 
     def test_apply_to_matches_dense_matrix(self):
         rng = np.random.default_rng(5)
@@ -246,7 +255,7 @@ class TestPauliFrame:
         for z in (0, 1):
             for x in (0, 1):
                 f = PauliFrame(1)
-                f.z[0], f.x[0] = z, x
+                f.pauli = Pauli(x, z)
                 psi = random_state(1, rng)
                 direct = run(c, f.apply_to(psi)).state.amps
                 f2 = f.copy()
@@ -259,8 +268,7 @@ class TestPauliFrame:
         c = sequential_circuit(2, [cnot(0, 1)])
         for code in range(16):
             f = PauliFrame(2)
-            f.z[0], f.x[0] = code & 1, (code >> 1) & 1
-            f.z[1], f.x[1] = (code >> 2) & 1, (code >> 3) & 1
+            f.pauli = Pauli(x=(code >> 1 & 1) | (code >> 3 & 1) << 1, z=(code & 1) | (code >> 2 & 1) << 1)
             psi = random_state(2, rng)
             direct = run(c, f.apply_to(psi)).state.amps
             f2 = f.copy()
@@ -270,24 +278,24 @@ class TestPauliFrame:
 
     def test_diagonal_gates_block_x_frames(self):
         f = PauliFrame(1)
-        f.x[0] = 1
+        f.pauli = Pauli(x=0b1)
         with pytest.raises(SimulationError):
             f.propagate(gate(core.T, 0))
         f2 = PauliFrame(1)
-        f2.z[0] = 1
+        f2.pauli = Pauli(z=0b1)
         f2.propagate(gate(core.T, 0))  # Z commutes with any Z rotation
-        assert f2.z[0] == 1 and f2.phase_i == 0
+        assert f2.z == 0b1 and f2.phase_i == 0
 
     def test_toffoli_crossing_rules(self):
         ok = PauliFrame(3)
-        ok.z[0] = ok.z[1] = ok.x[2] = 1
+        ok.pauli = Pauli(x=0b100, z=0b011)
         ok.propagate(toffoli(0, 1, 2))  # commuting combination passes
         bad = PauliFrame(3)
-        bad.x[0] = 1
+        bad.pauli = Pauli(x=0b001)
         with pytest.raises(SimulationError):
             bad.propagate(toffoli(0, 1, 2))
         bad2 = PauliFrame(3)
-        bad2.z[2] = 1
+        bad2.pauli = Pauli(z=0b100)
         with pytest.raises(SimulationError):
             bad2.propagate(toffoli(0, 1, 2))
 
@@ -305,7 +313,7 @@ class TestPauliFrame:
         rng = np.random.default_rng(10)
         f = random_frame(3, rng)
         sq = f.compose(f)
-        assert not sq.x.any() and not sq.z.any()
+        assert not sq.x and not sq.z
         assert sq.phase_i in (0, 2)  # at most a leftover global sign
 
     def test_frame_gate_flips_reported_outcome(self):
