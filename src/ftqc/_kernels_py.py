@@ -5,6 +5,13 @@ flat complex amplitude array of length 2**n (qubit j = j-th least
 significant bit of the index) and returns the updated array, modifying it
 in place where the operation allows.  Summation order inside prob_one is
 fixed (C order) so runs are reproducible for a given seed.
+
+apply_1q given exactly [[0, 1], [1, 0]] swaps the two halves of the
+target qubit in place rather than multiplying, so X moves amplitudes
+without touching their bits.  No kernel assumes that n is the size of
+one state: the simulator runs a block of B = 2**b states stored as one
+C-contiguous (B, 2**n) array through the same kernels on n + b qubits,
+the block index sitting on the bits above the circuit's n.
 """
 
 from __future__ import annotations
@@ -20,6 +27,13 @@ def _axis(n: int, q: int) -> int:
 
 
 def apply_1q(amps: np.ndarray, n: int, q: int, m: np.ndarray) -> np.ndarray:
+    if m[0, 0] == 0 and m[1, 1] == 0 and m[0, 1] == 1 and m[1, 0] == 1:
+        # exactly X: swap the two halves in place, no arithmetic
+        a = amps.reshape(-1, 2, 1 << q)
+        tmp = a[:, 0, :].copy()
+        a[:, 0, :] = a[:, 1, :]
+        a[:, 1, :] = tmp
+        return amps
     a = amps.reshape([2] * n)
     res = np.tensordot(m, a, axes=([1], [_axis(n, q)]))
     res = np.moveaxis(res, 0, _axis(n, q))

@@ -288,36 +288,80 @@ def run(
                     frame.update(g.qubits[0], g.pauli)
                 continue
             frame.propagate(g)
-            if kind in _DIAG:
-                d0, d1 = _DIAG[kind]
-                amps = K.apply_diag_1q(amps, n, g.qubits[0], d0, d1)
-            elif kind == core.RZ:
-                amps = K.apply_diag_1q(amps, n, g.qubits[0], 1.0, np.exp(1j * g.angle))
-            elif kind == core.CNOT:
-                amps = K.apply_cnot(amps, n, g.qubits[0], g.qubits[1])
-            elif kind == core.TOFFOLI:
-                amps = K.apply_toffoli(amps, n, *g.qubits)
-            elif kind == core.CRZ:
-                mask = (1 << g.qubits[0]) | (1 << g.qubits[1])
-                amps = K.apply_phase_on_ones(amps, n, mask, np.exp(1j * g.angle))
-            else:
-                amps = K.apply_1q(amps, n, g.qubits[0], _DENSE[kind])
+            amps = _apply_unitary(amps, n, g)
     state.amps = amps
     return SimResult(state=state, record=record, frame=frame, qubit_outcomes=qubit_outcomes)
 
 
+def _apply_unitary(amps: np.ndarray, n: int, g: Gate) -> np.ndarray:
+    """Apply one unitary gate to amplitudes over n qubits: the one gate dispatch."""
+    kind = g.kind
+    if kind in _DIAG:
+        d0, d1 = _DIAG[kind]
+        return kernels.apply_diag_1q(amps, n, g.qubits[0], d0, d1)
+    if kind == core.RZ:
+        return kernels.apply_diag_1q(amps, n, g.qubits[0], 1.0, np.exp(1j * g.angle))
+    if kind == core.CNOT:
+        return kernels.apply_cnot(amps, n, g.qubits[0], g.qubits[1])
+    if kind == core.TOFFOLI:
+        return kernels.apply_toffoli(amps, n, *g.qubits)
+    if kind == core.CRZ:
+        mask = (1 << g.qubits[0]) | (1 << g.qubits[1])
+        return kernels.apply_phase_on_ones(amps, n, mask, np.exp(1j * g.angle))
+    return kernels.apply_1q(amps, n, g.qubits[0], _DENSE[kind])
+
+
+# amplitudes per block run (1 MB of complex128): a block holds
+# max(1, _BLOCK_AMPS >> n) states of an n-qubit circuit.  Blocks of 2^14 to
+# 2^16 amplitudes timed alike on the whole-matrix checks; larger ones ran
+# slower (256-MB blocks: 2.3x the verify benchmark's wall time, 2 cores).
+_BLOCK_AMPS = 1 << 16
+
+
+def _block_size(n_qubits: int, n_states: int) -> int:
+    """States per block run, a power of two when n_states is one."""
+    return min(max(1, _BLOCK_AMPS >> n_qubits), n_states)
+
+
+def _run_block(circuit: Circuit, block: np.ndarray) -> np.ndarray:
+    """Run a measurement-free circuit on every row of a (B, 2^n) block at once.
+
+    The block is C-contiguous complex128, B is a power of two, and the
+    block is updated in place.  Amplitude i of row r is index r * 2^n + i of
+    one state on n + log2(B) qubits, so each gate is one kernel call on that
+    state and acts on every row alike: each row comes out bit for bit as a
+    run() of that row alone would leave it.
+    """
+    amps = block.reshape(-1)
+    n = circuit.n_qubits + block.shape[0].bit_length() - 1
+    for layer in circuit.layers:
+        for g in layer:
+            amps = _apply_unitary(amps, n, g)
+    return amps.reshape(block.shape)
+
+
+def _require_unitary(circuit: Circuit) -> None:
+    if any(not g.is_unitary for g in circuit.gates()):
+        raise ValueError("circuit contains measurements or frame updates")
+
+
 def to_unitary(circuit: Circuit, *, cap: int = 12) -> np.ndarray:
-    """Dense unitary of a measurement-free circuit, built column by column."""
+    """Dense unitary of a measurement-free circuit.
+
+    The basis columns are run in blocks (see _BLOCK_AMPS): one pass over the
+    circuit per block, each column equal bit for bit to a run() of its
+    basis state.
+    """
     n = circuit.n_qubits
     if n > cap:
         raise SimulationError(f"refusing to build a 2^{n} unitary (cap {cap})")
-    if any(not g.is_unitary for g in circuit.gates()):
-        raise ValueError("circuit contains measurements or frame updates")
+    _require_unitary(circuit)
     dim = 1 << n
     u = np.empty((dim, dim), dtype=np.complex128)
-    for col in range(dim):
-        res = run(circuit, StateVector.basis(n, col, cap=cap), seed=0, cap=cap)
-        u[:, col] = res.state.amps
+    size = _block_size(n, dim)
+    for start in range(0, dim, size):
+        basis = np.eye(size, dim, start, dtype=np.complex128)
+        u[:, start:start + size] = _run_block(circuit, basis).T
     return u
 
 
@@ -331,15 +375,20 @@ def project_onto(
     probability weight on |block>; it is NOT renormalized.
     """
     n = state.n_qubits
+    rest = tuple(q for q in range(n) if q not in qubits)
+    return _project(state.amps, n, qubits, block), rest
+
+
+def _project(amps: np.ndarray, n: int, qubits: tuple[int, ...], block: np.ndarray) -> np.ndarray:
+    """project_onto on a flat array of 2^n amplitudes: the residual amplitudes."""
     m = len(qubits)
-    a = state.amps.reshape([2] * n)
+    a = amps.reshape([2] * n)
     vec = np.asarray(block).reshape([2] * m) if m else np.asarray(block)
     state_axes = [n - 1 - q for q in qubits]
     # block axis j corresponds to bit (m-1-j) of the block index
     block_axes = [m - 1 - j for j in range(m)]
     res = np.tensordot(vec.conj(), a, axes=(block_axes, state_axes)) if m else a * block
-    rest = tuple(q for q in range(n) if q not in qubits)
-    return np.ascontiguousarray(res).reshape(-1), rest
+    return np.ascontiguousarray(res).reshape(-1)
 
 
 def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
@@ -376,30 +425,54 @@ def run_with_helpers(
     order the data blocks list them.  Leakage is ||psi - |ref> (x) amps||,
     the norm of the output's part orthogonal to the helper reference state:
     the amplitude that left it.  Unlike sqrt(1 - ||amps||^2), it does not
-    turn rounding eps into sqrt(eps).
+    turn rounding eps into sqrt(eps).  This is the one-input case of the
+    block run that effective_unitary makes; a circuit with MEASURE or FRAME
+    gates is rejected with ValueError.
     """
-    helpers = dict(helpers or {})
-    data_qubits = tuple(q for qs in data for q in qs)
+    _require_unitary(circuit)
+    amps, leaks = _run_rows_with_helpers(circuit, [data], helpers or {}, cap)
+    return amps[0], leaks[0]
+
+
+def _run_rows_with_helpers(
+    circuit: Circuit,
+    datas: Sequence[Mapping[tuple[int, ...], np.ndarray]],
+    helpers: Mapping[tuple[int, ...], np.ndarray],
+    cap: int,
+) -> tuple[np.ndarray, list[float]]:
+    """run_with_helpers on B data inputs at once, B a power of two.
+
+    Every input names the same data qubits.  Row r of the block run starts
+    in the product state of datas[r] and the helpers; returns the (B, 2^k)
+    data amplitudes and the B leakages, each row bit for bit what a run of
+    that input alone gives.
+    """
     n = circuit.n_qubits
-    res = run(circuit, product_state(n, [*data.items(), *helpers.items()], cap=cap), seed=0, cap=cap)
+    data_qubits = tuple(q for qs in datas[0] for q in qs)
+    rows = np.empty((len(datas), 1 << n), dtype=np.complex128)
+    for row, data in zip(rows, datas):
+        row[:] = product_state(n, [*data.items(), *helpers.items()], cap=cap).amps
+    rows = _run_block(circuit, rows)
     ancillas = tuple(q for q in range(n) if q not in data_qubits)
-    leak = 0.0
-    if ancillas:
-        m = len(ancillas)
-        anc_pos = {q: i for i, q in enumerate(ancillas)}
-        local = {tuple(anc_pos[q] for q in qs): vec for qs, vec in helpers.items()}
-        ref = product_state(m, local, cap=max(cap, m)).amps
-        amps, rest = project_onto(res.state, ancillas, ref)
-        # the output's part orthogonal to |ref>: psi - |ref> (x) amps, with
-        # the ancilla axes moved first in the block order project_onto uses
-        anc_axes = [n - 1 - q for q in reversed(ancillas)]
-        psi = np.moveaxis(res.state.amps.reshape([2] * n), anc_axes, range(m))
-        ortho = np.multiply.outer(ref.reshape([2] * m), amps.reshape([2] * (n - m)))
-        np.subtract(psi, ortho, out=ortho)
-        leak = float(np.linalg.norm(ortho))
-    else:
-        amps, rest = res.state.amps, tuple(range(n))
-    return _in_order(amps, rest, data_qubits), leak
+    if not ancillas:
+        return _in_order(rows, tuple(range(n)), data_qubits), [0.0] * len(rows)
+    m = len(ancillas)
+    anc_pos = {q: i for i, q in enumerate(ancillas)}
+    local = {tuple(anc_pos[q] for q in qs): vec for qs, vec in helpers.items()}
+    ref = product_state(m, local, cap=max(cap, m)).amps
+    # one contraction per row: the BLAS kernel behind it is chosen by the
+    # column count, so contracting all rows at once can move last bits
+    amps = np.array([_project(row, n, ancillas, ref) for row in rows])
+    rest = tuple(q for q in range(n) if q not in ancillas)
+    # each row's part orthogonal to |ref>: psi - |ref> (x) amps, with the
+    # ancilla axes moved first (after the row axis) in the block order
+    # project_onto uses
+    anc_axes = [n - q for q in reversed(ancillas)]
+    psi = np.moveaxis(rows.reshape([len(rows)] + [2] * n), anc_axes, range(1, m + 1))
+    ortho = ref.reshape([1] + [2] * m + [1] * (n - m)) * amps.reshape([len(rows)] + [1] * m + [2] * (n - m))
+    np.subtract(psi, ortho, out=ortho)
+    leaks = [float(np.linalg.norm(row)) for row in ortho]
+    return _in_order(amps, rest, data_qubits), leaks
 
 
 def effective_unitary(
@@ -411,19 +484,25 @@ def effective_unitary(
 ) -> tuple[np.ndarray, float]:
     """Action on a data block, with ancilla blocks fixed to given states.
 
-    Column j is run_with_helpers on basis state j of the data block, with
-    the ancillas (everything outside data_qubits) in the supplied block
-    states, default |0>.  Returns (matrix, worst leakage over the columns);
-    the matrix is exactly unitary iff leakage is zero.
+    Column j is what run_with_helpers gives for basis state j of the data
+    block, with the ancillas (everything outside data_qubits) in the
+    supplied block states, default |0>; the columns are run in blocks (see
+    _BLOCK_AMPS), one pass over the circuit per block.  Returns (matrix,
+    worst leakage over the columns); the matrix is exactly unitary iff
+    leakage is zero.  A circuit with MEASURE or FRAME gates is rejected
+    with ValueError.
     """
+    _require_unitary(circuit)
+    data_qubits = tuple(data_qubits)
     dim = 1 << len(data_qubits)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
+    mat = np.empty((dim, dim), dtype=np.complex128)
     worst = 0.0
-    for col in range(dim):
-        col_vec = np.zeros(dim, dtype=np.complex128)
-        col_vec[col] = 1.0
-        mat[:, col], leak = run_with_helpers(circuit, {tuple(data_qubits): col_vec}, fixed, cap=cap)
-        worst = max(worst, leak)
+    size = _block_size(circuit.n_qubits, dim)
+    for start in range(0, dim, size):
+        basis = np.eye(size, dim, start, dtype=np.complex128)
+        amps, leaks = _run_rows_with_helpers(circuit, [{data_qubits: e} for e in basis], fixed or {}, cap)
+        mat[:, start:start + size] = amps.T
+        worst = max(worst, *leaks)
     return mat, worst
 
 
@@ -499,9 +578,14 @@ def _run_and_extract(
 
 
 def _in_order(amps: np.ndarray, rest: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
-    """Amplitudes over the ascending qubits `rest`, reordered so bit j is order[j]."""
+    """Amplitudes over the ascending qubits `rest`, reordered so bit j is order[j].
+
+    A leading row axis, as in a (B, 2^k) array, is kept.
+    """
     pos = {q: i for i, q in enumerate(rest)}
     k = len(order)
+    lead = amps.ndim - 1
     # axis for qubit rest[i] is (k-1-i); logical bit j (order[j]) becomes bit j
-    perm = [k - 1 - pos[order[k - 1 - j]] for j in range(k)]
-    return np.transpose(amps.reshape([2] * k), perm).reshape(-1)
+    perm = [lead + k - 1 - pos[order[k - 1 - j]] for j in range(k)]
+    a = amps.reshape(amps.shape[:lead] + (2,) * k)
+    return np.transpose(a, [*range(lead), *perm]).reshape(amps.shape)

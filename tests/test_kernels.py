@@ -116,6 +116,32 @@ class TestAgainstDenseOracle:
         assert abs(np.linalg.norm(got) - 1.0) < 1e-12
 
 
+class TestXSwap:
+    """apply_1q moves amplitudes for exactly X and multiplies for anything else."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_x_equals_dense_oracle(self, backend, n):
+        for q in range(n):
+            v = rand_state(n, 100 * n + q)
+            got = backend.apply_1q(v.copy(), n, q, X)
+            np.testing.assert_array_equal(got, dense_op_on(n, q, X) @ v)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matrix_that_only_rounds_to_x_is_multiplied(self, backend, n):
+        near_x = np.array([[1e-300, 1], [1, 0]], dtype=complex)
+        for q in range(n):
+            v = rand_state(n, 200 * n + q)
+            got = backend.apply_1q(v.copy(), n, q, near_x)
+            np.testing.assert_array_equal(got, dense_op_on(n, q, near_x) @ v)
+            # with the bit-q-set half empty, only the 1e-300 entry fills the
+            # bit-q-clear half: a swap would leave that half zero
+            w = np.array([0.0 if i >> q & 1 else 2.0 ** -(i % 7) for i in range(1 << n)], dtype=complex)
+            got = backend.apply_1q(w.copy(), n, q, near_x)
+            expect = dense_op_on(n, q, near_x) @ w
+            assert np.count_nonzero(expect) == 1 << n
+            np.testing.assert_array_equal(got, expect)
+
+
 @pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled backend not built")
 class TestBackendAgreement:
     def test_full_gate_sweep_matches(self):

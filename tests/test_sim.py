@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftqc import core
+from ftqc import core, sim
 from ftqc.core import (
     CircuitBuilder,
     Pauli,
@@ -34,6 +34,7 @@ from ftqc.sim import (
     project_onto,
     random_state,
     run,
+    run_with_helpers,
     states_equal_up_to_phase,
     to_unitary,
 )
@@ -435,6 +436,127 @@ class TestEffectiveUnitary:
         # reversing the data order permutes basis bits
         perm = [0, 2, 1, 3]
         np.testing.assert_allclose(m10, m01[np.ix_(perm, perm)], atol=1e-14)
+
+    @pytest.mark.parametrize("last", [measure(1, key=0), frame_update(1, "X")], ids=["measure", "frame"])
+    def test_rejects_non_unitary_circuits(self, last):
+        # a sampled branch is not a matrix: refuse it rather than draw one
+        c = sequential_circuit(2, [gate(core.H, 0), cnot(0, 1), last])
+        with pytest.raises(ValueError):
+            effective_unitary(c, (0,))
+        with pytest.raises(ValueError):
+            run_with_helpers(c, {(0,): np.array([1.0, 0.0])})
+
+
+# every unitary gate kind the simulator dispatches on
+UNITARY_1Q = (core.X, core.Y, core.Z, core.H, core.S, core.SDG, core.T, core.TDG)
+
+
+def random_unitary_circuit(n, seed, extra=60):
+    """Seeded circuit on n qubits holding every unitary kind at least once."""
+    rng = np.random.default_rng(seed)
+    kinds = [*UNITARY_1Q, core.RZ, core.CNOT, core.TOFFOLI, core.CRZ]
+    kinds += [kinds[i] for i in rng.integers(0, len(kinds), extra)]
+    gates = []
+    for kind in rng.permutation(np.array(kinds, dtype=object)):
+        qs = [int(q) for q in rng.permutation(n)]
+        if kind in UNITARY_1Q:
+            gates.append(gate(kind, qs[0]))
+        elif kind == core.RZ:
+            gates.append(rz(rng.uniform(-np.pi, np.pi), qs[0]))
+        elif kind == core.CNOT:
+            gates.append(cnot(qs[0], qs[1]))
+        elif kind == core.TOFFOLI:
+            gates.append(toffoli(*qs[:3]))
+        else:
+            gates.append(crz(rng.uniform(-np.pi, np.pi), qs[0], qs[1]))
+    return sequential_circuit(n, gates)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def helper_oracle(circuit, data_qubits, helpers, vec):
+    """run_with_helpers of one data input, from a run() of its own.
+
+    The helpers are projected back with project_onto; the leakage is the
+    norm of psi - |ref> (x) amps laid out (ancilla index, rest index) in C
+    order, as the simulator lays it out.
+    """
+    n = circuit.n_qubits
+    psi = run(circuit, product_state(n, [(data_qubits, vec), *helpers.items()])).state
+    ancillas = tuple(q for q in range(n) if q not in data_qubits)
+    ref = product_state(len(ancillas), {tuple(ancillas.index(q) for q in qs): v for qs, v in helpers.items()}).amps
+    resid, rest = project_onto(psi, ancillas, ref)
+    # bit j of a data index sits on data_qubits[j]; residual bit i on rest[i]
+    to_rest = [sum((j >> b & 1) << rest.index(q) for b, q in enumerate(data_qubits)) for j in range(len(vec))]
+    full = [
+        [sum((a >> i & 1) << q for i, q in enumerate(ancillas)) | sum((r >> i & 1) << q for i, q in enumerate(rest))
+         for r in range(len(resid))]
+        for a in range(len(ref))
+    ]
+    ortho = ref[:, None] * resid[None, :]
+    np.subtract(psi.amps[np.array(full)], ortho, out=ortho)
+    return resid[to_rest], float(np.linalg.norm(ortho))
+
+
+class TestBlockRuns:
+    """Whole-matrix builders run their columns in blocks; each column must
+    equal, bit for bit, a run() of that column's input alone."""
+
+    # 1 << 8 amplitudes split every matrix below into several blocks;
+    # 1 << 16 puts all the columns of each into one block
+    @pytest.fixture(params=[1 << 8, 1 << 16], ids=["several-blocks", "one-block"])
+    def block_amps(self, request, monkeypatch):
+        monkeypatch.setattr(sim, "_BLOCK_AMPS", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_to_unitary_matches_per_column_runs(self, block_amps, n):
+        c = random_unitary_circuit(n, seed=40 + n)
+        dim = 1 << n
+        assert (sim._block_size(n, dim) < dim) == (block_amps == 1 << 8)
+        u = to_unitary(c)
+        oracle = np.stack([run(c, StateVector.basis(n, j)).state.amps for j in range(dim)], axis=1)
+        np.testing.assert_array_equal(bits(u), bits(oracle))
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_effective_unitary_matches_per_column_runs(self, block_amps, n):
+        c = random_unitary_circuit(n, seed=50 + n)
+        rng = np.random.default_rng(60 + n)
+        h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        helpers = {(4, 1): h / np.linalg.norm(h)}
+        data = (n - 1, 0, 3)  # non-adjacent, in permuted order
+        assert (sim._block_size(n, 8) < 8) == (block_amps == 1 << 8)
+        m, leak = effective_unitary(c, data, helpers)
+        cols = [helper_oracle(c, data, helpers, e) for e in np.eye(8, dtype=np.complex128)]
+        np.testing.assert_array_equal(bits(m), bits(np.stack([v for v, _ in cols], axis=1)))
+        assert leak == max(lk for _, lk in cols)  # positive floats: == is bitwise
+        assert leak > 1e-3  # a random circuit does not return its helpers
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_single_data_qubit_matches_per_column_runs(self, n):
+        # both columns in one block: projecting a row back must not depend
+        # on how many rows share the block
+        c = random_unitary_circuit(n, seed=80 + n)
+        rng = np.random.default_rng(90 + n)
+        h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        helpers = {(0, 4, 5): h / np.linalg.norm(h)}
+        assert sim._block_size(n, 2) == 2
+        m, leak = effective_unitary(c, (2,), helpers)
+        cols = [helper_oracle(c, (2,), helpers, e) for e in np.eye(2, dtype=np.complex128)]
+        np.testing.assert_array_equal(bits(m), bits(np.stack([v for v, _ in cols], axis=1)))
+        assert leak == max(lk for _, lk in cols)
+
+    def test_run_with_helpers_matches_oracle(self):
+        c = random_unitary_circuit(7, seed=71)
+        data = (6, 2, 0)
+        helpers = {(5, 1): np.array([0.6, 0.0, 0.0, 0.8j])}
+        v = np.array([0.5, 0.5j, -0.5, 0.5, 0, 0, 0, 0], dtype=np.complex128)
+        amps, leak = run_with_helpers(c, {data: v}, helpers)
+        want, want_leak = helper_oracle(c, data, helpers, v)
+        np.testing.assert_array_equal(bits(amps), bits(want))
+        assert leak == want_leak
 
 
 def teleport_circuit(include_z_fix=True):
