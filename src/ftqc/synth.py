@@ -35,6 +35,8 @@ from .core import ADJOINT, GATE_MATRICES, Gate, dist, gate
 ALPHABET: tuple[str, ...] = tuple(sorted(core.SINGLE_QUBIT_KINDS))
 
 MAX_NET_LEN = 16
+# the highest Solovay-Kitaev level synthesize escalates to
+MAX_SK_LEVEL = 8
 
 _ID2 = np.eye(2, dtype=complex)
 
@@ -421,20 +423,28 @@ def solovay_kitaev(target: np.ndarray, level: int, db: SequenceDB) -> GateSequen
     return GateSequence(kinds, target, dist(mat, target))
 
 
-def synthesize(target: np.ndarray, epsilon: float, *, max_level: int = 8) -> GateSequence:
+def synthesize(target: np.ndarray, epsilon: float) -> GateSequence:
     """Compile to within ``epsilon``, escalating when the net falls short.
 
     The breadth-first search is provably shortest but length-capped, so
     tolerances beyond its coverage fall through to Solovay-Kitaev at
-    increasing recursion level.  The best sequence seen is returned even
-    when the tolerance was never met (``satisfied`` is False then).
+    increasing recursion level.  The escalation stops at the first level
+    that does not improve on the level below it: past the recursion's
+    precision floor the commutator correction is the identity, and deeper
+    levels only return the same word at a higher cost.  The best sequence
+    seen is returned even when the tolerance was never met (``satisfied``
+    is False then).
     """
     best = min_sequence(target, epsilon)
     if best.satisfied:
         return best
     db = build_net(14)
-    for level in range(1, max_level + 1):
+    previous = math.inf
+    for level in range(1, MAX_SK_LEVEL + 1):
         cand = solovay_kitaev(target, level, db)
+        if cand.achieved_distance >= previous:
+            break
+        previous = cand.achieved_distance
         if cand.achieved_distance < best.achieved_distance:
             best = GateSequence(
                 cand.kinds, cand.target, cand.achieved_distance, tolerance=epsilon

@@ -77,6 +77,17 @@ class TestSynth:
         assert record["achieved_distance"] == 0.25
         assert record["sequence"] == ["T"]
 
+    def test_epsilon_below_the_sk_floor_is_unsatisfied(self, tmp_path, capsys):
+        out_file = tmp_path / "synth.json"
+        status, _, err = run_cli(
+            capsys, "synth", "--angle", "0.7", "--epsilon", "1e-11", "--json", str(out_file)
+        )
+        assert status == cli.EXIT_UNSATISFIED
+        assert err == ""
+        record = json.loads(out_file.read_text())
+        assert record["satisfied"] is False
+        assert 1e-11 < record["achieved_distance"] < 1e-9
+
 
 class TestDeterminism:
     def test_same_config_and_seed_are_byte_identical(self, capsys):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from ftqc import synth
 from ftqc.core import GATE_MATRICES, dist, rz_matrix
 from ftqc.synth import (
     ALPHABET,
@@ -264,6 +265,29 @@ class TestSolovayKitaev:
             solovay_kitaev(np.ones((2, 2)), 0, db)
         with pytest.raises(ValueError):
             solovay_kitaev(rz_matrix(0.3), -1, db)
+
+
+class TestSynthesize:
+    def test_escalation_stops_at_the_sk_floor(self, monkeypatch):
+        # RZ(0.7) reaches about 4e-10 at level 6; level 7's commutator
+        # correction is the identity, so it rebuilds the level-6 word and
+        # escalation must end there, without computing level 8
+        calls = []
+        real_sk = synth.solovay_kitaev
+
+        def counted(target, level, db):
+            calls.append((level, real_sk(target, level, db)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(synth, "solovay_kitaev", counted)
+        seq = synthesize(rz_matrix(0.7), 1e-11)
+        assert [level for level, _ in calls] == list(range(1, 8))
+        level6, level7 = calls[5][1], calls[6][1]
+        assert level7.kinds == level6.kinds
+        assert level7.achieved_distance == level6.achieved_distance
+        assert seq.kinds == level6.kinds
+        assert seq.achieved_distance == level6.achieved_distance > 1e-11
+        assert not seq.satisfied
 
 
 class TestMinSequence:
