@@ -11,12 +11,20 @@ composed matrix is the right-to-left product.  All searches share one
 lazily grown net keyed by a global-phase-invariant fingerprint of the
 composed unitary; growth, search and tie-breaking are deterministic.
 
+The net grows a whole length at a time in numpy: one broadcast product
+of the 8 gates with the previous length's stack, a boolean table that
+drops the reducible (last gate, gate) pairs, one int64 key per candidate,
+and a stable deduplication in which a unitary's first sequence in
+(sequence, gate) order wins, against every shorter length as well.
+
 Both compilers look the net up the same way: the grown net's matrices
 are stored as one stacked (N, 4) array in length order, so a lookup
-scores every entry with one matrix-vector product, takes the per-length
-minima with ``np.minimum.reduceat`` and breaks ties only on the length
-it chooses.  SK reports the distance of the product its recursion
-already built, not of the word multiplied out again.
+scores every entry with one matrix-vector product, ranks each length by
+its largest overlap with ``np.maximum.reduceat`` and computes distances
+and breaks ties only on the length it chooses.  SK reports the distance
+of the product its recursion already built, not of the word multiplied
+out again, and stops recursing where the commutator correction is the
+identity.
 """
 
 from __future__ import annotations
@@ -41,24 +49,39 @@ MAX_SK_LEVEL = 8
 _ID2 = np.eye(2, dtype=complex)
 
 
-def unitary_key(u: np.ndarray, digits: int = 10) -> bytes:
-    """Global-phase-invariant fingerprint of a 2x2 unitary.
+# keys round each real and imaginary part to 10 decimal digits
+_KEY_SCALE = 1e10
+# one key: the eight int64 parts of a 2x2 complex matrix as one item
+_KEY_ROW = np.dtype((np.void, 64))
 
-    The entry of largest magnitude (first in row-major order among ties,
-    with a 1e-6 slack so exact magnitude ties stay deterministic under
-    float noise) is rotated to the positive real axis, then all entries
-    are rounded.  Distinct short products over this alphabet are separated
-    by far more than the rounding scale, and equal-up-to-phase products
-    collide as required.
+
+def _phase_keys(stack: np.ndarray) -> np.ndarray:
+    """Global-phase-invariant fingerprints of a stack of 2x2 unitaries.
+
+    Per matrix, the entry of largest magnitude (first in row-major order
+    among ties, with a 1e-6 slack so exact magnitude ties stay
+    deterministic under float noise) is rotated to the positive real
+    axis, then every real and imaginary part is scaled by 1e10 and rounded
+    half to even.  Distinct short products over this alphabet are
+    separated by far more than the rounding scale, and equal-up-to-phase
+    products collide as required.
+
+    Returns one key per matrix: its eight rounded parts as int64, viewed
+    as a single 64-byte item so that keys compare and sort as wholes.
     """
-    flat = u.reshape(-1)
+    flat = stack.reshape(-1, 4)
     mags = np.abs(flat)
-    idx = int(np.argmax(mags >= mags.max() - 1e-6))
-    ph = flat[idx] / mags[idx]
-    v = flat * np.conj(ph)
-    return b",".join(
-        b"%d:%d" % (round(z.real * 10**digits), round(z.imag * 10**digits)) for z in v
-    )
+    top = np.argmax(mags >= mags.max(axis=1, keepdims=True) - 1e-6, axis=1)
+    at = np.arange(len(flat)), top
+    phase = flat[at] / mags[at]
+    canon = flat * np.conj(phase)[:, None]
+    parts = np.rint(canon.view(np.float64) * _KEY_SCALE).astype(np.int64)
+    return parts.view(_KEY_ROW).ravel()
+
+
+def unitary_key(u: np.ndarray) -> bytes:
+    """Global-phase-invariant fingerprint of one 2x2 unitary (see _phase_keys)."""
+    return _phase_keys(np.asarray(u, dtype=complex)).tobytes()
 
 
 def compose_kinds(kinds: tuple[str, ...]) -> np.ndarray:
@@ -101,18 +124,43 @@ def _build_reduction_table() -> dict[tuple[str, str], tuple[str, ...]]:
 REDUCTIONS = _build_reduction_table()
 
 
+# the alphabet as one (8, 2, 2) stack, in ALPHABET order
+_GATE_STACK = np.stack([GATE_MATRICES[g] for g in ALPHABET])
+
+
+def _reducible_mask() -> np.ndarray:
+    """Boolean table: [a, b] is True when gate ALPHABET[a] then gate
+    ALPHABET[b] is a pair of REDUCTIONS.  The extra last row stands for the
+    empty sequence, which every gate extends."""
+    mask = np.zeros((len(ALPHABET) + 1, len(ALPHABET)), dtype=bool)
+    for a, b in REDUCTIONS:
+        mask[ALPHABET.index(a), ALPHABET.index(b)] = True
+    return mask
+
+
+_REDUCIBLE = _reducible_mask()
+
+
 class _Level:
     """All canonical sequences of one fixed length."""
 
     __slots__ = ("kinds", "stack")
 
-    def __init__(self, kinds: list[tuple[str, ...]], mats: list[np.ndarray]):
+    def __init__(self, kinds: list[tuple[str, ...]], stack: np.ndarray):
         self.kinds = kinds
-        self.stack = np.stack(mats) if mats else np.zeros((0, 2, 2), dtype=complex)
+        self.stack = stack
 
 
 class _Net:
     """Shared, lazily grown enumeration of canonical sequences by length.
+
+    A level is grown from the one below in a few numpy calls.  One
+    broadcast product of the gate stack with the level's stack forms every
+    (sequence, gate) extension in row-major order, the pairs listed in
+    ``REDUCTIONS`` are masked out, and the survivors' phase-invariant keys
+    are deduplicated against every key seen so far, the first occurrence
+    winning.  So a level lists, in (sequence, gate) order, the extensions
+    whose unitary no shorter or earlier sequence already has.
 
     The levels are also kept concatenated in row order: ``kinds`` per row,
     ``starts`` the first row of each length, and ``rows`` the flattened
@@ -122,11 +170,15 @@ class _Net:
     """
 
     def __init__(self) -> None:
-        self.levels: list[_Level] = [_Level([()], [_ID2])]
-        self.seen: set[bytes] = {unitary_key(_ID2)}
+        identity = _ID2[None].copy()
+        self.levels: list[_Level] = [_Level([()], identity)]
+        # keys of every row, and the ALPHABET index of each top-level
+        # row's last gate (len(ALPHABET) for the empty sequence)
+        self.keys = _phase_keys(identity)
+        self.last_gate = np.array([len(ALPHABET)])
         self.kinds: list[tuple[str, ...]] = [()]
         self.starts: list[int] = [0, 1]
-        self.rows = self.levels[0].stack.reshape(1, 4)
+        self.rows = identity.reshape(1, 4)
 
     def grow_to(self, max_len: int) -> None:
         if max_len > MAX_NET_LEN:
@@ -134,21 +186,20 @@ class _Net:
         grown = len(self.levels)
         while len(self.levels) - 1 < max_len:
             prev = self.levels[-1]
-            kinds_out: list[tuple[str, ...]] = []
-            mats_out: list[np.ndarray] = []
-            for seq, u in zip(prev.kinds, prev.stack):
-                last = seq[-1] if seq else None
-                for g in ALPHABET:
-                    if last is not None and (last, g) in REDUCTIONS:
-                        continue
-                    v = GATE_MATRICES[g] @ u
-                    key = unitary_key(v)
-                    if key in self.seen:
-                        continue
-                    self.seen.add(key)
-                    kinds_out.append(seq + (g,))
-                    mats_out.append(v)
-            self.levels.append(_Level(kinds_out, mats_out))
+            # candidate c extends sequence c // 8 by gate c % 8
+            cand = np.flatnonzero(~_REDUCIBLE[self.last_gate])
+            mats = np.matmul(_GATE_STACK, prev.stack[:, None]).reshape(-1, 2, 2)[cand]
+            keys = _phase_keys(mats)
+            # return_index sorts stably, so it gives each key's first row
+            _, first = np.unique(np.concatenate([self.keys, keys]), return_index=True)
+            new = np.sort(first[first >= len(self.keys)]) - len(self.keys)
+            seq, last = np.divmod(cand[new], len(ALPHABET))
+            kinds_out = [
+                prev.kinds[i] + (ALPHABET[g],) for i, g in zip(seq.tolist(), last.tolist())
+            ]
+            self.levels.append(_Level(kinds_out, mats[new]))
+            self.keys = np.concatenate([self.keys, keys[new]])
+            self.last_gate = last
             self.kinds += kinds_out
             self.starts.append(len(self.kinds))
         if len(self.levels) > grown:
@@ -237,19 +288,22 @@ class GateSequence:
         return [gate(k, qubit) for k in self.kinds]
 
 
-def _batch_dist(rows: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """dist to ``target`` of each row of flattened 2x2 matrices."""
-    # |tr(U^dag V)| = |sum conj(u) v| = |sum u conj(v)|: no conjugated copy
-    ov = np.abs(rows @ target.reshape(4).conj())
-    return np.sqrt(np.maximum(0.0, (2.0 - ov) / 2.0))
+def _trace_dist(overlap: np.ndarray) -> np.ndarray:
+    """dist from |tr(U^dag V)| of 2x2 unitaries, by the trace form.
+
+    Non-increasing in the overlap, rounding included, so the least
+    distance of a set of rows is the distance of its largest overlap.
+    """
+    return np.sqrt(np.maximum(0.0, (2.0 - overlap) / 2.0))
 
 
-def _pick(d: np.ndarray, first: int, target: np.ndarray) -> tuple[float, int]:
+def _pick(overlap: np.ndarray, first: int, target: np.ndarray) -> tuple[float, int]:
     """Best (distance, row) of one level, ties broken lexicographically.
 
-    ``d`` holds the batched distances of the level's rows, which start at
-    net row ``first``.
+    ``overlap`` holds |tr(U^dag target)| for the level's rows, which start
+    at net row ``first``.
     """
+    d = _trace_dist(overlap)
     dmin = float(d.min())
     rows = first + np.flatnonzero(d <= dmin + 1e-12)
     if dmin < 1e-6:
@@ -269,7 +323,9 @@ def _lookup(target: np.ndarray, max_len: int, epsilon: float | None = None) -> t
     more than 1e-12.  With ``epsilon`` the search stops at the first length
     that reaches it, which is then minimal.  The grown prefix is scored in
     one batched scan; lengths past it are grown and scanned one at a time,
-    so a hit at length L never enumerates length L + 1.
+    so a hit at length L never enumerates length L + 1.  Each length is
+    ranked by its largest overlap, and only the chosen length's rows are
+    turned into distances.
     """
     net = _SHARED_NET
     best_d, best = math.inf, None
@@ -279,11 +335,12 @@ def _lookup(target: np.ndarray, max_len: int, epsilon: float | None = None) -> t
         net.grow_to(top)
         starts = net.starts[length : top + 2]
         lo = starts[0]
-        d = _batch_dist(net.rows[lo : starts[-1]], target)
+        # |tr(U^dag V)| = |sum conj(u) v| = |sum u conj(v)|: no conjugated copy
+        ov = np.abs(net.rows[lo : starts[-1]] @ target.reshape(4).conj())
         # no level is empty (sizes grow with length), so neither is a segment
-        level_mins = np.minimum.reduceat(d, [a - lo for a in starts[:-1]]).tolist()
-        for a, b, dmin in zip(starts, starts[1:], level_mins):
-            level = (d[a - lo : b - lo], a)
+        level_max = np.maximum.reduceat(ov, [a - lo for a in starts[:-1]])
+        for a, b, dmin in zip(starts, starts[1:], _trace_dist(level_max).tolist()):
+            level = (ov[a - lo : b - lo], a)
             if dmin < 1e-6:
                 dmin = _pick(*level, target)[0]
             if dmin < best_d - 1e-12:
@@ -406,6 +463,10 @@ def _sk(u: np.ndarray, level: int, db: SequenceDB) -> tuple[tuple[str, ...], np.
     kb, mb = _sk(u, level - 1, db)
     delta = u @ mb.conj().T
     v, w = balanced_commutator_factors(delta)
+    if np.array_equal(v, _ID2) and np.array_equal(w, _ID2):
+        # below the commutator's resolution: the correction is the
+        # identity, whose words are empty, so this level is the one below
+        return kb, mb
     kv, mv = _sk(v, level - 1, db)
     kw, mw = _sk(w, level - 1, db)
     kinds = kb + adjoint_kinds(kw) + adjoint_kinds(kv) + kw + kv

@@ -109,8 +109,12 @@ class TestReductions:
 
 class TestUnitaryKey:
     def test_phase_invariance(self):
-        u = GATE_MATRICES["H"] @ GATE_MATRICES["T"]
-        assert unitary_key(u) == unitary_key(np.exp(0.7j) * u)
+        # every net element up to length 6 (H after T among them), under
+        # several global phases
+        mats = [m for lvl in build_net(6).levels() for m in lvl.stack]
+        keys = [unitary_key(m) for m in mats]
+        for phi in (0.7, -1.9, math.pi):
+            assert [unitary_key(np.exp(1j * phi) * m) for m in mats] == keys
 
     def test_distinct_gates_distinct_keys(self):
         keys = {unitary_key(GATE_MATRICES[k]) for k in ALPHABET}
@@ -156,6 +160,57 @@ class TestNet:
         assert [len(level) for level in fast] == [len(level) for level in levels]
         for got, want in zip(fast, levels):
             np.testing.assert_array_equal(np.array(got), np.array(want))
+
+    def test_matches_per_pair_loop(self):
+        # reference: one product and one text key per (sequence, gate)
+        # pair, with the key rule spelled out in Python arithmetic
+        def text_key(u):
+            flat = u.reshape(-1)
+            mags = np.abs(flat)
+            idx = int(np.argmax(mags >= mags.max() - 1e-6))
+            v = flat * np.conj(flat[idx] / mags[idx])
+            return ",".join(f"{round(z.real * 1e10)}:{round(z.imag * 1e10)}" for z in v)
+
+        seen = {text_key(np.eye(2, dtype=complex))}
+        level = [((), np.eye(2, dtype=complex))]
+        kinds, mats = [()], [np.eye(2, dtype=complex)]
+        for _ in range(8):
+            grown = []
+            for seq, u in level:
+                for g in ALPHABET:
+                    if seq and (seq[-1], g) in REDUCTIONS:
+                        continue
+                    v = GATE_MATRICES[g] @ u
+                    key = text_key(v)
+                    if key not in seen:
+                        seen.add(key)
+                        grown.append((seq + (g,), v))
+            level = grown
+            kinds += [seq for seq, _ in grown]
+            mats += [v for _, v in grown]
+        db = build_net(8)
+        assert list(db.sequences()) == kinds
+        got = np.concatenate([lvl.stack for lvl in db.levels()])
+        np.testing.assert_array_equal(got.view(np.uint64), np.array(mats).view(np.uint64))
+
+    def test_net_pinned(self):
+        # digests of the length-14 net of the per-pair loop that grew it
+        # before levels were grown in numpy: the same words in the same
+        # order, and bit for bit the same matrices
+        db = build_net(14)
+        rows = np.concatenate([lvl.stack for lvl in db.levels()])
+        assert words_digest(db.sequences()) == (
+            "db1f7e0c98b68cb51d61caefd480065c2be5e20836ca0a54845e20150c880ab9"
+        )
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == (
+            "3e585db845cb81e280ae9d21cc81c9b4dacd406b26328c7f39f514dd234bc442"
+        )
+
+    def test_level_sizes_to_bound(self):
+        db = build_net(synth.MAX_NET_LEN)
+        assert [len(lvl.kinds) for lvl in db.levels()] == [
+            1, 8, 19, 34, 42, 64, 88, 136, 168, 256, 352, 544, 672, 1024, 1408, 2176, 2688
+        ]
 
     def test_every_brute_element_is_represented(self):
         db = build_net(4)
@@ -256,6 +311,29 @@ class TestSolovayKitaev:
             d0 = solovay_kitaev(target, 0, db).achieved_distance
             d3 = solovay_kitaev(target, 3, db).achieved_distance
             assert d3 < d0
+
+    def test_identity_correction_stops_recursion(self, monkeypatch):
+        # level 7 on RZ(0.7) sits below the commutator's resolution: it must
+        # make no more net lookups than level 6 and return the word and
+        # distance it always returned
+        db = build_net(14)
+        lookups = []
+        real_lookup = synth._lookup
+
+        def counted(*args, **kwargs):
+            lookups.append(args[1])
+            return real_lookup(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "_lookup", counted)
+        level6 = solovay_kitaev(rz_matrix(0.7), 6, db)
+        n6 = len(lookups)
+        level7 = solovay_kitaev(rz_matrix(0.7), 7, db)
+        assert len(lookups) - n6 == n6 == 3**6
+        assert level7.kinds == level6.kinds
+        assert words_digest([level7.kinds]) == (
+            "ce022d58b0bcda939d97ecffcf8f74b126d17bc99ac6d89e89ce814093d23d57"
+        )
+        assert level7.achieved_distance == 3.804966406749002e-10
 
     def test_rejects_bad_target(self):
         db = build_net(2)
