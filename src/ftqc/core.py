@@ -284,16 +284,6 @@ class CircuitBuilder:
         return Circuit(self.n_qubits, self._layers)
 
 
-def sequential_circuit(n_qubits: int, gates: Iterable[Gate]) -> Circuit:
-    """One gate per layer, in order."""
-    return Circuit(n_qubits, [[g] for g in gates])
-
-
-def packed_circuit(n_qubits: int, gates: Iterable[Gate]) -> Circuit:
-    """ASAP-packed layering of a gate list."""
-    return CircuitBuilder(n_qubits).extend(gates).build()
-
-
 # ---------------------------------------------------------------------------
 # matrices and the distance metric
 
@@ -310,9 +300,6 @@ GATE_MATRICES: dict[str, np.ndarray] = {
     TDG: np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex),
 }
 
-_CNOT_M = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
-_TOFFOLI_M = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]]
-
 
 def rz_matrix(angle: float) -> np.ndarray:
     return np.array([[1, 0], [0, np.exp(1j * angle)]], dtype=complex)
@@ -322,22 +309,6 @@ def crz_matrix(angle: float) -> np.ndarray:
     m = np.eye(4, dtype=complex)
     m[3, 3] = np.exp(1j * angle)
     return m
-
-
-def matrix_of(g: Gate) -> np.ndarray:
-    """Unitary of a gate on its own qubits (control = more significant bit
-    for CNOT/Toffoli, matching the qubit order in ``g.qubits``)."""
-    if g.kind in GATE_MATRICES:
-        return GATE_MATRICES[g.kind]
-    if g.kind == RZ:
-        return rz_matrix(g.angle)
-    if g.kind == CRZ:
-        return crz_matrix(g.angle)
-    if g.kind == CNOT:
-        return _CNOT_M
-    if g.kind == TOFFOLI:
-        return _TOFFOLI_M
-    raise ValueError(f"{g.kind} has no unitary matrix")
 
 
 def dist(u: np.ndarray, v: np.ndarray) -> float:
@@ -362,47 +333,6 @@ def dist(u: np.ndarray, v: np.ndarray) -> float:
     # with zero overlap every phase gives the same (maximal) distance
     diff = u - (overlap.conjugate() / size if size > 0 else 1.0) * v
     return float(np.sqrt(np.vdot(diff, diff).real / (2 * u.shape[0])))
-
-
-def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol)
-
-
-def toffoli_expansion(c1: int, c2: int, target: int) -> list[Gate]:
-    """Standard 7-T realization of the Toffoli over {H, T, T†, CNOT}."""
-    g = gate
-    return [
-        g(H, target),
-        cnot(c2, target),
-        g(TDG, target),
-        cnot(c1, target),
-        g(T, target),
-        cnot(c2, target),
-        g(TDG, target),
-        cnot(c1, target),
-        g(T, c2),
-        g(T, target),
-        g(H, target),
-        cnot(c1, c2),
-        g(T, c1),
-        g(TDG, c2),
-        cnot(c1, c2),
-    ]
-
-
-def decompose_toffolis(c: Circuit) -> Circuit:
-    """Rewrite every Toffoli via ``toffoli_expansion``; other gates pass through."""
-    b = CircuitBuilder(c.n_qubits)
-    for layer in c.layers:
-        for g in layer:
-            if g.kind == TOFFOLI:
-                b.extend(toffoli_expansion(*g.qubits))
-            else:
-                b.append(g)
-    return b.build()
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ Two things here are gate-level and simulator-checkable: the desk-scale
 one-dimensional potential-phase circuit (positions -> r^2 table ->
 quantized 1/r table -> bitwise rotation -> mirrored uncompute) and the
 small reversible arithmetic it leans on (register adder, schoolbook
-multiplier, copy-expansion tree).  Everything wider is a composed
-ResourceProfile model; the multiplier above 4 bits exists only through
-its shift-add count.
+multiplier, copy-expansion tree).  The step models price the register
+adder and the copy-expansion tree from those built circuits, so the
+fully-parallel potential step costs its fan-out with the tree it would
+run.  Everything wider is a composed ResourceProfile model; the
+multiplier above 4 bits exists only through its shift-add count.
 """
 
 from __future__ import annotations
@@ -402,6 +404,12 @@ def register_adder_profile(width: int) -> ResourceProfile:
 
 
 @lru_cache(maxsize=None)
+def _copy_tree_profile(width: int, instances: int) -> ResourceProfile:
+    """Copy-expansion cost, taken from the doubling tree we ship."""
+    return build_copy_expansion(width, instances).profile()
+
+
+@lru_cache(maxsize=None)
 def multiply_profile(width: int) -> ResourceProfile:
     """Shift-add multiplication model: width controlled ripple additions
     in sequence.  Register budget covers multiplicand, multiplier,
@@ -487,9 +495,10 @@ def build_potential_step(
     to clear the workspace.  in-place mode serializes pair_schedule's
     rounds (floor(b/2) concurrent pairs, so depth grows with the round
     count, roughly linearly in b); fully-parallel mode first fans every
-    position register out through a CNOT doubling tree of depth
-    ceil(log2(b-1)) and runs all b(b-1)/2 pairs at once, for a flat depth
-    and a register count growing as b(b-1).
+    position register out through build_copy_expansion's CNOT doubling
+    tree (depth ceil(log2(b-1)), priced from the built tree, copy and
+    uncopy) and runs all b(b-1)/2 pairs at once, for a flat depth and a
+    register count growing as b(b-1).
 
     The unit block is priced at the largest pair scale so rounds stay
     rectangular; gamma_specs still lists every distinct scale.  The grid
@@ -526,10 +535,11 @@ def build_potential_step(
         concurrent = max(len(rnd) for rnd in schedule)
         qubits = grid.position_qubits + concurrent * workspace
     else:
-        tree_depth = math.ceil(math.log2(b - 1)) if b > 2 else 0
-        copy_gates = 2 * b * max(0, b - 2) * grid.particle_width
+        # every particle fans out to its b - 1 pairs and back (no gates at b = 2)
+        tree = _copy_tree_profile(grid.particle_width, b - 1)
+        copy_gates = 2 * b * tree.total_gates
         schedule = (tuple(pairs),)
-        depth = unit.depth + 2 * tree_depth
+        depth = unit.depth + 2 * tree.depth
         qubits = b * (b - 1) * grid.particle_width + len(pairs) * workspace
     profile = ResourceProfile(
         depth=depth,

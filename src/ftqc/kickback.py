@@ -27,33 +27,18 @@ import numpy as np
 
 from .core import (
     TWO_PI,
+    X,
     Circuit,
     CircuitBuilder,
     Gate,
     ResourceProfile,
     cnot,
     gate,
-    rz,
     toffoli,
 )
-from .core import T as T_KIND
-from .core import TDG, S, SDG, X, Z
 from .sim import StateVector
 
 RIPPLE_CARRY = "ripple-carry"
-LOOKAHEAD_MODEL = "lookahead-model"
-
-# e^{i pi w / 4} on |1> for w in 0..7, as exact gate-set phase powers
-_EIGHTH_TURN_KINDS: tuple[tuple[str, ...], ...] = (
-    (),
-    (T_KIND,),
-    (S,),
-    (S, T_KIND),
-    (Z,),
-    (Z, T_KIND),
-    (SDG,),
-    (TDG,),
-)
 
 
 @dataclass(frozen=True)
@@ -129,8 +114,8 @@ def phase_error(n: int, phi: float) -> float:
 class AdderSpec:
     """Which adder construction to use and at what width.
 
-    ripple-carry yields a full gate-level circuit; lookahead-model is a
-    depth/count model only (O(log n) depth) and produces no gate list.
+    ripple-carry, the folded constant adder of emit_add_constant, is the
+    one construction; build_adder turns the spec into its circuit.
     """
 
     kind: str
@@ -138,7 +123,7 @@ class AdderSpec:
     controlled: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in (RIPPLE_CARRY, LOOKAHEAD_MODEL):
+        if self.kind != RIPPLE_CARRY:
             raise ValueError(f"unknown adder kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("adder needs at least one data qubit")
@@ -237,26 +222,6 @@ def emit_register_add(builder: CircuitBuilder, addend, target, carry: int) -> No
         builder.extend([toffoli(c, t, a), cnot(a, c), cnot(c, t)])
 
 
-def lookahead_profile(n: int, controlled: bool = False) -> ResourceProfile:
-    """Cost model for a carry-lookahead constant adder (no gate list).
-
-    Coarse standard-construction figures: Toffoli depth logarithmic in
-    the width, Toffoli count linear, one workspace qubit per data bit.
-    Only the O(log n) depth shape is relied on downstream; the constants
-    are a conventional costing, not a synthesized circuit.
-    """
-    if n < 1:
-        raise ValueError("adder needs at least one data qubit")
-    toffolis = 10 * n
-    depth = 4 * max(1, math.ceil(math.log2(max(n, 2)))) + 2
-    return ResourceProfile(
-        depth=depth + (1 if controlled else 0),
-        t_count=7 * toffolis,
-        total_gates=toffolis + 4 * n,
-        qubits=2 * n + (1 if controlled else 0),
-    )
-
-
 @lru_cache(maxsize=None)
 def ripple_profile(n: int, controlled: bool = False) -> ResourceProfile:
     """Worst-case ripple-carry constant-adder cost at this width: addend
@@ -264,16 +229,14 @@ def ripple_profile(n: int, controlled: bool = False) -> ResourceProfile:
     return build_adder(AdderSpec(RIPPLE_CARRY, n, controlled), (1 << n) - 1).profile()
 
 
-def build_adder(spec: AdderSpec, addend: int) -> Circuit | ResourceProfile:
-    """Constant-addition circuit (ripple-carry) or cost model (lookahead).
+def build_adder(spec: AdderSpec, addend: int) -> Circuit:
+    """Ripple-carry circuit adding the constant addend modulo 2^n.
 
-    Ripple-carry layout: data qubits 0..n-1 (little-endian), then the
-    carry ancillas, then the control qubit last when controlled.
+    Layout: data qubits 0..n-1 (little-endian), then the carry ancillas,
+    then the control qubit last when controlled.
     """
     if not 0 <= addend < (1 << spec.n):
         raise ValueError(f"addend {addend} outside [0, 2^{spec.n})")
-    if spec.kind == LOOKAHEAD_MODEL:
-        return lookahead_profile(spec.n, spec.controlled)
     n = spec.n
     n_carry = carries_needed(n, addend)
     total = n + n_carry + (1 if spec.controlled else 0)
@@ -306,12 +269,7 @@ class KickbackRotation(NamedTuple):
     layout: KickbackLayout
 
 
-def kickback_rotation(
-    phi: float,
-    reg: GammaRegister,
-    controlled: bool = False,
-    spec: AdderSpec | None = None,
-) -> KickbackRotation:
+def kickback_rotation(phi: float, reg: GammaRegister, controlled: bool = False) -> KickbackRotation:
     """Rotation diag(1, e^{i(phi - delta_phi)}) on a target qubit by kickback.
 
     Adds u = solve_mod(reg.k, reg.n, phi) into the eigenstate register,
@@ -323,13 +281,6 @@ def kickback_rotation(
     Matches rz_matrix(phi) up to global phase and the quantization
     residual: dist <= |delta_phi| / 2 + numerical noise.
     """
-    if spec is None:
-        spec = AdderSpec(RIPPLE_CARRY, reg.n)
-    if spec.kind != RIPPLE_CARRY:
-        raise ValueError("gate-level kickback needs the ripple-carry adder; "
-                         "the lookahead kind is a counting model only")
-    if spec.n != reg.n:
-        raise ValueError(f"adder width {spec.n} does not match register width {reg.n}")
     u = solve_mod(reg.k, reg.n, phi)
     delta_phi = phase_error(reg.n, phi)
     n = reg.n
@@ -356,59 +307,3 @@ def kickback_rotation(
         builder = CircuitBuilder(data_start + n + n_carry)
         emit_add_constant(builder, list(gamma_qubits), u, list(carry_qubits), control=0)
     return KickbackRotation(builder.build(), delta_phi, u, layout)
-
-
-def _eighth_turn_gates(numerator: int, q: int) -> list[Gate]:
-    """Gates applying e^{i pi numerator / 4} to |1> of qubit q."""
-    return [gate(kind, q) for kind in _EIGHTH_TURN_KINDS[numerator % 8]]
-
-
-def transform_gamma(k: int, l: int, n: int, mode: str = "ft") -> Circuit:
-    """Circuit mapping the k eigenstate to the l eigenstate on n qubits.
-
-    Per qubit j the two states differ by the factor e^{2 pi i (k-l) /
-    2^m} on |1>, m = n - j, read off the product-state factorization.
-    Qubits are corrected from m = 1 upward; m <= 3 (and any coarser
-    difference) is an exact eighth-turn power.  mode "rz" applies the
-    remaining factors as placeholder rotations; mode "ft" realizes each
-    one exactly as a kickback into the already-corrected higher qubits,
-    which at step m form an addition eigenstate modulo 2^(m-1) with
-    parameter l, so the addend l^{-1} (k-l)/2 mod 2^(m-1) recovers the
-    factor with zero residual.  Output matches gamma_state(l, n) up to
-    global phase; mode "ft" appends shared carry ancillas (restored to
-    |0>) after the register.
-    """
-    if mode not in ("ft", "rz"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if n < 1:
-        raise ValueError("register needs at least one qubit")
-    if k % 2 == 0 or l % 2 == 0:
-        raise ValueError("eigenstate parameters must be odd")
-    if not (1 <= k < (1 << n) and 1 <= l < (1 << n)):
-        raise ValueError(f"parameters must lie in [1, 2^{n})")
-
-    plans: list[tuple[int, int]] = []  # (m, reduced difference) needing gates
-    max_carries = 0
-    for m in range(1, n + 1):
-        diff = (k - l) % (1 << m)
-        if diff == 0:
-            continue
-        plans.append((m, diff))
-        if (8 * diff) % (1 << m) != 0 and mode == "ft":
-            width = m - 1
-            addend = ((diff // 2) * pow(l, -1, 1 << width)) % (1 << width)
-            max_carries = max(max_carries, carries_needed(width, addend))
-    builder = CircuitBuilder(n + max_carries)
-    carry_qubits = list(range(n, n + max_carries))
-    for m, diff in plans:
-        q = n - m
-        if (8 * diff) % (1 << m) == 0:
-            builder.extend(_eighth_turn_gates((8 * diff) >> m, q))
-        elif mode == "rz":
-            builder.append(rz(TWO_PI * diff / (1 << m), q))
-        else:
-            width = m - 1
-            addend = ((diff // 2) * pow(l, -1, 1 << width)) % (1 << width)
-            sub = list(range(n - width, n))  # little-endian: LSB highest m'
-            emit_add_constant(builder, sub, addend, carry_qubits, control=q)
-    return builder.build()

@@ -30,12 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import PLUS, TWO_PI, rz_matrix
-from .kickback import (
-    GammaRegister,
-    gamma_state,
-    kickback_rotation,
-    phase_error,
-)
+from .kickback import GammaRegister, gamma_state, kickback_rotation
 from .sim import run_with_helpers
 from .synth import min_sequence
 
@@ -338,17 +333,3 @@ def par_statistics(
         "expected_rounds": expected_rounds(m_count),
         "histogram": histogram,
     }
-
-
-def predicted_delta_phi(aset: ParAncillaSet) -> float:
-    """Worst-case phase residual of the cascade's fallback branch.
-
-    Success branches are exact by the telescoping identity; only the
-    fallback inherits the preparation method's quantization.
-    """
-    if aset.method == PREPARE_EXACT:
-        return 0.0
-    alpha = (aset.phi * (1 << aset.m_count)) % TWO_PI
-    if aset.method == PREPARE_KICKBACK:
-        return abs(phase_error(register_bits_for(aset.epsilon_each), alpha))
-    return aset.epsilon_each

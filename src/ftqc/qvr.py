@@ -33,15 +33,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .core import (
     H,
-    PLUS,
     TWO_PI,
     CircuitBuilder,
     Circuit,
-    ResourceProfile,
     cnot,
     crz,
     gate,
@@ -49,17 +45,8 @@ from .core import (
     rz_matrix,
     toffoli,
 )
-from .kickback import (
-    LOOKAHEAD_MODEL,
-    RIPPLE_CARRY,
-    AdderSpec,
-    GammaRegister,
-    emit_register_add,
-    gamma_state,
-    lookahead_profile,
-)
-from .par import PREPARE_EXACT, ParAncillaSet
-from .sim import StateVector, run_with_helpers
+from .kickback import GammaRegister, emit_register_add, gamma_state
+from .sim import StateVector
 from .synth import synthesize
 
 ROTATION_EXACT = "exact"
@@ -220,23 +207,14 @@ def eigenstate_for(params: QvrParams) -> StateVector:
     return gamma_state(GammaRegister(params.k_reduced, params.n))
 
 
-def build_qvr_kickback(
-    params: QvrParams,
-    controlled: bool = False,
-    spec: AdderSpec | None = None,
-):
+def build_qvr_kickback(params: QvrParams, controlled: bool = False) -> Circuit:
     """Variable rotation as one register addition into an eigenstate.
 
     Realizes [xi] exactly, with no per-bit synthesis.  The returned
     circuit covers the registers of ``qvr_layout``; feed the gamma wires
     ``eigenstate_for(params)`` and pads/ancilla |0>.  An empty rotation
-    yields a gate-free circuit on the data wires.  Passing a
-    lookahead-model AdderSpec returns a ResourceProfile instead.
+    yields a gate-free circuit on the data wires.
     """
-    if spec is not None and not params.empty and spec.n != params.n:
-        raise ValueError(f"adder width {spec.n} does not match the eigenstate register ({params.n})")
-    if spec is not None and spec.kind == LOOKAHEAD_MODEL:
-        return _kickback_model_profile(params, controlled)
     layout = qvr_layout(params, controlled)
     builder = CircuitBuilder(layout.n_qubits)
     if params.empty:
@@ -255,20 +233,6 @@ def build_qvr_kickback(
     return builder.build()
 
 
-def _kickback_model_profile(params: QvrParams, controlled: bool) -> ResourceProfile:
-    layout = qvr_layout(params, controlled)
-    if params.empty:
-        return ResourceProfile(depth=0, t_count=0, total_gates=0, qubits=layout.n_qubits)
-    profile = lookahead_profile(params.n).with_qubits(layout.n_qubits)
-    if controlled:
-        copies = len(layout.scratch)
-        copy_layer = ResourceProfile(
-            depth=1, t_count=7 * copies, total_gates=copies, qubits=layout.n_qubits
-        )
-        profile = copy_layer.in_series(profile).in_series(copy_layer)
-    return profile
-
-
 def build_qft_via_qvr(q: int, approx_drop: int = 0) -> Circuit:
     """Fourier transform with each controlled-rotation block one kickback QVR.
 
@@ -281,7 +245,9 @@ def build_qft_via_qvr(q: int, approx_drop: int = 0) -> Circuit:
 
     approx_drop > 0 truncates the eigenstate register by that many bits,
     which silently drops each block's smallest rotations; the induced
-    error is bounded by the sum of the dropped angles (qft_drop_bound).
+    error is bounded by the sum of the dropped angles.  The gamma wires
+    expect |gamma^(1)> of width q - approx_drop when q - 1 > approx_drop,
+    and the transform has no gamma wires otherwise.
     """
     if q < 1:
         raise ValueError("transform needs at least one qubit")
@@ -312,77 +278,3 @@ def build_qft_via_qvr(q: int, approx_drop: int = 0) -> Circuit:
         j = q - 1 - i
         builder.extend([cnot(i, j), cnot(j, i), cnot(i, j)])
     return builder.build()
-
-
-def qft_gamma_state(q: int, approx_drop: int = 0) -> StateVector | None:
-    """Eigenstate to feed build_qft_via_qvr's gamma wires (None if it has none)."""
-    drop = approx_drop
-    gamma_width = q - drop if q - 1 >= drop + 1 else 0
-    if gamma_width == 0:
-        return None
-    return gamma_state(GammaRegister(1, gamma_width))
-
-
-def qft_drop_bound(q: int, approx_drop: int) -> float:
-    """Sum of the rotation angles approx_drop removes from the transform."""
-    total = 0.0
-    for t in range(1, q):
-        for i in range(min(approx_drop, t)):
-            total += TWO_PI / 2.0 ** (t + 1 - i)
-    return total
-
-
-def fitted_qvr_params(
-    xi,
-    q: int,
-    *,
-    frac_bits: int = DEFAULT_FRAC_BITS,
-    max_qubits: int = 22,
-    controlled: bool = False,
-) -> QvrParams:
-    """Params at the finest fixed-point precision that still fits the simulator."""
-    for bits in range(frac_bits, -1, -1):
-        params = qvr_params(xi, q, frac_bits=bits)
-        if qvr_layout(params, controlled).n_qubits <= max_qubits:
-            return params
-    raise ValueError(f"no fixed-point precision fits q={q} in {max_qubits} qubits")
-
-
-def par_ancillas_via_qvr(
-    phi: float,
-    m_count: int,
-    *,
-    frac_bits: int = DEFAULT_FRAC_BITS,
-    max_qubits: int = 22,
-) -> ParAncillaSet:
-    """Whole rotation-ancilla bank from one variable rotation on |+>^M.
-
-    Wire j of a register in the uniform superposition carries weight
-    2^j, so scaling by xi = 2^M phi / 2 pi turns wire j by 2^j phi: the
-    doubling-phase bank used by the ancilla cascade appears in a single
-    kickback application.  The scale's precision is lowered, when
-    needed, to the finest fixed-point grid whose circuit still fits the
-    verification simulator; each realized phase then sits within
-    2 pi / 2^frac_bits_used of its ideal value.
-    """
-    if m_count < 1:
-        raise ValueError("need at least one ancilla")
-    xi = ((phi % TWO_PI) * (1 << m_count)) / TWO_PI
-    params = fitted_qvr_params(xi, m_count, frac_bits=frac_bits, max_qubits=max_qubits)
-    if params.empty:
-        return ParAncillaSet(
-            float(phi), m_count, PREPARE_EXACT, 0.0, (PLUS.copy(),) * m_count
-        )
-    layout = qvr_layout(params)
-    vec, _ = run_with_helpers(
-        build_qvr_kickback(params),
-        {(j,): PLUS for j in layout.theta},
-        {layout.gamma: eigenstate_for(params).amps},
-    )
-    vec = vec / np.linalg.norm(vec)
-    ancillas = []
-    for j in range(m_count):
-        ratio = vec[1 << j] / vec[0]
-        w = np.array([1.0, ratio], dtype=complex)
-        ancillas.append(w / np.linalg.norm(w))
-    return ParAncillaSet(float(phi), m_count, PREPARE_EXACT, 0.0, tuple(ancillas))

@@ -402,12 +402,6 @@ def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -
     return bool(abs(abs(np.vdot(a, b)) / (na * nb) - 1.0) <= tol)
 
 
-def block_overlap(state: StateVector, qubits: tuple[int, ...], block: np.ndarray) -> float:
-    """Fidelity-style weight: probability that `qubits` hold |block>."""
-    res, _ = project_onto(state, qubits, block)
-    return float(np.sum(np.abs(res) ** 2))
-
-
 def run_with_helpers(
     circuit: Circuit,
     data: Mapping[tuple[int, ...], np.ndarray],

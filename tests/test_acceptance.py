@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference import qft_gamma_state
 from test_firstq import diagonal_oracle
 from test_synth import brute_distinct_by_level, brute_min_length
 
@@ -49,7 +50,6 @@ from ftqc.qvr import (
     build_qvr_bitwise,
     build_qvr_kickback,
     eigenstate_for,
-    qft_gamma_state,
     qvr_layout,
     qvr_params,
 )

@@ -7,6 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import (
+    decompose_toffolis,
+    is_unitary,
+    matrix_of,
+    packed_circuit,
+    sequential_circuit,
+    toffoli_expansion,
+)
 
 from ftqc import core
 from ftqc.core import (
@@ -35,19 +43,13 @@ from ftqc.core import (
     circuit_to_text,
     cnot,
     crz,
-    decompose_toffolis,
     dist,
     frame_update,
     gate,
-    is_unitary,
-    matrix_of,
     measure,
-    packed_circuit,
     rz,
     rz_matrix,
-    sequential_circuit,
     toffoli,
-    toffoli_expansion,
 )
 
 

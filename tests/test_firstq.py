@@ -330,6 +330,19 @@ class TestPotentialStep:
         q6 = build_potential_step(GridSpec(4, 6), electrons(6), FULLY_PARALLEL).profile.qubits
         assert q6 == 5 * q3  # 6*5 ordered pairings versus 3*2
 
+    @pytest.mark.parametrize("b", range(2, 7))
+    def test_fully_parallel_prices_the_built_copy_tree(self, b):
+        # every particle copies out to its b - 1 pairs and back: the tree's
+        # depth twice, and its CNOTs twice per particle, around the pairs
+        g = GridSpec(2, b)
+        model = build_potential_step(g, electrons(b), FULLY_PARALLEL)
+        tree = build_copy_expansion(g.particle_width, b - 1).profile()
+        pairs = b * (b - 1) // 2
+        assert model.profile.depth == model.unit.depth + 2 * tree.depth
+        assert model.profile.total_gates == (
+            pairs * model.unit.total_gates + 2 * b * tree.total_gates
+        )
+
     def test_schedules(self):
         g = GridSpec(2, 5)
         inp = build_potential_step(g, electrons(5), IN_PLACE)

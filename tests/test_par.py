@@ -35,7 +35,6 @@ from ftqc.par import (
     execute_par,
     expected_rounds,
     par_statistics,
-    predicted_delta_phi,
     prepare_ancillas,
     register_bits_for,
 )
@@ -355,13 +354,3 @@ class TestExpectedRounds:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             expected_rounds(0)
-
-
-class TestPredictedDeltaPhi:
-    def test_methods(self):
-        assert predicted_delta_phi(prepare_ancillas(1.0, 3)) == 0.0
-        kb = prepare_ancillas(1.0, 3, PREPARE_KICKBACK, 1e-2)
-        n = register_bits_for(1e-2)
-        assert 0 <= predicted_delta_phi(kb) <= math.pi / 2**n
-        sq = prepare_ancillas(1.0, 2, PREPARE_SEQUENCE, 0.2)
-        assert predicted_delta_phi(sq) == 0.2

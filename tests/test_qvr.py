@@ -11,36 +11,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import qft_drop_bound, qft_gamma_state
 
-from ftqc.core import CNOT, H, TOFFOLI, dist
-from ftqc.kickback import LOOKAHEAD_MODEL, RIPPLE_CARRY, AdderSpec
-from ftqc.par import prepare_ancillas, execute_par
+from ftqc.core import H, TOFFOLI, dist
 from ftqc.qvr import (
     ROTATION_SEQUENCE,
-    QvrParams,
     build_qft_via_qvr,
     build_qvr_bitwise,
     build_qvr_kickback,
     eigenstate_for,
-    fitted_qvr_params,
-    par_ancillas_via_qvr,
-    qft_drop_bound,
-    qft_gamma_state,
     qvr_layout,
     qvr_params,
 )
-from ftqc.sim import (
-    effective_unitary,
-    product_state,
-    project_onto,
-    run,
-    states_equal_up_to_phase,
-    to_unitary,
-)
+from ftqc.sim import effective_unitary, to_unitary
 
 TWO_PI = 2 * math.pi
-
-PLUS = np.array([1.0, 1.0]) / math.sqrt(2)
 
 
 def diagonal_oracle(q: int, xi: float) -> np.ndarray:
@@ -116,17 +101,6 @@ class TestQvrParams:
             assert p.m == (p.k).bit_length()
             if not p.empty:
                 assert p.k_reduced % 2 == 1
-
-    def test_fitted_params_shrinks_precision(self):
-        generic = 1.2732395447351628  # no short binary expansion
-        full = qvr_params(generic, 3)
-        assert qvr_layout(full).n_qubits > 22
-        fitted = fitted_qvr_params(generic, 3)
-        assert qvr_layout(fitted).n_qubits <= 22
-        assert fitted.frac_bits < full.frac_bits
-        with pytest.raises(ValueError):
-            fitted_qvr_params(generic, 12, max_qubits=22)
-
 
 class TestBitwise:
     def test_single_bit_odd_integer(self):
@@ -208,26 +182,6 @@ class TestKickback:
         bw = build_qvr_bitwise(4, 1.0, epsilon_total=1e-3, method=ROTATION_SEQUENCE).profile()
         assert kb.t_count < bw.t_count
 
-    def test_adder_spec_paths(self):
-        params = qvr_params(0.75, 3)
-        prof = build_qvr_kickback(params, spec=AdderSpec(LOOKAHEAD_MODEL, params.n))
-        assert prof.qubits == qvr_layout(params).n_qubits
-        assert prof.t_count > 0
-        circ = build_qvr_kickback(params, spec=AdderSpec(RIPPLE_CARRY, params.n))
-        assert list(circ.gates())
-        with pytest.raises(ValueError):
-            build_qvr_kickback(params, spec=AdderSpec(RIPPLE_CARRY, params.n + 1))
-
-    def test_lookahead_depth_shape(self):
-        depths = []
-        for q in (4, 8, 16, 32):
-            params = qvr_params(1.0, q)
-            prof = build_qvr_kickback(params, spec=AdderSpec(LOOKAHEAD_MODEL, params.n))
-            depths.append(prof.depth)
-        steps = {b - a for a, b in zip(depths, depths[1:])}
-        assert steps == {4}
-
-
 class TestQftViaQvr:
     def qft_unitary(self, q, drop=0):
         c = build_qft_via_qvr(q, drop)
@@ -275,45 +229,3 @@ class TestQftViaQvr:
             build_qft_via_qvr(0)
         with pytest.raises(ValueError):
             build_qft_via_qvr(3, -1)
-
-
-class TestParBank:
-    def test_zero_angle(self):
-        aset = par_ancillas_via_qvr(0.0, 3)
-        for w in aset.ancillas:
-            assert np.allclose(w, PLUS, atol=1e-12)
-
-    def test_quarter_turn_phases(self):
-        aset = par_ancillas_via_qvr(math.pi / 2, 2)
-        assert abs(aset.phase_of(1) - math.pi / 2) < 1e-12
-        assert abs(aset.phase_of(2) - math.pi) < 1e-12
-
-    def test_matches_direct_preparation(self):
-        # 2^M phi / 2 pi = 3 exactly: no quantization at all
-        phi = 3 * math.pi / 8
-        mine = par_ancillas_via_qvr(phi, 4)
-        ref = prepare_ancillas(phi, 4)
-        for j in range(4):
-            assert states_equal_up_to_phase(mine.ancillas[j], ref.ancillas[j], tol=1e-10)
-
-    def test_generic_angle_within_quantization(self):
-        phi, m_count = 1.0, 3
-        xi = (phi % TWO_PI) * (1 << m_count) / TWO_PI
-        params = fitted_qvr_params(xi, m_count)
-        bound = TWO_PI / 2.0**params.frac_bits
-        aset = par_ancillas_via_qvr(phi, m_count)
-        ref = prepare_ancillas(phi, m_count)
-        for j in range(1, m_count + 1):
-            diff = abs(aset.phase_of(j) - ref.phase_of(j)) % TWO_PI
-            assert min(diff, TWO_PI - diff) <= bound
-
-    def test_bank_drives_cascade(self):
-        phi = 3 * math.pi / 8
-        aset = par_ancillas_via_qvr(phi, 4)
-        want = np.array([1.0, np.exp(1j * phi)]) / math.sqrt(2)
-        out = execute_par(PLUS, aset, seed=3)
-        assert abs(np.vdot(want, out.state)) >= 1 - 1e-10
-
-    def test_too_wide_raises(self):
-        with pytest.raises(ValueError):
-            par_ancillas_via_qvr(1.0, 12)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import block_overlap, matrix_of, sequential_circuit
 
 from ftqc import core, sim
 from ftqc.core import (
@@ -16,10 +17,8 @@ from ftqc.core import (
     crz,
     frame_update,
     gate,
-    matrix_of,
     measure,
     rz,
-    sequential_circuit,
     toffoli,
 )
 from ftqc.sim import (
@@ -27,7 +26,6 @@ from ftqc.sim import (
     PauliFrame,
     SimulationError,
     StateVector,
-    block_overlap,
     channel_equal,
     effective_unitary,
     product_state,

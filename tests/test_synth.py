@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import is_unitary
 
 from ftqc import synth
 from ftqc.core import GATE_MATRICES, dist, rz_matrix
@@ -20,7 +21,6 @@ from ftqc.synth import (
     min_sequence,
     solovay_kitaev,
     synthesize,
-    unitary_key,
 )
 
 
@@ -111,14 +111,48 @@ class TestUnitaryKey:
     def test_phase_invariance(self):
         # every net element up to length 6 (H after T among them), under
         # several global phases
-        mats = [m for lvl in build_net(6).levels() for m in lvl.stack]
-        keys = [unitary_key(m) for m in mats]
+        stack = np.concatenate([lvl.stack for lvl in build_net(6).levels()])
+        keys = synth._phase_keys(stack).tolist()
         for phi in (0.7, -1.9, math.pi):
-            assert [unitary_key(np.exp(1j * phi) * m) for m in mats] == keys
+            assert synth._phase_keys(np.exp(1j * phi) * stack).tolist() == keys
 
     def test_distinct_gates_distinct_keys(self):
-        keys = {unitary_key(GATE_MATRICES[k]) for k in ALPHABET}
-        assert len(keys) == len(ALPHABET)
+        keys = synth._phase_keys(np.stack([GATE_MATRICES[k] for k in ALPHABET]))
+        assert len(set(keys.tolist())) == len(ALPHABET)
+
+
+def target_accepted(m):
+    try:
+        synth._check_target(m)
+    except ValueError:
+        return False
+    return True
+
+
+class TestCheckTarget:
+    def perturbed(self, delta):
+        # u^dag u moves by delta on the diagonal, or by delta off it
+        rng = np.random.default_rng(23)
+        for _ in range(25):
+            u = np.exp(1j * rng.uniform(0, 2 * math.pi)) * haar_su2(rng)
+            tilt = np.exp(1j * rng.uniform(0, 2 * math.pi))
+            yield u @ np.diag([math.sqrt(1 + delta), 1.0])
+            yield u @ np.diag([1.0, math.sqrt(1 - delta)])
+            yield u @ np.array([[1.0, delta * tilt], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("delta, accepted", [(0.0, True), (0.5e-8, True), (2e-8, False)])
+    def test_agrees_with_general_check(self, delta, accepted):
+        for m in self.perturbed(delta):
+            assert target_accepted(m) == is_unitary(m, tol=1e-8) == accepted
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)])
+    def test_rejects_non_finite(self, bad):
+        for row, col in np.ndindex(2, 2):
+            m = rz_matrix(0.3)
+            m[row, col] = bad
+            assert not target_accepted(m)
+            with np.errstate(invalid="ignore"):
+                assert not is_unitary(m, tol=1e-8)
 
 
 class TestNet:
