@@ -16,7 +16,8 @@ exit nonzero after writing a machine-readable error record to stderr.
 Exit statuses: 0 on success; 2 for an error record (bad input, unreadable
 file, failed simulation); EXIT_UNSATISFIED (3) when ``synth`` met no
 sequence within --epsilon, after writing its record with ``satisfied``
-false; ``verify`` passes on the status of the acceptance run.
+false; ``verify`` passes on the status of the acceptance run, whose
+pytest report it writes to stderr.
 """
 
 from __future__ import annotations
@@ -325,7 +326,8 @@ def _cmd_frontier(config: RunConfig) -> tuple[dict, int]:
 
 
 def _cmd_verify(config: RunConfig) -> tuple[dict, int]:
-    suite = Path(__file__).resolve().parents[2] / "tests" / "test_acceptance.py"
+    root = Path(__file__).resolve().parents[2]
+    suite = root / "tests" / "test_acceptance.py"
     if not suite.exists():
         raise FileNotFoundError(
             "acceptance suite not found; verify needs a source checkout with tests/"
@@ -335,10 +337,11 @@ def _cmd_verify(config: RunConfig) -> tuple[dict, int]:
         capture_output=True,
         text=True,
     )
-    sys.stdout.write(proc.stdout)
+    # pytest's report goes to stderr: stdout holds the JSON record alone
+    sys.stderr.write(proc.stdout + proc.stderr)
     record = {
         "command": "verify",
-        "suite": str(suite),
+        "suite": suite.relative_to(root).as_posix(),
         "exit_status": proc.returncode,
         "passed": proc.returncode == 0,
     }

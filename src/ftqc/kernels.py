@@ -1,4 +1,10 @@
-"""Statevector kernels, in numpy: the simulator's one backend.
+"""Statevector kernels, in numpy; there is no other kernel backend.
+
+They are one of the simulator's two execution paths.  run() takes every
+circuit through them, and so do the whole-matrix checks for a circuit
+with H, Y or another gate that mixes basis states.  The whole-matrix
+checks of a circuit of only X, CNOT, Toffoli and diagonal gates go to
+the basis-state evaluator in sim instead.
 
 Every function takes a flat complex128 amplitude array of length 2**n,
 where qubit j is bit j of the basis index (qubit 0 is the least

@@ -233,6 +233,15 @@ def build_qvr_kickback(params: QvrParams, controlled: bool = False) -> Circuit:
     return builder.build()
 
 
+def qft_gamma_width(q: int, approx_drop: int = 0) -> int:
+    """Width of the |gamma^(1)> register build_qft_via_qvr places on its gamma wires.
+
+    Zero when no block keeps a rotation (q - 1 <= approx_drop): the
+    transform then has no gamma wires.
+    """
+    return q - approx_drop if q - 1 >= approx_drop + 1 else 0
+
+
 def build_qft_via_qvr(q: int, approx_drop: int = 0) -> Circuit:
     """Fourier transform with each controlled-rotation block one kickback QVR.
 
@@ -246,15 +255,15 @@ def build_qft_via_qvr(q: int, approx_drop: int = 0) -> Circuit:
     approx_drop > 0 truncates the eigenstate register by that many bits,
     which silently drops each block's smallest rotations; the induced
     error is bounded by the sum of the dropped angles.  The gamma wires
-    expect |gamma^(1)> of width q - approx_drop when q - 1 > approx_drop,
-    and the transform has no gamma wires otherwise.
+    expect |gamma^(1)> of width qft_gamma_width(q, approx_drop): q -
+    approx_drop when q - 1 > approx_drop, and none otherwise.
     """
     if q < 1:
         raise ValueError("transform needs at least one qubit")
     if approx_drop < 0:
         raise ValueError("approx_drop must be non-negative")
     drop = approx_drop
-    gamma_width = q - drop if q - 1 >= drop + 1 else 0
+    gamma_width = qft_gamma_width(q, drop)
     scratch_count = max(0, q - 1 - drop)
     total = q + gamma_width + scratch_count + (1 if gamma_width else 0)
     builder = CircuitBuilder(total)

@@ -10,13 +10,25 @@ bit masks (bit q for qubit q), and conjugated through subsequent Clifford
 gates, which is how hardware defers such corrections.  Reported
 measurement outcomes are frame-corrected, i.e. they are the outcomes the
 corrected state would have produced.
+
+The whole-matrix checks (to_unitary, effective_unitary and
+run_with_helpers) treat circuits built only from X, CNOT, Toffoli and
+diagonal gates (Z, S, S†, T, T†, RZ, CRZ) apart.  Such a circuit sends
+each basis state to one basis state times a phase, so one evaluator,
+_permute_phases, carries every input as a column of bit-planes with one
+amplitude, and multiplies that amplitude as the kernels would: the
+results are bit for bit those of the kernel path, at a cost set by the
+inputs rather than by 2^n amplitudes per input.  run() keeps the kernels
+for every circuit.  A state with amplitude on every basis index gives
+the evaluator as many inputs as amplitudes, and there it timed 1.2x
+slower than the kernels (19-qubit adder, random state on every wire).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -98,6 +110,20 @@ def product_state(
     qubits, little-endian in tuple order (bit j of the block index lives on
     qubits[j]).
     """
+    idx, amp = _support(n_qubits, parts)
+    out = np.zeros(1 << n_qubits, dtype=np.complex128)
+    out[idx] = amp
+    return StateVector(n_qubits, out, cap=cap)
+
+
+def _support(
+    n_qubits: int,
+    parts: Mapping[tuple[int, ...], np.ndarray] | Iterable[tuple[tuple[int, ...], np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The basis indices product_state fills, and their amplitudes.
+
+    Every entry of every block is listed, zero amplitudes included.
+    """
     items = list(parts.items()) if isinstance(parts, Mapping) else list(parts)
     claimed: set[int] = set()
     for qubits, vec in items:
@@ -117,9 +143,7 @@ def product_state(
             offsets = np.concatenate((offsets, offsets | (1 << q)))
         idx = (idx[:, None] | offsets[None, :]).reshape(-1)
         amp = (amp[:, None] * np.asarray(vec)[None, :]).reshape(-1)
-    out = np.zeros(1 << n_qubits, dtype=np.complex128)
-    out[idx] = amp
-    return StateVector(n_qubits, out, cap=cap)
+    return idx, amp
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +317,16 @@ def run(
     return SimResult(state=state, record=record, frame=frame, qubit_outcomes=qubit_outcomes)
 
 
+def _diagonal(g: Gate) -> tuple[complex, complex]:
+    """Entries (d0, d1) of a one-qubit diagonal gate: a _DIAG kind or RZ."""
+    return (1.0, np.exp(1j * g.angle)) if g.kind == core.RZ else _DIAG[g.kind]
+
+
 def _apply_unitary(amps: np.ndarray, n: int, g: Gate) -> np.ndarray:
     """Apply one unitary gate to amplitudes over n qubits: the one gate dispatch."""
     kind = g.kind
-    if kind in _DIAG:
-        d0, d1 = _DIAG[kind]
-        return kernels.apply_diag_1q(amps, n, g.qubits[0], d0, d1)
-    if kind == core.RZ:
-        return kernels.apply_diag_1q(amps, n, g.qubits[0], 1.0, np.exp(1j * g.angle))
+    if kind in _DIAG or kind == core.RZ:
+        return kernels.apply_diag_1q(amps, n, g.qubits[0], *_diagonal(g))
     if kind == core.CNOT:
         return kernels.apply_cnot(amps, n, g.qubits[0], g.qubits[1])
     if kind == core.TOFFOLI:
@@ -309,6 +335,69 @@ def _apply_unitary(amps: np.ndarray, n: int, g: Gate) -> np.ndarray:
         mask = (1 << g.qubits[0]) | (1 << g.qubits[1])
         return kernels.apply_phase_on_ones(amps, n, mask, np.exp(1j * g.angle))
     return kernels.apply_1q(amps, n, g.qubits[0], _DENSE[kind])
+
+
+# ---------------------------------------------------------------------------
+# Phase-permutation circuits
+#
+# X, CNOT, Toffoli and the diagonal gates send each basis state to one basis
+# state times a phase, so a circuit built only from them is evaluated on its
+# basis-state inputs, not on 2^n amplitudes per input.
+
+_PHASE_PERMUTATION = frozenset((core.X, core.CNOT, core.TOFFOLI, core.RZ, core.CRZ, *_DIAG))
+
+
+def _is_phase_permutation(circuit: Circuit) -> bool:
+    return all(g.kind in _PHASE_PERMUTATION for g in circuit.gates())
+
+
+def _permute_phases(circuit: Circuit, planes: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run a phase-permutation circuit on basis-state inputs, in place.
+
+    planes is an (n_qubits, inputs) bool array whose row q holds wire q of
+    every input; amps holds one complex128 amplitude per input.  Returns
+    both as they stand after the circuit.  A diagonal gate multiplies the
+    amplitudes it selects by the entry _apply_unitary hands its kernel, and
+    skips an entry of exactly 1 as the kernel does, so each amplitude goes
+    through the multiplications of a run(), in the same order.  Any other
+    gate raises SimulationError.
+    """
+    for layer in circuit.layers:
+        for g in layer:
+            kind, qs = g.kind, g.qubits
+            if kind == core.X:
+                np.logical_not(planes[qs[0]], out=planes[qs[0]])
+            elif kind == core.CNOT:
+                planes[qs[1]] ^= planes[qs[0]]
+            elif kind == core.TOFFOLI:
+                planes[qs[2]] ^= planes[qs[0]] & planes[qs[1]]
+            elif kind == core.CRZ:
+                amps[planes[qs[0]] & planes[qs[1]]] *= np.exp(1j * g.angle)
+            elif kind in _DIAG or kind == core.RZ:
+                d0, d1 = _diagonal(g)
+                if d0 != 1.0:
+                    amps[~planes[qs[0]]] *= d0
+                if d1 != 1.0:
+                    amps[planes[qs[0]]] *= d1
+            else:
+                raise SimulationError(f"{kind} does not send basis states to basis states")
+    return planes, amps
+
+
+def _planes(n: int, idx: np.ndarray) -> np.ndarray:
+    """Bit-planes of basis indices: row q holds bit q of every index."""
+    planes = np.empty((n, len(idx)), dtype=bool)
+    for q, plane in enumerate(planes):
+        np.bitwise_and(idx >> q, 1, out=plane, casting="unsafe")
+    return planes
+
+
+def _indices(planes: np.ndarray) -> np.ndarray:
+    """Basis indices of bit-planes: the inverse of _planes."""
+    idx = np.zeros(planes.shape[1], dtype=np.int64)
+    for q, plane in enumerate(planes):
+        idx |= plane.astype(np.int64) << q
+    return idx
 
 
 # amplitudes per block run (1 MB of complex128): a block holds
@@ -340,6 +429,43 @@ def _run_block(circuit: Circuit, block: np.ndarray) -> np.ndarray:
     return amps.reshape(block.shape)
 
 
+def _rows_after(circuit: Circuit, idx: np.ndarray, amps: np.ndarray, cap: int) -> Iterator[np.ndarray]:
+    """The states a measurement-free circuit leaves, one row per input, in blocks.
+
+    Input r is the state with amplitude amps[r, i] at basis index idx[r, i]
+    and +0 at every other index, as product_state builds it; the row count
+    is a power of two.  Yields (B, 2^n) blocks of rows in input order, each
+    row bit for bit a run() of its input alone.  A phase-permutation
+    circuit is evaluated once, on every listed index of every input and on
+    each basis state with amplitude +0: that zero, as the circuit leaves
+    it, is what a run() holds at every index no input lists.  Other
+    circuits run each block of dense rows through the kernels (_run_block).
+    """
+    n = circuit.n_qubits
+    if n > cap:
+        raise SimulationError(f"{n} qubits exceeds the simulator cap of {cap}")
+    dim = 1 << n
+    permute = _is_phase_permutation(circuit)
+    zeros = np.zeros(dim, dtype=np.complex128)
+    if permute:
+        # one call for every input.  The +0 inputs also keep each selection a
+        # diagonal gate multiplies longer than one element (n >= 3), as the
+        # kernels' always is: numpy multiplies a one-element array without
+        # the fused multiply-add of its longer loops, so blocks evaluated
+        # apart moved last bits.
+        planes, out = _permute_phases(
+            circuit, _planes(n, np.concatenate((idx.ravel(), np.arange(dim)))), np.concatenate((amps.ravel(), zeros)))
+        pos = _indices(planes)
+        zeros[pos[-dim:]] = out[-dim:]
+        idx, amps = pos[:-dim].reshape(idx.shape), out[:-dim].reshape(amps.shape)
+    size = _block_size(n, len(idx))
+    for start in range(0, len(idx), size):
+        block = np.empty((size, dim), dtype=np.complex128)
+        block[:] = zeros
+        np.put_along_axis(block, idx[start:start + size], amps[start:start + size], axis=1)
+        yield block if permute else _run_block(circuit, block)
+
+
 def _require_unitary(circuit: Circuit) -> None:
     if any(not g.is_unitary for g in circuit.gates()):
         raise ValueError("circuit contains measurements or frame updates")
@@ -348,9 +474,12 @@ def _require_unitary(circuit: Circuit) -> None:
 def to_unitary(circuit: Circuit, *, cap: int = 12) -> np.ndarray:
     """Dense unitary of a measurement-free circuit.
 
-    The basis columns are run in blocks (see _BLOCK_AMPS): one pass over the
-    circuit per block, each column equal bit for bit to a run() of its
-    basis state.
+    A phase-permutation circuit (X, CNOT, Toffoli, Z, S, S†, T, T†, RZ and
+    CRZ only) is evaluated once on all 2^n basis states (_permute_phases),
+    which fills one entry per column.  Any other circuit runs its basis
+    columns in blocks (see _BLOCK_AMPS), one pass over the circuit per
+    block.  Either way each column equals bit for bit a run() of its basis
+    state.
     """
     n = circuit.n_qubits
     if n > cap:
@@ -358,6 +487,16 @@ def to_unitary(circuit: Circuit, *, cap: int = 12) -> np.ndarray:
     _require_unitary(circuit)
     dim = 1 << n
     u = np.empty((dim, dim), dtype=np.complex128)
+    if _is_phase_permutation(circuit):
+        # every basis state with amplitude 1, then with the +0 a run() of any
+        # other column carries on it: that zero fills the rest of its row
+        cols = np.arange(dim)
+        amps = np.repeat(np.array([1.0, 0.0], dtype=np.complex128), dim)
+        planes, amps = _permute_phases(circuit, _planes(n, np.tile(cols, 2)), amps)
+        rows = _indices(planes[:, :dim])
+        u[rows] = amps[dim:, None]
+        u[rows, cols] = amps[:dim]
+        return u
     size = _block_size(n, dim)
     for start in range(0, dim, size):
         basis = np.eye(size, dim, start, dtype=np.complex128)
@@ -420,53 +559,58 @@ def run_with_helpers(
     the norm of the output's part orthogonal to the helper reference state:
     the amplitude that left it.  Unlike sqrt(1 - ||amps||^2), it does not
     turn rounding eps into sqrt(eps).  This is the one-input case of the
-    block run that effective_unitary makes; a circuit with MEASURE or FRAME
-    gates is rejected with ValueError.
+    rows effective_unitary runs, so a phase-permutation circuit takes the
+    basis-state evaluator there as well (see to_unitary).  A circuit with
+    MEASURE or FRAME gates is rejected with ValueError.
     """
     _require_unitary(circuit)
-    amps, leaks = _run_rows_with_helpers(circuit, [data], helpers or {}, cap)
+    helpers = helpers or {}
+    idx, amp = _support(circuit.n_qubits, [*data.items(), *helpers.items()])
+    data_qubits = tuple(q for qs in data for q in qs)
+    amps, leaks = next(_helper_blocks(circuit, data_qubits, helpers, idx[None], amp[None], cap))
     return amps[0], leaks[0]
 
 
-def _run_rows_with_helpers(
+def _helper_blocks(
     circuit: Circuit,
-    datas: Sequence[Mapping[tuple[int, ...], np.ndarray]],
+    data_qubits: tuple[int, ...],
     helpers: Mapping[tuple[int, ...], np.ndarray],
+    idx: np.ndarray,
+    amps: np.ndarray,
     cap: int,
-) -> tuple[np.ndarray, list[float]]:
-    """run_with_helpers on B data inputs at once, B a power of two.
+) -> Iterator[tuple[np.ndarray, list[float]]]:
+    """run_with_helpers on B inputs, B a power of two, a block of rows at a time.
 
-    Every input names the same data qubits.  Row r of the block run starts
-    in the product state of datas[r] and the helpers; returns the (B, 2^k)
-    data amplitudes and the B leakages, each row bit for bit what a run of
-    that input alone gives.
+    Input r lists its basis indices and amplitudes in row r of idx and amps
+    (see _rows_after); every qubit outside data_qubits is a helper, and
+    the helper blocks give the reference state it is projected back onto.
+    Yields, per block in input order, the (b, 2^k) data amplitudes and the
+    b leakages, each row bit for bit what a run of that input alone gives.
     """
     n = circuit.n_qubits
-    data_qubits = tuple(q for qs in datas[0] for q in qs)
-    rows = np.empty((len(datas), 1 << n), dtype=np.complex128)
-    for row, data in zip(rows, datas):
-        row[:] = product_state(n, [*data.items(), *helpers.items()], cap=cap).amps
-    rows = _run_block(circuit, rows)
+    blocks = _rows_after(circuit, idx, amps, cap)
     ancillas = tuple(q for q in range(n) if q not in data_qubits)
     if not ancillas:
-        return _in_order(rows, tuple(range(n)), data_qubits), [0.0] * len(rows)
+        for rows in blocks:
+            yield _in_order(rows, tuple(range(n)), data_qubits), [0.0] * len(rows)
+        return
     m = len(ancillas)
     anc_pos = {q: i for i, q in enumerate(ancillas)}
     local = {tuple(anc_pos[q] for q in qs): vec for qs, vec in helpers.items()}
     ref = product_state(m, local, cap=max(cap, m)).amps
-    # one contraction per row: the BLAS kernel behind it is chosen by the
-    # column count, so contracting all rows at once can move last bits
-    amps = np.array([_project(row, n, ancillas, ref) for row in rows])
     rest = tuple(q for q in range(n) if q not in ancillas)
-    # each row's part orthogonal to |ref>: psi - |ref> (x) amps, with the
+    # each row's part orthogonal to |ref> is psi - |ref> (x) amps, with the
     # ancilla axes moved first (after the row axis) in the block order
     # project_onto uses
     anc_axes = [n - q for q in reversed(ancillas)]
-    psi = np.moveaxis(rows.reshape([len(rows)] + [2] * n), anc_axes, range(1, m + 1))
-    ortho = ref.reshape([1] + [2] * m + [1] * (n - m)) * amps.reshape([len(rows)] + [1] * m + [2] * (n - m))
-    np.subtract(psi, ortho, out=ortho)
-    leaks = [float(np.linalg.norm(row)) for row in ortho]
-    return _in_order(amps, rest, data_qubits), leaks
+    for rows in blocks:
+        # one contraction per row: the BLAS kernel behind it is chosen by the
+        # column count, so contracting all rows at once can move last bits
+        amps = np.array([_project(row, n, ancillas, ref) for row in rows])
+        psi = np.moveaxis(rows.reshape([len(rows)] + [2] * n), anc_axes, range(1, m + 1))
+        ortho = ref.reshape([1] + [2] * m + [1] * (n - m)) * amps.reshape([len(rows)] + [1] * m + [2] * (n - m))
+        np.subtract(psi, ortho, out=ortho)
+        yield _in_order(amps, rest, data_qubits), [float(np.linalg.norm(row)) for row in ortho]
 
 
 def effective_unitary(
@@ -480,22 +624,33 @@ def effective_unitary(
 
     Column j is what run_with_helpers gives for basis state j of the data
     block, with the ancillas (everything outside data_qubits) in the
-    supplied block states, default |0>; the columns are run in blocks (see
-    _BLOCK_AMPS), one pass over the circuit per block.  Returns (matrix,
-    worst leakage over the columns); the matrix is exactly unitary iff
-    leakage is zero.  A circuit with MEASURE or FRAME gates is rejected
+    supplied block states, default |0>.  A phase-permutation circuit is
+    evaluated once on the filled indices of every column's input state (see
+    to_unitary and _rows_after); any other runs the columns in blocks (see
+    _BLOCK_AMPS), one pass over the circuit per block.  Either way the
+    helpers are projected back a block of columns at a time.  Returns
+    (matrix, worst leakage over the columns); the matrix is exactly unitary
+    iff leakage is zero.  A circuit with MEASURE or FRAME gates is rejected
     with ValueError.
     """
     _require_unitary(circuit)
     data_qubits = tuple(data_qubits)
+    helpers = fixed or {}
     dim = 1 << len(data_qubits)
+    # every data basis state times the helper blocks, data index outermost:
+    # row j lists the indices basis state j fills, with product_state's
+    # amplitudes.  The zeros product_state also lists for the other data
+    # states are left out, so they start as the +0 of an unlisted index.
+    # That moves only the sign of a zero, and only under a negative helper
+    # entry; the projection onto the helpers then hides it, as its sums
+    # start from +0.
+    idx, amp = _support(circuit.n_qubits, [(data_qubits, np.ones(dim, dtype=np.complex128)), *helpers.items()])
     mat = np.empty((dim, dim), dtype=np.complex128)
     worst = 0.0
-    size = _block_size(circuit.n_qubits, dim)
-    for start in range(0, dim, size):
-        basis = np.eye(size, dim, start, dtype=np.complex128)
-        amps, leaks = _run_rows_with_helpers(circuit, [{data_qubits: e} for e in basis], fixed or {}, cap)
-        mat[:, start:start + size] = amps.T
+    start = 0
+    for amps, leaks in _helper_blocks(circuit, data_qubits, helpers, idx.reshape(dim, -1), amp.reshape(dim, -1), cap):
+        mat[:, start:start + len(amps)] = amps.T
+        start += len(amps)
         worst = max(worst, *leaks)
     return mat, worst
 

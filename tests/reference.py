@@ -2,7 +2,8 @@
 
 No entry point of the package reaches these.  Some are independent
 oracles: gate matrices, the general unitarity check, the 7-T Toffoli
-expansion and the angle bound of a truncated transform.  The rest are
+expansion, the angle bound of a truncated transform and the gate-by-gate
+kernel run.  The rest are
 test conveniences: one-gate-per-layer circuits, the eigenstate that
 ``build_qft_via_qvr`` expects, and the weight of a state on a register
 block.
@@ -33,7 +34,8 @@ from ftqc.core import (
     rz_matrix,
 )
 from ftqc.kickback import GammaRegister, gamma_state
-from ftqc.sim import StateVector, project_onto
+from ftqc.qvr import qft_gamma_width
+from ftqc.sim import StateVector, _apply_unitary, project_onto
 
 
 def sequential_circuit(n_qubits: int, gates: Iterable[Gate]) -> Circuit:
@@ -107,6 +109,19 @@ def decompose_toffolis(c: Circuit) -> Circuit:
     return b.build()
 
 
+def dense_run(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
+    """Amplitudes after a measurement-free circuit, one kernel call per gate.
+
+    The statevector path gate by gate, as a run() takes it: the oracle the
+    phase-permutation evaluator of the whole-matrix checks must match bit
+    for bit.
+    """
+    out = np.array(amps, dtype=np.complex128)
+    for g in circuit.gates():
+        out = _apply_unitary(out, circuit.n_qubits, g)
+    return out
+
+
 def block_overlap(state: StateVector, qubits: tuple[int, ...], block: np.ndarray) -> float:
     """Fidelity-style weight: probability that `qubits` hold |block>."""
     res, _ = project_onto(state, qubits, block)
@@ -115,8 +130,7 @@ def block_overlap(state: StateVector, qubits: tuple[int, ...], block: np.ndarray
 
 def qft_gamma_state(q: int, approx_drop: int = 0) -> StateVector | None:
     """Eigenstate to feed build_qft_via_qvr's gamma wires (None if it has none)."""
-    drop = approx_drop
-    gamma_width = q - drop if q - 1 >= drop + 1 else 0
+    gamma_width = qft_gamma_width(q, approx_drop)
     if gamma_width == 0:
         return None
     return gamma_state(GammaRegister(1, gamma_width))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
 
 import pytest
 
@@ -373,6 +374,27 @@ class TestFrontier:
         )
         assert status == 2
         assert json.loads(err)["error"]["type"] == "ValueError"
+
+
+class TestVerify:
+    @pytest.mark.parametrize("returncode", [0, 1])
+    def test_stdout_is_one_record_with_a_relative_suite(self, capsys, monkeypatch, returncode):
+        runs = []
+
+        def fake_run(argv, **kwargs):
+            runs.append(argv)
+            return subprocess.CompletedProcess(argv, returncode, stdout="rootdir: /x\n17 passed\n", stderr="")
+
+        monkeypatch.setattr(cli.subprocess, "run", fake_run)
+        status, out, err = run_cli(capsys, "verify")
+        assert len(runs) == 1
+        assert status == returncode
+        record = json.loads(out)  # raises unless stdout is exactly one JSON document
+        assert isinstance(record, dict)
+        assert record["suite"] == "tests/test_acceptance.py"
+        assert record["passed"] is (returncode == 0)
+        assert record["exit_status"] == returncode
+        assert "17 passed" in err
 
 
 class TestArgumentHandling:

@@ -20,9 +20,6 @@ from ftqc import core
 from ftqc.core import (
     ADJOINT,
     CNOT,
-    CRZ,
-    FRAME,
-    MEASURE,
     RZ,
     SDG,
     TDG,

@@ -15,9 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftqc.core import RZ, ResourceProfile
 from ftqc.firstq import (
-    DEFAULT_WIDTH,
     FULLY_PARALLEL,
     IN_PLACE,
     KINETIC_STEP,

@@ -5,8 +5,6 @@ all points, and property tests (idempotence, dominated-point insertion,
 frontier membership of every monotone optimum) on random point clouds.
 """
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

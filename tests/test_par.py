@@ -12,10 +12,7 @@ import numpy as np
 import pytest
 
 from ftqc.core import (
-    CNOT,
     H,
-    MEASURE,
-    RZ,
     X,
     CircuitBuilder,
     cnot,
@@ -24,7 +21,6 @@ from ftqc.core import (
     gate,
     measure,
     rz,
-    rz_matrix,
 )
 from ftqc.par import (
     PREPARE_EXACT,
@@ -39,7 +35,6 @@ from ftqc.par import (
     register_bits_for,
 )
 from ftqc.sim import (
-    StateVector,
     product_state,
     project_onto,
     run,

@@ -34,7 +34,7 @@ from ftqc.core import (
 )
 from ftqc.kickback import RIPPLE_CARRY, AdderSpec, build_adder, ripple_profile
 from ftqc.par import register_bits_for
-from ftqc.qvr import ROTATION_EXACT, ROTATION_SEQUENCE
+from ftqc.qvr import ROTATION_SEQUENCE
 from ftqc.secondq import (
     LADDER_DIRECT,
     LADDER_TELEPORTED,

@@ -1,5 +1,6 @@
 """Statevector simulator: state construction, measurement via inverse CDF,
-Pauli-frame tracking, projection helpers and channel comparison."""
+Pauli-frame tracking, projection helpers, the whole-matrix checks on both
+of their paths, and channel comparison."""
 
 import math
 
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import block_overlap, matrix_of, sequential_circuit
+from reference import block_overlap, dense_run, matrix_of, sequential_circuit
 
-from ftqc import core, sim
+from ftqc import core, firstq, kickback, sim
 from ftqc.core import (
     CircuitBuilder,
     Pauli,
@@ -449,10 +450,10 @@ class TestEffectiveUnitary:
 UNITARY_1Q = (core.X, core.Y, core.Z, core.H, core.S, core.SDG, core.T, core.TDG)
 
 
-def random_unitary_circuit(n, seed, extra=60):
-    """Seeded circuit on n qubits holding every unitary kind at least once."""
+def random_unitary_circuit(n, seed, extra=60, kinds=(*UNITARY_1Q, core.RZ, core.CNOT, core.TOFFOLI, core.CRZ)):
+    """Seeded circuit on n qubits holding each given kind (default: every unitary one) at least once."""
     rng = np.random.default_rng(seed)
-    kinds = [*UNITARY_1Q, core.RZ, core.CNOT, core.TOFFOLI, core.CRZ]
+    kinds = list(kinds)
     kinds += [kinds[i] for i in rng.integers(0, len(kinds), extra)]
     gates = []
     for kind in rng.permutation(np.array(kinds, dtype=object)):
@@ -475,26 +476,27 @@ def bits(a):
 
 
 def helper_oracle(circuit, data_qubits, helpers, vec):
-    """run_with_helpers of one data input, from a run() of its own.
+    """run_with_helpers of one data input, from a gate-by-gate kernel run of its own.
 
     The helpers are projected back with project_onto; the leakage is the
     norm of psi - |ref> (x) amps laid out (ancilla index, rest index) in C
     order, as the simulator lays it out.
     """
     n = circuit.n_qubits
-    psi = run(circuit, product_state(n, [(data_qubits, vec), *helpers.items()])).state
+    psi = StateVector(n, dense_run(circuit, product_state(n, [(data_qubits, vec), *helpers.items()]).amps))
     ancillas = tuple(q for q in range(n) if q not in data_qubits)
     ref = product_state(len(ancillas), {tuple(ancillas.index(q) for q in qs): v for qs, v in helpers.items()}).amps
     resid, rest = project_onto(psi, ancillas, ref)
     # bit j of a data index sits on data_qubits[j]; residual bit i on rest[i]
     to_rest = [sum((j >> b & 1) << rest.index(q) for b, q in enumerate(data_qubits)) for j in range(len(vec))]
-    full = [
-        [sum((a >> i & 1) << q for i, q in enumerate(ancillas)) | sum((r >> i & 1) << q for i, q in enumerate(rest))
-         for r in range(len(resid))]
-        for a in range(len(ref))
-    ]
+    # full[a, r]: the basis index with ancilla bits a and rest bits r
+    full = np.zeros((len(ref), len(resid)), dtype=np.int64)
+    for i, q in enumerate(ancillas):
+        full |= (np.arange(len(ref))[:, None] >> i & 1) << q
+    for i, q in enumerate(rest):
+        full |= (np.arange(len(resid))[None, :] >> i & 1) << q
     ortho = ref[:, None] * resid[None, :]
-    np.subtract(psi.amps[np.array(full)], ortho, out=ortho)
+    np.subtract(psi.amps[full], ortho, out=ortho)
     return resid[to_rest], float(np.linalg.norm(ortho))
 
 
@@ -555,6 +557,141 @@ class TestBlockRuns:
         want, want_leak = helper_oracle(c, data, helpers, v)
         np.testing.assert_array_equal(bits(amps), bits(want))
         assert leak == want_leak
+
+
+PHASE_PERMUTATION_KINDS = (
+    core.X, core.Z, core.S, core.SDG, core.T, core.TDG, core.RZ, core.CNOT, core.TOFFOLI, core.CRZ)
+
+
+def unit_vector(rng, size):
+    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return v / np.linalg.norm(v)
+
+
+class TestPhasePermutation:
+    """Circuits of X, CNOT, Toffoli and diagonal gates take the basis-state
+    evaluator in the whole-matrix checks.  Every output must equal, bit for
+    bit, what the gate-by-gate kernel run (reference.dense_run) gives,
+    signed zeros included."""
+
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    def test_to_unitary_matches_dense_runs(self, n):
+        c = random_unitary_circuit(n, seed=100 + n, kinds=PHASE_PERMUTATION_KINDS)
+        assert sim._is_phase_permutation(c)
+        dim = 1 << n
+        oracle = np.stack([dense_run(c, np.eye(1, dim, j)[0]) for j in range(dim)], axis=1)
+        np.testing.assert_array_equal(bits(to_unitary(c)), bits(oracle))
+
+    def test_zero_angles_match_dense_runs(self):
+        # RZ(0) has the entry exactly 1, which the kernel skips; multiplying
+        # by it would clear the sign of some zeros.  CRZ(0) is multiplied.
+        c = random_unitary_circuit(7, seed=170, kinds=PHASE_PERMUTATION_KINDS)
+        gates = []
+        for i, g in enumerate(c.gates()):
+            gates += [g, rz(0.0, i % 7), crz(0.0, i % 7, (i + 3) % 7)]
+        c = sequential_circuit(7, gates)
+        oracle = np.stack([dense_run(c, np.eye(1, 128, j)[0]) for j in range(128)], axis=1)
+        np.testing.assert_array_equal(bits(to_unitary(c)), bits(oracle))
+
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    @pytest.mark.parametrize("superposed", [False, True], ids=["basis-helpers", "superposed-helper"])
+    def test_effective_unitary_matches_dense_runs(self, n, superposed):
+        c = random_unitary_circuit(n, seed=110 + n, kinds=PHASE_PERMUTATION_KINDS)
+        rng = np.random.default_rng(120 + n)
+        if superposed:
+            helpers = {(4, 1): unit_vector(rng, 4)}
+        else:
+            helpers = {(4, 1): np.eye(4, dtype=np.complex128)[2], (2,): np.array([0.0, 1.0])}
+        data = (n - 1, 0, 3)  # non-adjacent, in permuted order
+        m, leak = effective_unitary(c, data, helpers)
+        cols = [helper_oracle(c, data, helpers, e) for e in np.eye(8, dtype=np.complex128)]
+        np.testing.assert_array_equal(bits(m), bits(np.stack([v for v, _ in cols], axis=1)))
+        assert leak == max(lk for _, lk in cols)  # positive floats: == is bitwise
+
+    def test_effective_unitary_on_every_qubit_matches_dense_runs(self):
+        # no ancillas: the rows reach the matrix without a projection, so
+        # the oracle reads the kernel run directly (project_onto multiplies
+        # by 1, which clears the sign of some zeros)
+        c = random_unitary_circuit(6, seed=130, kinds=PHASE_PERMUTATION_KINDS)
+        data = (2, 5, 0, 4, 1, 3)
+        m, leak = effective_unitary(c, data)
+        # index[j]: the basis index whose bit data[b] is bit b of j
+        index = [sum((j >> b & 1) << q for b, q in enumerate(data)) for j in range(64)]
+        oracle = np.stack([dense_run(c, np.eye(1, 64, index[j])[0])[index] for j in range(64)], axis=1)
+        np.testing.assert_array_equal(bits(m), bits(oracle))
+        assert leak == 0.0
+
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    def test_run_with_helpers_matches_dense_run(self, n):
+        c = random_unitary_circuit(n, seed=140 + n, kinds=PHASE_PERMUTATION_KINDS)
+        rng = np.random.default_rng(150 + n)
+        data = (n - 1, 2, 0)
+        helpers = {(4, 1): unit_vector(rng, 4)}
+        v = unit_vector(rng, 8)
+        amps, leak = run_with_helpers(c, {data: v}, helpers)
+        want, want_leak = helper_oracle(c, data, helpers, v)
+        np.testing.assert_array_equal(bits(amps), bits(want))
+        assert leak == want_leak
+
+    def test_rows_match_dense_runs(self):
+        # the dense rows the helpers are projected from, signed zeros and all
+        c = random_unitary_circuit(8, seed=180, kinds=PHASE_PERMUTATION_KINDS)
+        rng = np.random.default_rng(181)
+        inputs = [[((6, 2), unit_vector(rng, 4)), ((0,), unit_vector(rng, 2))] for _ in range(4)]
+        idx, amps = zip(*(sim._support(8, items) for items in inputs))
+        rows = np.concatenate(list(sim._rows_after(c, np.stack(idx), np.stack(amps), DEFAULT_QUBIT_CAP)))
+        oracle = np.stack([dense_run(c, product_state(8, items).amps) for items in inputs])
+        np.testing.assert_array_equal(bits(rows), bits(oracle))
+
+    def test_potential_step_matches_dense_runs(self):
+        constants = firstq.PhysicalConstants(charges=(1.3, -0.7), masses=(1.0, 1.0), dt=0.21)
+        c, lay = firstq.build_potential_phase_circuit(2, 4, constants)
+        assert sim._is_phase_permutation(c)
+        data = lay.x1 + lay.x2
+        m, leak = effective_unitary(c, data)
+        cols = [helper_oracle(c, data, {}, e) for e in np.eye(1 << len(data), dtype=np.complex128)]
+        np.testing.assert_array_equal(bits(m), bits(np.stack([v for v, _ in cols], axis=1)))
+        assert leak == max(lk for _, lk in cols) == 0.0  # the workspace returns to |0> exactly
+
+    def test_ripple_adder_matches_dense_runs(self):
+        c = kickback.build_adder(kickback.AdderSpec(kickback.RIPPLE_CARRY, 6), 0b100101)
+        assert c.n_qubits == 11 and sim._is_phase_permutation(c)
+        dim = 1 << c.n_qubits
+        oracle = np.stack([dense_run(c, np.eye(1, dim, j)[0]) for j in range(dim)], axis=1)
+        np.testing.assert_array_equal(bits(to_unitary(c)), bits(oracle))
+
+    @pytest.mark.parametrize(
+        "g", [gate(core.H, 0), gate(core.Y, 1), measure(0, key=0), frame_update(1, "X")],
+        ids=["H", "Y", "MEASURE", "FRAME"])
+    def test_other_gates_are_rejected(self, g):
+        c = sequential_circuit(2, [cnot(0, 1), g])
+        assert not sim._is_phase_permutation(c)
+        with pytest.raises(SimulationError):
+            sim._permute_phases(c, sim._planes(2, np.arange(4)), np.ones(4, dtype=np.complex128))
+
+    def test_wide_circuit_matches_integer_reference(self):
+        # bit-planes hold circuits wider than a 64-bit basis index
+        n, count = 70, 500
+        rng = np.random.default_rng(160)
+        gates = []
+        for kind in rng.choice([core.X, core.CNOT, core.TOFFOLI], 400):
+            qs = [int(q) for q in rng.permutation(n)]
+            gates.append(gate(kind, qs[0]) if kind == core.X else cnot(*qs[:2]) if kind == core.CNOT
+                         else toffoli(*qs[:3]))
+        c = sequential_circuit(n, gates)
+        inputs = [int(rng.integers(1 << 35)) << 35 | int(rng.integers(1 << 35)) for _ in range(count)]
+        planes = np.array([[v >> q & 1 for v in inputs] for q in range(n)], dtype=bool)
+        planes, amps = sim._permute_phases(c, planes, np.ones(count, dtype=np.complex128))
+        want = []
+        for v in inputs:
+            for g in c.gates():
+                *controls, target = g.qubits
+                if all(v >> q & 1 for q in controls):
+                    v ^= 1 << target
+            want.append(v)
+        assert max(want).bit_length() > 64
+        assert [sum(int(b) << q for q, b in enumerate(planes[:, i])) for i in range(count)] == want
+        np.testing.assert_array_equal(amps, 1.0)
 
 
 def teleport_circuit(include_z_fix=True):
