@@ -11,17 +11,17 @@ gates, which is how hardware defers such corrections.  Reported
 measurement outcomes are frame-corrected, i.e. they are the outcomes the
 corrected state would have produced.
 
-The whole-matrix checks (to_unitary, effective_unitary and
-run_with_helpers) treat circuits built only from X, CNOT, Toffoli and
-diagonal gates (Z, S, S†, T, T†, RZ, CRZ) apart.  Such a circuit sends
-each basis state to one basis state times a phase, so one evaluator,
-_permute_phases, carries every input as a column of bit-planes with one
-amplitude, and multiplies that amplitude as the kernels would: the
-results are bit for bit those of the kernel path, at a cost set by the
-inputs rather than by 2^n amplitudes per input.  run() keeps the kernels
-for every circuit.  A state with amplitude on every basis index gives
-the evaluator as many inputs as amplitudes, and there it timed 1.2x
-slower than the kernels (19-qubit adder, random state on every wire).
+The whole-matrix checks (to_unitary and effective_unitary) treat
+circuits built only from X, CNOT, Toffoli and diagonal gates (Z, S, S†,
+T, T†, RZ, CRZ) apart.  Such a circuit sends each basis state to one
+basis state times a phase, so one evaluator, _permute_phases, carries
+every input as a column of bit-planes with one amplitude, and multiplies
+that amplitude as the kernels would: the results are bit for bit those
+of the kernel path, at a cost set by the inputs rather than by 2^n
+amplitudes per input.  run() and run_with_helpers keep the kernels for
+every circuit.  A state with amplitude on every basis index gives the
+evaluator as many inputs as amplitudes, and there it timed 1.2x slower
+than the kernels (19-qubit adder, random state on every wire).
 """
 
 from __future__ import annotations
@@ -418,8 +418,12 @@ def _run_block(circuit: Circuit, block: np.ndarray) -> np.ndarray:
     The block is C-contiguous complex128, B is a power of two, and the
     block is updated in place.  Amplitude i of row r is index r * 2^n + i of
     one state on n + log2(B) qubits, so each gate is one kernel call on that
-    state and acts on every row alike: each row comes out bit for bit as a
-    run() of that row alone would leave it.
+    state and acts on every row alike.  From 3 qubits up each row comes
+    out bit for bit as a run() of that row alone would leave it.  On 1 or 2
+    qubits a run() multiplies single amplitudes (a diagonal gate on a
+    2-amplitude state, a CRZ on a 4-amplitude one), which numpy rounds
+    without the fused multiply-add of its longer loops, so last bits can
+    differ from the block's, by up to 4.6e-16 in a fuzz of such circuits.
     """
     amps = block.reshape(-1)
     n = circuit.n_qubits + block.shape[0].bit_length() - 1
@@ -435,17 +439,20 @@ def _rows_after(circuit: Circuit, idx: np.ndarray, amps: np.ndarray, cap: int) -
     Input r is the state with amplitude amps[r, i] at basis index idx[r, i]
     and +0 at every other index, as product_state builds it; the row count
     is a power of two.  Yields (B, 2^n) blocks of rows in input order, each
-    row bit for bit a run() of its input alone.  A phase-permutation
-    circuit is evaluated once, on every listed index of every input and on
-    each basis state with amplitude +0: that zero, as the circuit leaves
-    it, is what a run() holds at every index no input lists.  Other
-    circuits run each block of dense rows through the kernels (_run_block).
+    row bit for bit what the kernels leave in a block run (_run_block).
+    Given more than one input, a phase-permutation circuit is evaluated
+    once, on every listed index of every input and on each basis state
+    with amplitude +0: that zero, as the circuit leaves it, is what a
+    block run holds at every index no input lists.  Otherwise each block of
+    dense rows runs through the kernels.
     """
     n = circuit.n_qubits
     if n > cap:
         raise SimulationError(f"{n} qubits exceeds the simulator cap of {cap}")
     dim = 1 << n
-    permute = _is_phase_permutation(circuit)
+    # one input has at least as many inputs to evaluate as amplitudes (its
+    # support and the +0 inputs below), where the kernels are faster
+    permute = len(idx) > 1 and _is_phase_permutation(circuit)
     zeros = np.zeros(dim, dtype=np.complex128)
     if permute:
         # one call for every input.  The +0 inputs also keep each selection a
@@ -478,8 +485,9 @@ def to_unitary(circuit: Circuit, *, cap: int = 12) -> np.ndarray:
     CRZ only) is evaluated once on all 2^n basis states (_permute_phases),
     which fills one entry per column.  Any other circuit runs its basis
     columns in blocks (see _BLOCK_AMPS), one pass over the circuit per
-    block.  Either way each column equals bit for bit a run() of its basis
-    state.
+    block.  Either way the columns are bit for bit those of the block
+    run, which from 3 qubits up is a run() of each basis state (see
+    _run_block).
     """
     n = circuit.n_qubits
     if n > cap:
@@ -488,8 +496,8 @@ def to_unitary(circuit: Circuit, *, cap: int = 12) -> np.ndarray:
     dim = 1 << n
     u = np.empty((dim, dim), dtype=np.complex128)
     if _is_phase_permutation(circuit):
-        # every basis state with amplitude 1, then with the +0 a run() of any
-        # other column carries on it: that zero fills the rest of its row
+        # every basis state with amplitude 1, then with the +0 a block run of
+        # any other column carries on it: that zero fills the rest of its row
         cols = np.arange(dim)
         amps = np.repeat(np.array([1.0, 0.0], dtype=np.complex128), dim)
         planes, amps = _permute_phases(circuit, _planes(n, np.tile(cols, 2)), amps)
@@ -559,9 +567,11 @@ def run_with_helpers(
     the norm of the output's part orthogonal to the helper reference state:
     the amplitude that left it.  Unlike sqrt(1 - ||amps||^2), it does not
     turn rounding eps into sqrt(eps).  This is the one-input case of the
-    rows effective_unitary runs, so a phase-permutation circuit takes the
-    basis-state evaluator there as well (see to_unitary).  A circuit with
-    MEASURE or FRAME gates is rejected with ValueError.
+    rows effective_unitary runs.  It runs on the kernels for every
+    circuit: one input, with its support and the +0 at every other index,
+    gives the basis-state evaluator at least 2^n inputs, the full-support
+    case where the kernels are faster.  A circuit with MEASURE or FRAME
+    gates is rejected with ValueError.
     """
     _require_unitary(circuit)
     helpers = helpers or {}
@@ -585,7 +595,7 @@ def _helper_blocks(
     (see _rows_after); every qubit outside data_qubits is a helper, and
     the helper blocks give the reference state it is projected back onto.
     Yields, per block in input order, the (b, 2^k) data amplitudes and the
-    b leakages, each row bit for bit what a run of that input alone gives.
+    b leakages, each row bit for bit what a block run of the inputs gives.
     """
     n = circuit.n_qubits
     blocks = _rows_after(circuit, idx, amps, cap)
@@ -623,8 +633,9 @@ def effective_unitary(
     """Action on a data block, with ancilla blocks fixed to given states.
 
     Column j is what run_with_helpers gives for basis state j of the data
-    block, with the ancillas (everything outside data_qubits) in the
-    supplied block states, default |0>.  A phase-permutation circuit is
+    block (bit for bit from 3 qubits up, see _run_block), with the ancillas
+    (everything outside data_qubits) in the supplied block states, default
+    |0>.  A phase-permutation circuit with at least one data qubit is
     evaluated once on the filled indices of every column's input state (see
     to_unitary and _rows_after); any other runs the columns in blocks (see
     _BLOCK_AMPS), one pass over the circuit per block.  Either way the

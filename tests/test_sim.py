@@ -475,15 +475,19 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def helper_oracle(circuit, data_qubits, helpers, vec):
-    """run_with_helpers of one data input, from a gate-by-gate kernel run of its own.
+def helper_oracle(circuit, data_qubits, helpers, vec, after=None):
+    """run_with_helpers of one data input, from a run() of its own.
 
+    after, if given, replaces that run(): the amplitudes the circuit left.
     The helpers are projected back with project_onto; the leakage is the
     norm of psi - |ref> (x) amps laid out (ancilla index, rest index) in C
     order, as the simulator lays it out.
     """
     n = circuit.n_qubits
-    psi = StateVector(n, dense_run(circuit, product_state(n, [(data_qubits, vec), *helpers.items()]).amps))
+    if after is None:
+        psi = run(circuit, product_state(n, [(data_qubits, vec), *helpers.items()])).state
+    else:
+        psi = StateVector(n, after)
     ancillas = tuple(q for q in range(n) if q not in data_qubits)
     ref = product_state(len(ancillas), {tuple(ancillas.index(q) for q in qs): v for qs, v in helpers.items()}).amps
     resid, rest = project_onto(psi, ancillas, ref)
@@ -561,6 +565,11 @@ class TestBlockRuns:
 
 PHASE_PERMUTATION_KINDS = (
     core.X, core.Z, core.S, core.SDG, core.T, core.TDG, core.RZ, core.CNOT, core.TOFFOLI, core.CRZ)
+# the kinds that fit on 1 and 2 qubits
+SMALL_KINDS = {
+    1: (core.X, core.Z, core.S, core.SDG, core.T, core.TDG, core.RZ),
+    2: (core.X, core.Z, core.S, core.SDG, core.T, core.TDG, core.RZ, core.CNOT, core.CRZ),
+}
 
 
 def unit_vector(rng, size):
@@ -568,11 +577,19 @@ def unit_vector(rng, size):
     return v / np.linalg.norm(v)
 
 
+def block_run(circuit, rows):
+    """The kernels on every row at once: one state whose row index sits on
+    the bits above the circuit's, as the block path lays it out."""
+    n = circuit.n_qubits + len(rows).bit_length() - 1
+    return dense_run(core.Circuit(n, circuit.layers), np.ravel(rows)).reshape(len(rows), -1)
+
+
 class TestPhasePermutation:
     """Circuits of X, CNOT, Toffoli and diagonal gates take the basis-state
     evaluator in the whole-matrix checks.  Every output must equal, bit for
     bit, what the gate-by-gate kernel run (reference.dense_run) gives,
-    signed zeros included."""
+    signed zeros included; on 1 or 2 qubits, what it gives on all columns
+    at once (block_run), as the block path did before the evaluator."""
 
     @pytest.mark.parametrize("n", [6, 8, 10])
     def test_to_unitary_matches_dense_runs(self, n):
@@ -581,6 +598,52 @@ class TestPhasePermutation:
         dim = 1 << n
         oracle = np.stack([dense_run(c, np.eye(1, dim, j)[0]) for j in range(dim)], axis=1)
         np.testing.assert_array_equal(bits(to_unitary(c)), bits(oracle))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_small_to_unitary_matches_block_run(self, n):
+        # on 1 or 2 qubits a run() of one column multiplies single
+        # amplitudes, which numpy rounds differently; the block path runs
+        # every column at once, and the evaluator must match that
+        c = random_unitary_circuit(n, seed=190 + n, kinds=SMALL_KINDS[n])
+        dim = 1 << n
+        np.testing.assert_array_equal(bits(to_unitary(c)), bits(block_run(c, np.eye(dim, dtype=np.complex128)).T))
+
+    def test_small_effective_unitary_matches_block_run(self):
+        c = random_unitary_circuit(1, seed=193, kinds=SMALL_KINDS[1])
+        m, leak = effective_unitary(c, (0,))
+        np.testing.assert_array_equal(bits(m), bits(block_run(c, np.eye(2, dtype=np.complex128)).T))
+        assert leak == 0.0
+        c = random_unitary_circuit(2, seed=194, kinds=SMALL_KINDS[2])
+        helpers = {(0,): unit_vector(np.random.default_rng(195), 2)}
+        basis = np.eye(2, dtype=np.complex128)
+        rows = block_run(c, [product_state(2, [((1,), e), *helpers.items()]).amps for e in basis])
+        cols = [helper_oracle(c, (1,), helpers, e, after=row) for e, row in zip(basis, rows)]
+        m, leak = effective_unitary(c, (1,), helpers)
+        np.testing.assert_array_equal(bits(m), bits(np.stack([v for v, _ in cols], axis=1)))
+        assert leak == max(lk for _, lk in cols)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_small_run_with_helpers_matches_run(self, n):
+        c = random_unitary_circuit(n, seed=196 + n, kinds=SMALL_KINDS[n])
+        rng = np.random.default_rng(198 + n)
+        data, helpers = ((1,), {(0,): unit_vector(rng, 2)}) if n == 2 else ((0,), {})
+        v = unit_vector(rng, 2)
+        amps, leak = run_with_helpers(c, {data: v}, helpers)
+        want, want_leak = helper_oracle(c, data, helpers, v)
+        np.testing.assert_array_equal(bits(amps), bits(want))
+        assert leak == want_leak
+
+    def test_run_with_helpers_stays_on_kernels(self, monkeypatch):
+        # one input gives the evaluator at least 2^n inputs, where the
+        # kernels are faster; the whole-matrix checks still take it
+        def refuse(*args):
+            raise AssertionError("evaluator called")
+
+        c = random_unitary_circuit(6, seed=200, kinds=PHASE_PERMUTATION_KINDS)
+        monkeypatch.setattr(sim, "_permute_phases", refuse)
+        run_with_helpers(c, {(0, 1, 2): unit_vector(np.random.default_rng(201), 8)})
+        with pytest.raises(AssertionError, match="evaluator called"):
+            effective_unitary(c, (0, 1, 2))
 
     def test_zero_angles_match_dense_runs(self):
         # RZ(0) has the entry exactly 1, which the kernel skips; multiplying
