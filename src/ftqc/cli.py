@@ -233,16 +233,15 @@ def _cmd_estimate_1q(config: RunConfig) -> tuple[dict, int]:
             charges=(-1.0,) * b, masses=(1.0,) * b, dt=config.opt("dt")
         )
 
-    profile = firstq.estimate_first_quantized(grid, constants(particles), steps, mode, width=width)
+    curve = {
+        b: firstq.estimate_first_quantized(firstq.GridSpec(grid.p, b), constants(b), steps, mode, width=width)
+        for b in range(2, particles + 1)
+    }
+    profile = curve[particles]
     potential = firstq.build_potential_step(grid, constants(particles), mode, width=width)
     kinetic = firstq.build_kinetic_step(grid, constants(particles), width=width, dt_factor=0.5)
-    curve_rows = []
-    for b in range(2, particles + 1):
-        prof_b = firstq.estimate_first_quantized(
-            firstq.GridSpec(grid.p, b), constants(b), steps, mode, width=width
-        )
-        curve_rows.append([b, prof_b.depth, prof_b.t_count, prof_b.qubits])
-    _emit_csv(["particles", "depth", "t_count", "qubits"], curve_rows, config.opt("csv"))
+    _emit_csv(["particles", "depth", "t_count", "qubits"],
+              [[b, p.depth, p.t_count, p.qubits] for b, p in curve.items()], config.opt("csv"))
     record = {
         "command": "estimate-1q",
         "mode": config.opt("mode"),
@@ -376,6 +375,14 @@ def _finite(text: str) -> float:
     return value
 
 
+def _width(text: str) -> int:
+    # the built multiplier grows as width^2 gates, and invsqrt_fixed computes in binary64
+    value = int(text)
+    if not 2 <= value <= 64:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in [2, 64]")
+    return value
+
+
 def _tolerance(text: str) -> float:
     value = float(text)
     if not 0.0 < value <= 1.0:  # also rejects nan and inf
@@ -438,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-bits", type=int, required=True, help="qubits per spatial dimension")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--mode", choices=tuple(_MODE_NAMES), required=True)
-    p.add_argument("--width", type=int, default=firstq.DEFAULT_WIDTH, help="arithmetic width in bits")
+    p.add_argument("--width", type=_width, default=firstq.DEFAULT_WIDTH, help="arithmetic width in bits, 2 to 64")
     p.add_argument("--dt", type=_finite, default=1e-3, help="step length in atomic units")
     add_common(p, csv_out=True)
 

@@ -12,11 +12,12 @@ Two things here are gate-level and simulator-checkable: the desk-scale
 one-dimensional potential-phase circuit (positions -> r^2 table ->
 quantized 1/r table -> bitwise rotation -> mirrored uncompute) and the
 small reversible arithmetic it leans on (register adder, schoolbook
-multiplier, copy-expansion tree).  The step models price the register
-adder and the copy-expansion tree from those built circuits, so the
-fully-parallel potential step costs its fan-out with the tree it would
-run.  Everything wider is a composed ResourceProfile model; the
-multiplier above 4 bits exists only through its shift-add count.
+multiplier, copy-expansion tree).  The step models price every adder,
+subtractor, multiplier and copy-expansion tree from those built circuits
+at the estimator's width, so the fully-parallel potential step costs its
+fan-out with the tree it would run and the 1/r pipeline its multiplies
+with the multiplier the tests check.  Only the composition into Newton
+iterations, pair units and whole steps is a ResourceProfile model.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "POTENTIAL_STEP",
     "KINETIC_STEP",
     "DEFAULT_WIDTH",
-    "MULTIPLIER_WIDTH_CAP",
     "GridSpec",
     "PhysicalConstants",
     "StepModel",
@@ -63,7 +63,6 @@ __all__ = [
     "multiplier_layout",
     "build_multiplier",
     "build_copy_expansion",
-    "adder_profile",
     "register_adder_profile",
     "multiply_profile",
     "newton_profile",
@@ -82,7 +81,6 @@ POTENTIAL_STEP = "potential"
 KINETIC_STEP = "kinetic"
 
 DEFAULT_WIDTH = 32
-MULTIPLIER_WIDTH_CAP = 4
 
 _MAX_NEWTON_ITERATIONS = 60
 
@@ -299,7 +297,7 @@ def pair_schedule(b: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 # ---------------------------------------------------------------------------
-# gate-level reversible arithmetic (simulator scale)
+# gate-level reversible arithmetic and the cost models taken from it
 
 def build_register_adder(width: int) -> Circuit:
     """|a>|b>|0> -> |a>|a + b mod 2^width>|0>.
@@ -340,25 +338,19 @@ def build_multiplier(width: int) -> Circuit:
     exact and the full product appears without modular wrap.  The copy
     register and the carry ancilla return to |0> on every input.
 
-    Gate-level construction is for simulator-scale checks only and is
-    capped at 4 bits; wider multiplies are costed by multiply_profile's
-    shift-add model instead.
+    This is the multiplier the cost models price (multiply_profile) at
+    every width: width rows of 2*width Toffolis and one MAJ/UMA register
+    add, so the gate count grows as width^2.
     """
     if width < 1:
         raise ValueError("multiplier needs at least one bit")
-    if width > MULTIPLIER_WIDTH_CAP:
-        raise ValueError(
-            f"gate-level multiplier capped at {MULTIPLIER_WIDTH_CAP} bits;"
-            " use multiply_profile for wider models"
-        )
     lay = multiplier_layout(width)
     builder = CircuitBuilder(5 * width + 2)
     for i in range(width):
-        for j in range(width):
-            builder.append(toffoli(lay.a[i], lay.b[j], lay.copy[j]))
+        gated_copy = [toffoli(lay.a[i], lay.b[j], lay.copy[j]) for j in range(width)]
+        builder.extend(gated_copy)
         emit_register_add(builder, lay.copy, lay.product[i : i + width + 1], lay.carry)
-        for j in range(width):
-            builder.append(toffoli(lay.a[i], lay.b[j], lay.copy[j]))
+        builder.extend(gated_copy)
     return builder.build()
 
 
@@ -389,18 +381,20 @@ def build_copy_expansion(width: int, instances: int) -> Circuit:
     return builder.build()
 
 
-# ---------------------------------------------------------------------------
-# arithmetic cost models
-
-def adder_profile(width: int) -> ResourceProfile:
-    """Constant-addition cost at this width (ripple carry, worst addend)."""
-    return ripple_profile(width)
-
-
 @lru_cache(maxsize=None)
 def register_adder_profile(width: int) -> ResourceProfile:
     """Register-register addition cost, taken from the circuit we ship."""
     return build_register_adder(width).profile()
+
+
+@lru_cache(maxsize=None)
+def _subtractor_profile(width: int) -> ResourceProfile:
+    """Register subtraction cost: build_register_adder conjugated by X on
+    its target, since NOT(NOT b + a) = b - a, built and counted."""
+    flips = [gate(X, w) for w in range(width, 2 * width)]
+    builder = CircuitBuilder(2 * width + 1).extend(flips)
+    builder.extend(build_register_adder(width).gates()).extend(flips)
+    return builder.build().profile()
 
 
 @lru_cache(maxsize=None)
@@ -411,13 +405,14 @@ def _copy_tree_profile(width: int, instances: int) -> ResourceProfile:
 
 @lru_cache(maxsize=None)
 def multiply_profile(width: int) -> ResourceProfile:
-    """Shift-add multiplication model: width controlled ripple additions
-    in sequence.  Register budget covers multiplicand, multiplier,
-    truncated product and the carry chain: 4*width - 1 wires."""
-    if width < 1:
-        raise ValueError("multiplier needs at least one bit")
-    row = ripple_profile(width, True)
-    return row.times(width).with_qubits(4 * width - 1)
+    """Multiplication cost, taken from the schoolbook multiplier we ship."""
+    return build_multiplier(width).profile()
+
+
+def _multiply_scratch(width: int) -> int:
+    """Wires build_multiplier holds besides its operands: product, copy, carry."""
+    lay = multiplier_layout(width)
+    return len(lay.product) + len(lay.copy) + 1
 
 
 @lru_cache(maxsize=None)
@@ -425,10 +420,11 @@ def newton_profile(width: int = DEFAULT_WIDTH) -> ResourceProfile:
     """One full inverse-square-root evaluation at the iteration budget.
 
     Each iteration is three multiplies (a*a, that times r^2, a times the
-    polynomial) and one constant add for the 3 - x step.  Register
-    budget: the multiply workspace plus the persistent iterate register.
+    polynomial) priced from build_multiplier, and one constant add for the
+    3 - x step priced from ripple_profile's worst addend.  Register budget:
+    the multiplier's wires plus the persistent iterate register.
     """
-    per_iter = multiply_profile(width).times(3).in_series(adder_profile(width))
+    per_iter = multiply_profile(width).times(3).in_series(ripple_profile(width))
     budget = newton_iterations_bound(width)
     return per_iter.times(budget).with_qubits(multiply_profile(width).qubits + width)
 
@@ -472,14 +468,6 @@ class StepModel:
         raise KeyError(name)
 
 
-def _potential_workspace(width: int, qvr: ResourceProfile) -> int:
-    """Wires one pair evaluation holds besides the two position registers:
-    three per-axis differences, the r^2 accumulator, the Newton iterate,
-    the multiply scratch (product and carry chain), and whatever the
-    kickback rotation needs beyond the value register itself."""
-    return 3 * width + width + width + (2 * width - 1) + (qvr.qubits - width)
-
-
 def build_potential_step(
     grid: GridSpec,
     constants: PhysicalConstants,
@@ -512,14 +500,17 @@ def build_potential_step(
     pairs = [(i, j) for i in range(b) for j in range(i + 1, b)]
     scales = tuple(sorted({constants.potential_scale(i, j) for i, j in pairs}))
 
-    sub = register_adder_profile(width)  # subtraction: the same ripple conjugated by X
+    sub = _subtractor_profile(width)
     axis = sub.in_series(multiply_profile(width)).in_series(sub)
     distance = axis.times(3)
     newton = newton_profile(width)
     qvr = _qvr_profile(scales[-1], width)
     mirror = newton.in_series(distance)
     unit_seq = distance.in_series(newton).in_series(qvr).in_series(mirror)
-    workspace = _potential_workspace(width, qvr)
+    # one pair holds, besides its two position registers: three per-axis
+    # differences, the r^2 accumulator, the Newton iterate, the multiply
+    # scratch, and the kickback rotation's wires beyond its value register
+    workspace = 5 * width + _multiply_scratch(width) + (qvr.qubits - width)
     unit = unit_seq.with_qubits(2 * grid.particle_width + workspace)
     parts = (
         ("pair-distance", distance),
@@ -590,7 +581,7 @@ def build_kinetic_step(
         seq = fourier.in_series(ksq).in_series(qvr).in_series(ksq).in_series(fourier)
         workspace = (
             width  # |k|^2 accumulator
-            + (2 * width - 1)  # multiply scratch
+            + _multiply_scratch(width)
             + (qvr.qubits - width)
             + 3 * (qft.qubits - grid.p)  # kickback registers inside each axis QFT
         )

@@ -301,6 +301,29 @@ class TestEstimate1q:
         )
         assert status == 2
 
+    @pytest.mark.parametrize("width", ["1", "65"])
+    def test_width_outside_two_to_sixty_four_is_an_error_record(self, capsys, width):
+        status, out, err = run_cli(
+            capsys,
+            "estimate-1q", "--particles", "2", "--grid-bits", "3",
+            "--steps", "1", "--mode", "inplace", "--width", width,
+        )
+        assert status == 2
+        assert out == ""
+        assert err.count("\n") == 1  # one record, no traceback
+        record = json.loads(err)
+        assert record["command"] == "estimate-1q"
+        assert record["error"]["message"].startswith("argument --width")
+
+    def test_width_sixty_four_is_accepted(self, capsys):
+        status, out, _ = run_cli(
+            capsys,
+            "estimate-1q", "--particles", "2", "--grid-bits", "3",
+            "--steps", "1", "--mode", "inplace", "--width", "64",
+        )
+        assert status == 0
+        assert json.loads(out)["width"] == 64
+
 
 class TestFrontier:
     @pytest.fixture()

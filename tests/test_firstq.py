@@ -1,8 +1,9 @@
 """Tests for the first-quantized step models and their gate-level pieces.
 
 Oracles: Newton-Raphson values against math.sqrt in double precision,
-reversible arithmetic against direct integer arithmetic on exhaustive
-basis inputs, the schedule against the complete-graph edge set, the
+reversible arithmetic against Python-int arithmetic on exhaustive or
+seeded basis inputs, run on bit-planes by the phase-permutation
+evaluator, the schedule against the complete-graph edge set, the
 desk-scale potential phase against a diagonal matrix built from the
 independently quantized 1/r, and the scaling claims against least-squares
 fits of the assembled profiles.
@@ -15,15 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ftqc import sim
+from ftqc.core import CircuitBuilder, X, gate
 from ftqc.firstq import (
     FULLY_PARALLEL,
     IN_PLACE,
     KINETIC_STEP,
-    MULTIPLIER_WIDTH_CAP,
     POTENTIAL_STEP,
     GridSpec,
     PhysicalConstants,
-    adder_profile,
+    _subtractor_profile,
     build_copy_expansion,
     build_kinetic_step,
     build_multiplier,
@@ -39,7 +41,9 @@ from ftqc.firstq import (
     newton_iterations_bound,
     newton_profile,
     pair_schedule,
+    register_adder_profile,
 )
+from ftqc.kickback import ripple_profile
 from ftqc.sim import StateVector, effective_unitary, random_state, run
 
 
@@ -55,6 +59,16 @@ def basis_out(circuit, index: int) -> int:
     out = int(np.argmax(np.abs(amps)))
     assert abs(abs(amps[out]) - 1.0) < 1e-12
     return out
+
+
+def evaluate(circuit, inputs: list[int]) -> list[int]:
+    """Outputs of a classical-reversible circuit on basis-state inputs of
+    any width, run on bit-planes by the phase-permutation evaluator; every
+    amplitude must come out exactly 1."""
+    planes = np.array([[v >> q & 1 for v in inputs] for q in range(circuit.n_qubits)], dtype=bool)
+    planes, amps = sim._permute_phases(circuit, planes, np.ones(len(inputs), dtype=np.complex128))
+    np.testing.assert_array_equal(amps, 1.0)
+    return [sum(int(b) << q for q, b in enumerate(planes[:, i])) for i in range(len(inputs))]
 
 
 def fit_r_squared(x, y, degree: int) -> float:
@@ -198,47 +212,55 @@ class TestPairSchedule:
 
 
 class TestRegisterAdder:
-    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6])
     def test_exhaustive_modular_addition(self, width):
         circuit = build_register_adder(width)
         assert circuit.n_qubits == 2 * width + 1
         mask = (1 << width) - 1
-        for a in range(1 << width):
-            for b in range(1 << width):
-                out = basis_out(circuit, a | (b << width))
-                assert out & mask == a  # addend restored
-                assert (out >> width) & mask == (a + b) & mask
-                assert out >> (2 * width) == 0  # carry ancilla cleared
+        pairs = [(a, b) for a in range(1 << width) for b in range(1 << width)]
+        for (a, b), out in zip(pairs, evaluate(circuit, [a | (b << width) for a, b in pairs])):
+            assert out & mask == a  # addend restored
+            assert (out >> width) & mask == (a + b) & mask
+            assert out >> (2 * width) == 0  # carry ancilla cleared
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_subtraction_prices_the_x_conjugated_adder(self, width):
+        flips = [gate(X, w) for w in range(width, 2 * width)]
+        builder = CircuitBuilder(2 * width + 1).extend(flips)
+        circuit = builder.extend(build_register_adder(width).gates()).extend(flips).build()
+        mask = (1 << width) - 1
+        pairs = [(a, b) for a in range(1 << width) for b in range(1 << width)]
+        for (a, b), out in zip(pairs, evaluate(circuit, [a | (b << width) for a, b in pairs])):
+            assert out == a | ((b - a) & mask) << width
+        assert _subtractor_profile(width) == circuit.profile()
+        assert _subtractor_profile(width).total_gates == register_adder_profile(width).total_gates + 2 * width
 
     def test_rejects_zero_width(self):
         with pytest.raises(ValueError):
             build_register_adder(0)
 
 
+def check_products(width: int, pairs: list[tuple[int, int]]) -> None:
+    """build_multiplier(width) on the (a, b) inputs: a and b kept, a*b in
+    the product, the copy register and the carry back at 0."""
+    circuit = build_multiplier(width)
+    assert circuit.n_qubits == 5 * width + 2
+    for (a, b), out in zip(pairs, evaluate(circuit, [a | (b << width) for a, b in pairs])):
+        assert out == a | b << width | (a * b) << (2 * width)
+
+
 class TestMultiplier:
-    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6])
     def test_exhaustive_products(self, width):
-        circuit = build_multiplier(width)
-        assert circuit.n_qubits == 5 * width + 2
-        mask = (1 << width) - 1
-        for a in range(1 << width):
-            for b in range(1 << width):
-                out = basis_out(circuit, a | (b << width))
-                assert out & mask == a
-                assert (out >> width) & mask == b
-                assert (out >> (2 * width)) & ((1 << (2 * width)) - 1) == a * b
-                assert out >> (4 * width) == 0  # copy register and carry cleared
+        check_products(width, [(a, b) for a in range(1 << width) for b in range(1 << width)])
 
-    def test_width_four_spot_checks(self):
-        circuit = build_multiplier(4)
-        for a, b in [(15, 15), (10, 13), (7, 9)]:
-            out = basis_out(circuit, a | (b << 4))
-            assert (out >> 8) & 0xFF == a * b
-            assert out >> 16 == 0
-
-    def test_width_cap_enforced(self):
-        with pytest.raises(ValueError):
-            build_multiplier(MULTIPLIER_WIDTH_CAP + 1)
+    @pytest.mark.parametrize("width", [8, 16, 32])
+    def test_seeded_products(self, width):
+        # the outputs span 5 * width + 2 > 64 wires from width 16 on
+        rng = np.random.default_rng(width)
+        top = (1 << width) - 1
+        pairs = [(int(rng.integers(top + 1)), int(rng.integers(top + 1))) for _ in range(300)]
+        check_products(width, pairs + [(top, top), (top, 1), (0, top), (1 << (width - 1), top)])
 
     def test_layout_is_contiguous(self):
         lay = multiplier_layout(2)
@@ -292,17 +314,12 @@ class TestCopyExpansion:
 
 
 class TestArithmeticModels:
-    def test_multiply_is_width_controlled_adds(self):
-        from ftqc.kickback import RIPPLE_CARRY, AdderSpec, build_adder
-
-        row = build_adder(AdderSpec(RIPPLE_CARRY, 8, controlled=True), 255).profile()
-        model = multiply_profile(8)
-        assert model.depth == 8 * row.depth
-        assert model.t_count == 8 * row.t_count
-        assert model.qubits == 4 * 8 - 1
+    def test_multiply_prices_the_built_multiplier(self):
+        for width in range(1, 33):
+            assert multiply_profile(width) == build_multiplier(width).profile()
 
     def test_newton_charges_the_iteration_budget(self):
-        per_iter = multiply_profile(32).times(3).in_series(adder_profile(32))
+        per_iter = multiply_profile(32).times(3).in_series(ripple_profile(32))
         assert newton_profile(32).t_count == newton_iterations_bound(32) * per_iter.t_count
 
     def test_validation(self):
