@@ -383,6 +383,22 @@ def _width(text: str) -> int:
     return value
 
 
+def _ancillas(text: str) -> int:
+    # round j prepares 2^(j-1) phi mod 2 pi in binary64: from about 53 rounds on
+    # that angle is rounding noise, and near 1024 rounds the doubling overflows
+    value = int(text)
+    if not 1 <= value <= 64:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in [1, 64]")
+    return value
+
+
+def _trials(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _tolerance(text: str) -> float:
     value = float(text)
     if not 0.0 < value <= 1.0:  # also rejects nan and inf
@@ -426,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("par-sim", help="seeded Monte Carlo over the ancilla cascade")
     p.add_argument("--phi", type=_finite, required=True)
-    p.add_argument("--ancillas", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--ancillas", type=_ancillas, required=True, help="cascade rounds, 1 to 64")
+    p.add_argument("--trials", type=_trials, required=True, help="Monte Carlo trials, at least 1")
     add_common(p)
 
     p = sub.add_parser("estimate-2q", help="second-quantized resource report")

@@ -325,18 +325,19 @@ def multiplier_layout(width: int) -> MultiplierLayout:
     a = tuple(range(width))
     b = tuple(range(width, 2 * width))
     product = tuple(range(2 * width, 4 * width))
-    copy = tuple(range(4 * width, 5 * width + 1))
-    return MultiplierLayout(a, b, product, copy, 5 * width + 1)
+    copy = tuple(range(4 * width, 5 * width))
+    return MultiplierLayout(a, b, product, copy, 5 * width)
 
 
 def build_multiplier(width: int) -> Circuit:
     """Schoolbook reversible multiplier |a>|b>|0...0> -> |a>|b>|a*b>.
 
-    Each row ANDs one bit of a into a gated copy of b, then ripple-adds
-    the copy into a (width+1)-bit slice of the 2*width-bit product; the
-    slice always holds less than 2^width beforehand, so every row add is
-    exact and the full product appears without modular wrap.  The copy
-    register and the carry ancilla return to |0> on every input.
+    Each row ANDs one bit of a into a width-bit gated copy of b, then
+    ripple-adds the copy into a (width+1)-bit slice of the 2*width-bit
+    product, the top slice bit taking only the final carry; the slice
+    always holds less than 2^width beforehand, so every row add is exact
+    and the full product appears without modular wrap.  The copy register
+    and the carry ancilla return to |0> on every input.
 
     This is the multiplier the cost models price (multiply_profile) at
     every width: width rows of 2*width Toffolis and one MAJ/UMA register
@@ -345,7 +346,7 @@ def build_multiplier(width: int) -> Circuit:
     if width < 1:
         raise ValueError("multiplier needs at least one bit")
     lay = multiplier_layout(width)
-    builder = CircuitBuilder(5 * width + 2)
+    builder = CircuitBuilder(lay.carry + 1)
     for i in range(width):
         gated_copy = [toffoli(lay.a[i], lay.b[j], lay.copy[j]) for j in range(width)]
         builder.extend(gated_copy)

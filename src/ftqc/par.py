@@ -16,8 +16,18 @@ outcome r on the measured qubit): r=0 leaves (w0 chi0, w1 chi1) on the
 ancilla wire, r=1 leaves (w0 chi1, w1 chi0) = X (w1 chi0, w0 chi1).
 With a pending X frame f on the data qubit the corrected outcome is
 r xor f, and success/failure classification under corrected outcomes is
-exactly the frameless rule.  execute_par applies this algebra directly;
-it is cross-checked against per-round circuits in the tests.
+exactly the frameless rule.  _round holds this algebra once; execute_par
+applies it per round and is cross-checked against per-round circuits in
+the tests.
+
+Statistics come from one failure-path table.  Every trial of
+par_statistics starts from |+>, and round m runs only if rounds 1..m-1
+all failed (round 1 on raw 1; later rounds, under the pending X frame, on
+raw 0), so the state before round m -- and its p0 -- is the same in every
+trial.  The M values of p0 along that path decide each trial from its
+uniforms alone, so the statistics read the generator's stream in numpy
+chunks and never build a state, yet consume the very doubles, in the
+same order, that one execute_par call per trial would.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,6 +50,9 @@ PREPARE_SEQUENCE = "sequence"
 
 # widest simulable kickback register: 1 target + n data + (n-1) carries <= 22
 _MAX_KICKBACK_BITS = 11
+
+# uniforms par_statistics reads per rng.random call; bounds its memory at any trial count
+_CHUNK = 4096
 
 
 def register_bits_for(epsilon: float) -> int:
@@ -165,6 +178,35 @@ def _fallback_state(chi: np.ndarray, aset: ParAncillaSet) -> np.ndarray:
     return _kickback_ancilla(alpha, register_bits_for(aset.epsilon_each), chi)
 
 
+def _unit_qubit(state: np.ndarray) -> tuple[complex, complex]:
+    """The amplitudes of a single-qubit state, normalized."""
+    flat = np.asarray(state).reshape(-1)
+    if flat.shape != (2,):
+        raise ValueError("PAR acts on a single-qubit state")
+    chi0, chi1 = complex(flat[0]), complex(flat[1])
+    norm = math.sqrt(abs(chi0) ** 2 + abs(chi1) ** 2)
+    return chi0 / norm, chi1 / norm
+
+
+def _round(
+    ancilla: np.ndarray, chi0: complex, chi1: complex, outcome: Callable[[float], int]
+) -> tuple[float, int, complex, complex]:
+    """One cascade round on data (chi0, chi1) with the given ancilla.
+
+    outcome(p0) picks the raw measurement result, where p0 is the
+    probability of raw 0.  Returns p0, the raw result and the normalized
+    state it leaves on the ancilla wire (before any Pauli frame).
+    """
+    w0, w1 = ancilla
+    p0 = abs(w0 * chi0) ** 2 + abs(w1 * chi1) ** 2
+    raw = outcome(p0)
+    if raw == 0:
+        scale = 1.0 / math.sqrt(p0)
+        return p0, raw, w0 * chi0 * scale, w1 * chi1 * scale
+    scale = 1.0 / math.sqrt(1.0 - p0)
+    return p0, raw, w0 * chi1 * scale, w1 * chi0 * scale
+
+
 def execute_par(
     state: np.ndarray,
     aset: ParAncillaSet,
@@ -184,23 +226,14 @@ def execute_par(
         raise ValueError("controlled sets go through execute_controlled_par")
     if rng is None:
         rng = np.random.default_rng(seed)
-    flat = np.asarray(state).reshape(-1)
-    if flat.shape != (2,):
-        raise ValueError("PAR acts on a single-qubit state")
-    chi0, chi1 = complex(flat[0]), complex(flat[1])
-    norm = math.sqrt(abs(chi0) ** 2 + abs(chi1) ** 2)
-    chi0, chi1 = chi0 / norm, chi1 / norm
+    chi0, chi1 = _unit_qubit(state)
+
+    def draw(p0: float) -> int:
+        return 0 if rng.random() < p0 else 1
+
     frame_x = 0
     for m in range(1, aset.m_count + 1):
-        w0, w1 = aset.ancillas[m - 1]
-        p0 = abs(w0 * chi0) ** 2 + abs(w1 * chi1) ** 2
-        raw = 0 if rng.random() < p0 else 1
-        if raw == 0:
-            scale = 1.0 / math.sqrt(p0)
-            chi0, chi1 = w0 * chi0 * scale, w1 * chi1 * scale
-        else:
-            scale = 1.0 / math.sqrt(1.0 - p0)
-            chi0, chi1 = w0 * chi1 * scale, w1 * chi0 * scale
+        _, raw, chi0, chi1 = _round(aset.ancillas[m - 1], chi0, chi1, draw)
         corrected = raw ^ frame_x
         frame_x = corrected
         if corrected == 0:
@@ -294,6 +327,18 @@ def expected_rounds(m_count: int | None = None) -> float:
     return total + m_count * 2.0**-m_count
 
 
+def _failure_path_p0(aset: ParAncillaSet) -> np.ndarray:
+    """p0 of round m, for m = 1..M, in a cascade on |+> whose earlier rounds all failed."""
+    chi0, chi1 = _unit_qubit(PLUS)
+    fail = 1  # round 1 fails on raw 1 and leaves an X frame, so later rounds fail on raw 0
+    p0s = []
+    for ancilla in aset.ancillas:
+        p0, _, chi0, chi1 = _round(ancilla, chi0, chi1, lambda _p0: fail)
+        p0s.append(p0)
+        fail = 0
+    return np.array(p0s)
+
+
 def par_statistics(
     phi: float,
     m_count: int,
@@ -308,21 +353,46 @@ def par_statistics(
     Each trial starts from |+>; per-round gate cost is 2 (one CNOT and
     one measurement; X corrections ride the Pauli frame), so mean_gates
     is twice mean_rounds.
+
+    The result is exactly that of one execute_par(PLUS, ...) call per
+    trial on one generator seeded with seed.  Round m of a trial runs
+    only after rounds 1..m-1 failed, so its p0 is the m-th entry of one
+    failure-path table: round 1 fails when its uniform u >= p0, and each
+    later round when u < p0.  The uniforms come in chunks of
+    rng.random(n), which for PCG64 are the doubles successive
+    rng.random() calls return, in the same order.  M numpy passes over a
+    chunk give the round count of a trial starting at every position, and
+    whether it ends in the fallback; a Python loop then steps from one
+    trial start to the next.  No state is built, and memory is bounded
+    by the chunk, not by trials.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     aset = prepare_ancillas(phi, m_count, method, epsilon_each)
+    p0 = _failure_path_p0(aset)
     rng = np.random.default_rng(seed)
-    histogram = {m: 0 for m in range(1, m_count + 1)}
+    counts = [0] * (m_count + 1)  # counts[m]: trials that ran m rounds
     fallbacks = 0
-    total_rounds = 0
-    for _ in range(trials):
-        out = execute_par(PLUS, aset, rng=rng)
-        histogram[out.rounds] += 1
-        total_rounds += out.rounds
-        if out.fallback_used:
-            fallbacks += 1
-    mean_rounds = total_rounds / trials
+    done = 0
+    pending = np.empty(0)  # uniforms drawn but not yet consumed by a trial
+    while done < trials:
+        u = np.concatenate((pending, rng.random(max(_CHUNK, m_count))))
+        starts = len(u) - m_count + 1  # trials starting here have all M uniforms at hand
+        failed = u[:starts] >= p0[0]  # the trial at i failed every round so far
+        rounds = np.ones(starts, dtype=np.int64)
+        for m in range(1, m_count):
+            rounds += failed
+            failed &= u[m : m + starts] < p0[m]
+        rounds_at, fallback_at = rounds.tolist(), failed.tolist()
+        pos = 0
+        while pos < starts and done < trials:
+            r = rounds_at[pos]
+            counts[r] += 1
+            fallbacks += fallback_at[pos]
+            pos += r
+            done += 1
+        pending = u[pos:]
+    mean_rounds = sum(m * c for m, c in enumerate(counts)) / trials
     return {
         "phi": phi,
         "ancillas": m_count,
@@ -331,5 +401,5 @@ def par_statistics(
         "mean_gates": 2.0 * mean_rounds,
         "fallback_rate": fallbacks / trials,
         "expected_rounds": expected_rounds(m_count),
-        "histogram": histogram,
+        "histogram": {m: counts[m] for m in range(1, m_count + 1)},
     }

@@ -2,8 +2,8 @@
 
 No entry point of the package reaches these.  Some are independent
 oracles: gate matrices, the general unitarity check, the 7-T Toffoli
-expansion, the angle bound of a truncated transform and the gate-by-gate
-kernel run.  The rest are
+expansion, the angle bound of a truncated transform, the gate-by-gate
+kernel run and the per-trial PAR Monte Carlo.  The rest are
 test conveniences: one-gate-per-layer circuits, the eigenstate that
 ``build_qft_via_qvr`` expects, and the weight of a state on a register
 block.
@@ -20,6 +20,7 @@ from ftqc.core import (
     CRZ,
     GATE_MATRICES,
     H,
+    PLUS,
     RZ,
     T,
     TDG,
@@ -34,6 +35,7 @@ from ftqc.core import (
     rz_matrix,
 )
 from ftqc.kickback import GammaRegister, gamma_state
+from ftqc.par import PREPARE_EXACT, execute_par, expected_rounds, prepare_ancillas
 from ftqc.qvr import qft_gamma_width
 from ftqc.sim import StateVector, _apply_unitary, project_onto
 
@@ -143,3 +145,43 @@ def qft_drop_bound(q: int, approx_drop: int) -> float:
         for i in range(min(approx_drop, t)):
             total += TWO_PI / 2.0 ** (t + 1 - i)
     return total
+
+
+def per_trial_par_statistics(
+    phi: float,
+    m_count: int,
+    trials: int,
+    *,
+    seed: int = 0,
+    method: str = PREPARE_EXACT,
+    epsilon_each: float = 1e-4,
+) -> dict:
+    """par.par_statistics as one execute_par call per trial on one generator.
+
+    The oracle the failure-path table must match exactly: the same random
+    stream, consumed one rng.random() per executed round.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    aset = prepare_ancillas(phi, m_count, method, epsilon_each)
+    rng = np.random.default_rng(seed)
+    histogram = {m: 0 for m in range(1, m_count + 1)}
+    fallbacks = 0
+    total_rounds = 0
+    for _ in range(trials):
+        out = execute_par(PLUS, aset, rng=rng)
+        histogram[out.rounds] += 1
+        total_rounds += out.rounds
+        if out.fallback_used:
+            fallbacks += 1
+    mean_rounds = total_rounds / trials
+    return {
+        "phi": phi,
+        "ancillas": m_count,
+        "trials": trials,
+        "mean_rounds": mean_rounds,
+        "mean_gates": 2.0 * mean_rounds,
+        "fallback_rate": fallbacks / trials,
+        "expected_rounds": expected_rounds(m_count),
+        "histogram": histogram,
+    }

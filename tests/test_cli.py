@@ -9,6 +9,7 @@ minimize by hand.  Determinism is checked at the byte level: one
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import subprocess
@@ -149,6 +150,43 @@ class TestParSim:
         )
         record = json.loads(out)
         assert 0.0 < record["fallback_rate"] < 1.0
+
+    def test_output_bytes_are_pinned(self, capsys):
+        # digest of this output as the per-trial Monte Carlo printed it
+        status, out, _ = run_cli(
+            capsys,
+            "par-sim", "--phi", "1.0", "--ancillas", "20",
+            "--trials", "20000", "--seed", "7",
+        )
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "90ae44ada890dd3e01ff1141ee7b708b828d9aa77014e397d168d1ed63ad13d0"
+        )
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--ancillas", "0"), ("--ancillas", "-1"), ("--ancillas", "65"),
+         ("--ancillas", "1100"), ("--trials", "0"), ("--trials", "-5")],
+    )
+    def test_out_of_range_counts_are_an_error_record(self, capsys, flag, value):
+        options = {"--ancillas": "6", "--trials": "10", flag: value}
+        status, out, err = run_cli(
+            capsys, "par-sim", "--phi", "1.0", *(x for kv in options.items() for x in kv)
+        )
+        assert status == 2
+        assert out == ""
+        assert err.count("\n") == 1  # one record, no traceback
+        record = json.loads(err)
+        assert record["command"] == "par-sim"
+        assert record["error"]["message"].startswith(f"argument {flag}")
+
+    @pytest.mark.parametrize("ancillas", ["1", "64"])
+    def test_ancilla_bounds_are_accepted(self, capsys, ancillas):
+        status, out, _ = run_cli(
+            capsys, "par-sim", "--phi", "1.0", "--ancillas", ancillas, "--trials", "1"
+        )
+        assert status == 0
+        assert json.loads(out)["ancillas"] == int(ancillas)
 
 
 class TestKickback:

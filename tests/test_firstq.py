@@ -244,7 +244,7 @@ def check_products(width: int, pairs: list[tuple[int, int]]) -> None:
     """build_multiplier(width) on the (a, b) inputs: a and b kept, a*b in
     the product, the copy register and the carry back at 0."""
     circuit = build_multiplier(width)
-    assert circuit.n_qubits == 5 * width + 2
+    assert circuit.n_qubits == 5 * width + 1
     for (a, b), out in zip(pairs, evaluate(circuit, [a | (b << width) for a, b in pairs])):
         assert out == a | b << width | (a * b) << (2 * width)
 
@@ -256,7 +256,7 @@ class TestMultiplier:
 
     @pytest.mark.parametrize("width", [8, 16, 32])
     def test_seeded_products(self, width):
-        # the outputs span 5 * width + 2 > 64 wires from width 16 on
+        # the outputs span 5 * width + 1 > 64 wires from width 16 on
         rng = np.random.default_rng(width)
         top = (1 << width) - 1
         pairs = [(int(rng.integers(top + 1)), int(rng.integers(top + 1))) for _ in range(300)]
@@ -267,8 +267,8 @@ class TestMultiplier:
         assert lay.a == (0, 1)
         assert lay.b == (2, 3)
         assert lay.product == (4, 5, 6, 7)
-        assert lay.copy == (8, 9, 10)
-        assert lay.carry == 11
+        assert lay.copy == (8, 9)
+        assert lay.carry == 10
 
 
 class TestCopyExpansion:

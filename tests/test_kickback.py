@@ -266,8 +266,9 @@ class TestRegisterAdder:
             emit_register_add(CircuitBuilder(1), (), (), 0)
 
     def test_builders_keep_their_circuit_texts(self):
-        # every builder that emits the register adder, on a fixed sample;
-        # the digest is of the texts before the adder had one definition
+        # every builder that emits the register adder, on a fixed sample; the
+        # texts other than the multiplier's predate the adder's one definition,
+        # and the multiplier's are those with a width-bit copy register
         texts = [circuit_to_text(build_register_adder(w)) for w in range(1, 7)]
         texts += [circuit_to_text(build_multiplier(w)) for w in range(1, 5)]
         texts += [
@@ -280,7 +281,7 @@ class TestRegisterAdder:
         constants = PhysicalConstants(charges=(-1.0, 1.0), masses=(1.0, 1.0), dt=0.1)
         texts.append(circuit_to_text(build_potential_phase_circuit(2, 4, constants)[0]))
         digest = hashlib.sha256("".join(texts).encode()).hexdigest()
-        assert digest == "775db3b321969bff48f7c68692b6b97cb0b84d8abf3920b8bdaa9900266da5fa"
+        assert digest == "0966107b27e6790721a888d157a60938ed8f04e3e27c69702cbc9a1d576ad731"
 
 
 class TestEigenstateProperty:

@@ -3,14 +3,18 @@
 Oracles: branch outcomes are forced through a stub generator so every
 trajectory is checked against the analytically applied rotation; the
 fast in-module algebra is cross-validated against explicit per-round
-circuits run on the statevector simulator with a shared random stream.
+circuits run on the statevector simulator with a shared random stream;
+par_statistics must repr-equal one execute_par call per trial
+(reference.per_trial_par_statistics) on the same seed.
 """
 
 import math
 
 import numpy as np
 import pytest
+from reference import per_trial_par_statistics
 
+from ftqc import par
 from ftqc.core import (
     H,
     X,
@@ -176,6 +180,36 @@ class TestExecutePar:
             execute_par(PLUS, aset)
         with pytest.raises(ValueError):
             execute_par(np.ones(3), prepare_ancillas(1.0, 2))
+
+
+class TestStatisticsMatchPerTrial:
+    TRIALS = (1, 777, 20000)
+    SEEDS = (7, 11, 20260816)
+    METHODS = ((PREPARE_EXACT, 1e-4), (PREPARE_SEQUENCE, 0.05), (PREPARE_KICKBACK, 0.05))
+
+    @pytest.mark.parametrize("m_count", [1, 2, 6, 20])
+    @pytest.mark.parametrize("method,eps", METHODS)
+    def test_equals_one_execute_par_per_trial(self, monkeypatch, method, eps, m_count):
+        # 20,000 trials draw at least 20,000 uniforms: more than three chunks
+        assert max(self.TRIALS) > 3 * par._CHUNK
+        # the fallback rotation draws nothing and its state never reaches the
+        # statistics; the identity in its place keeps the per-trial loop fast
+        monkeypatch.setattr(par, "_fallback_state", lambda chi, aset: chi)
+        for trials in self.TRIALS:
+            for seed in self.SEEDS:
+                args = (1.37, m_count, trials)
+                kwargs = {"seed": seed, "method": method, "epsilon_each": eps}
+                assert repr(par_statistics(*args, **kwargs)) == repr(
+                    per_trial_par_statistics(*args, **kwargs)
+                ), (trials, seed)
+
+    @pytest.mark.parametrize("method,eps", METHODS)
+    def test_equals_per_trial_with_the_real_fallback(self, method, eps):
+        args = (1.37, 1, 777)
+        kwargs = {"seed": 5, "method": method, "epsilon_each": eps}
+        stats = par_statistics(*args, **kwargs)
+        assert 0 < stats["fallback_rate"] < 1
+        assert repr(stats) == repr(per_trial_par_statistics(*args, **kwargs))
 
 
 class TestCascadeMatchesCircuits:
