@@ -392,6 +392,15 @@ def _ancillas(text: str) -> int:
     return value
 
 
+def _readout_bits(text: str) -> int:
+    # n bits take 2^n - 1 Trotter steps, costed in binary64: 64 bits already
+    # resolve the phase past its 53-bit mantissa, and near 1024 the count overflows
+    value = int(text)
+    if not 1 <= value <= 64:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in [1, 64]")
+    return value
+
+
 def _trials(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -449,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate-2q", help="second-quantized resource report")
     p.add_argument("--integrals", required=True, help="orbital integral table file")
     p.add_argument("--cutoff", type=_finite, default=0.0, help="drop terms at or below this magnitude")
-    p.add_argument("--readout-bits", type=int, required=True)
+    p.add_argument("--readout-bits", type=_readout_bits, required=True, help="phase readout bits, 1 to 64")
     p.add_argument("--dt", type=_finite, required=True)
     p.add_argument("--method", choices=secondq.METHODS, required=True)
     p.add_argument("--epsilon", type=_tolerance, default=1e-4)

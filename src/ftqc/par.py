@@ -41,15 +41,12 @@ import numpy as np
 
 from .core import PLUS, TWO_PI, rz_matrix
 from .kickback import GammaRegister, gamma_state, kickback_rotation
-from .sim import run_with_helpers
+from .sim import DEFAULT_SEED, QUBIT_CAP, run_with_helpers
 from .synth import min_sequence
 
 PREPARE_EXACT = "exact"
 PREPARE_KICKBACK = "kickback"
 PREPARE_SEQUENCE = "sequence"
-
-# widest simulable kickback register: 1 target + n data + (n-1) carries <= 22
-_MAX_KICKBACK_BITS = 11
 
 # uniforms par_statistics reads per rng.random call; bounds its memory at any trial count
 _CHUNK = 4096
@@ -135,10 +132,13 @@ def prepare_ancillas(
         raise ValueError("need at least one ancilla")
     if method == PREPARE_KICKBACK:
         n = register_bits_for(epsilon_each)
-        if n > _MAX_KICKBACK_BITS:
+        # a kickback rotation takes up to 1 target + n data + (n - 1) carries,
+        # and the controlled fallback one more control and an AND ancilla
+        max_bits = (QUBIT_CAP - 2) // 2 if controlled else QUBIT_CAP // 2
+        if n > max_bits:
             raise ValueError(
                 f"epsilon_each={epsilon_each:g} needs a {n}-bit register, beyond the "
-                f"{_MAX_KICKBACK_BITS}-bit simulable kickback; relax the budget"
+                f"{max_bits}-bit simulable kickback; relax the budget"
             )
     if method == PREPARE_SEQUENCE and controlled:
         raise ValueError("controlled ancillas need exact or kickback preparation")
@@ -211,7 +211,7 @@ def execute_par(
     state: np.ndarray,
     aset: ParAncillaSet,
     *,
-    seed: int | None = None,
+    seed: int = DEFAULT_SEED,
     rng: np.random.Generator | None = None,
 ) -> ParOutcome:
     """Run the cascade on a single-qubit state until success or fallback.
@@ -247,7 +247,7 @@ def execute_controlled_par(
     state: np.ndarray,
     aset: ParAncillaSet,
     *,
-    seed: int | None = None,
+    seed: int = DEFAULT_SEED,
     rng: np.random.Generator | None = None,
 ) -> ParOutcome:
     """Cascade enacting a controlled rotation on a two-qubit state.
@@ -344,7 +344,7 @@ def par_statistics(
     m_count: int,
     trials: int,
     *,
-    seed: int = 0,
+    seed: int = DEFAULT_SEED,
     method: str = PREPARE_EXACT,
     epsilon_each: float = 1e-4,
 ) -> dict:

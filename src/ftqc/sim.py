@@ -11,6 +11,13 @@ gates, which is how hardware defers such corrections.  Reported
 measurement outcomes are frame-corrected, i.e. they are the outcomes the
 corrected state would have produced.
 
+One size limit, QUBIT_CAP, bounds every state: _check_size raises
+SimulationError before any amplitude is allocated, in StateVector,
+basis (and so zero), random_state, run, effective_unitary, _rows_after
+and _support (and so product_state and run_with_helpers).  The dense
+matrices of to_unitary and effective_unitary, 4^n entries for n
+qubits, have a tighter one, _UNITARY_QUBITS, that _check_matrix applies.
+
 The whole-matrix checks (to_unitary and effective_unitary) treat
 circuits built only from X, CNOT, Toffoli and diagonal gates (Z, S, S†,
 T, T†, RZ, CRZ) apart.  Such a circuit sends each basis state to one
@@ -28,14 +35,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from . import core, kernels
 from .core import Circuit, Gate, Pauli
 
-DEFAULT_QUBIT_CAP = 22
+# the one size limit (see above): 2^22 complex128 amplitudes are 64 MB
+QUBIT_CAP = 22
 # the one default seed: run() and channel_equal() use it when given none, and
 # the CLI's seeded command falls back to it after --seed and FTQC_SEED
 DEFAULT_SEED = 740021
@@ -45,64 +53,41 @@ class SimulationError(RuntimeError):
     pass
 
 
+def _check_size(n_qubits: int) -> None:
+    if n_qubits > QUBIT_CAP:
+        raise SimulationError(f"{n_qubits} qubits exceeds the simulator cap of {QUBIT_CAP}")
+
+
 class StateVector:
     """Dense complex128 state on n qubits; qubit j is bit j of the basis index."""
 
     __slots__ = ("n_qubits", "amps")
 
-    def __init__(self, n_qubits: int, amps: np.ndarray, *, cap: int = DEFAULT_QUBIT_CAP):
-        if n_qubits > cap:
-            raise SimulationError(f"{n_qubits} qubits exceeds the simulator cap of {cap}")
+    def __init__(self, n_qubits: int, amps: np.ndarray):
+        _check_size(n_qubits)
         if amps.shape != (1 << n_qubits,):
             raise ValueError(f"amplitude array has shape {amps.shape}, expected {(1 << n_qubits,)}")
         self.n_qubits = n_qubits
         self.amps = np.ascontiguousarray(amps, dtype=np.complex128)
 
     @classmethod
-    def zero(cls, n_qubits: int, *, cap: int = DEFAULT_QUBIT_CAP) -> "StateVector":
-        return cls.basis(n_qubits, 0, cap=cap)
+    def zero(cls, n_qubits: int) -> "StateVector":
+        return cls.basis(n_qubits, 0)
 
     @classmethod
-    def basis(cls, n_qubits: int, index: int, *, cap: int = DEFAULT_QUBIT_CAP) -> "StateVector":
-        if n_qubits > cap:
-            raise SimulationError(f"{n_qubits} qubits exceeds the simulator cap of {cap}")
+    def basis(cls, n_qubits: int, index: int) -> "StateVector":
+        _check_size(n_qubits)
         amps = np.zeros(1 << n_qubits, dtype=np.complex128)
         amps[index] = 1.0
-        return cls(n_qubits, amps, cap=cap)
-
-    @classmethod
-    def from_amplitudes(cls, amps: Sequence[complex], *, cap: int = DEFAULT_QUBIT_CAP) -> "StateVector":
-        arr = np.array(amps, dtype=np.complex128)
-        n = int(round(math.log2(arr.size)))
-        if 1 << n != arr.size:
-            raise ValueError("amplitude count must be a power of two")
-        return cls(n, arr, cap=cap)
-
-    @classmethod
-    def plus(cls, n_qubits: int, *, cap: int = DEFAULT_QUBIT_CAP) -> "StateVector":
-        amps = np.full(1 << n_qubits, 1.0 / np.sqrt(1 << n_qubits), dtype=np.complex128)
-        return cls(n_qubits, amps, cap=cap)
+        return cls(n_qubits, amps)
 
     def copy(self) -> "StateVector":
-        # the original already passed its caller's cap
-        return StateVector(self.n_qubits, self.amps.copy(), cap=self.n_qubits)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def tensor(self, other: "StateVector", *, cap: int = DEFAULT_QUBIT_CAP) -> "StateVector":
-        """self on the low qubits, other on the high qubits."""
-        return StateVector(self.n_qubits + other.n_qubits, np.kron(other.amps, self.amps), cap=cap)
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
+        return StateVector(self.n_qubits, self.amps.copy())
 
 
 def product_state(
     n_qubits: int,
     parts: Mapping[tuple[int, ...], np.ndarray] | Iterable[tuple[tuple[int, ...], np.ndarray]] = (),
-    *,
-    cap: int = DEFAULT_QUBIT_CAP,
 ) -> StateVector:
     """Tensor product with named blocks; unassigned qubits start in |0>.
 
@@ -113,7 +98,7 @@ def product_state(
     idx, amp = _support(n_qubits, parts)
     out = np.zeros(1 << n_qubits, dtype=np.complex128)
     out[idx] = amp
-    return StateVector(n_qubits, out, cap=cap)
+    return StateVector(n_qubits, out)
 
 
 def _support(
@@ -124,6 +109,7 @@ def _support(
 
     Every entry of every block is listed, zero amplitudes included.
     """
+    _check_size(n_qubits)
     items = list(parts.items()) if isinstance(parts, Mapping) else list(parts)
     claimed: set[int] = set()
     for qubits, vec in items:
@@ -153,14 +139,14 @@ def _support(
 class PauliFrame:
     """Deferred Pauli correction E = i^s * prod_q Z^{z_q} X^{x_q}, held as one core.Pauli.
 
-    ``x`` and ``z`` are that Pauli's integer bit masks (bit q for qubit q)
-    and ``phase_i`` its exponent s of i, mod 4.  The tracked simulation
-    holds |psi_sim> while the corrected state is E|psi_sim>.  Updates and
-    composition are Pauli products; propagation conjugates E through a
-    Clifford gate, phase included, so materializing the frame reproduces
-    the explicit-gate simulation exactly (not just up to phase).  Composing
-    a frame with itself cancels every X/Z factor but can leave a global
-    sign in ``phase_i``.
+    ``pauli.x`` and ``pauli.z`` are its integer bit masks (bit q for qubit
+    q) and ``pauli.phase`` its exponent s of i, mod 4.  The tracked
+    simulation holds |psi_sim> while the corrected state is E|psi_sim>.
+    Updates and composition are Pauli products; propagation conjugates E
+    through a Clifford gate, phase included, so materializing the frame
+    reproduces the explicit-gate simulation exactly (not just up to phase).
+    Composing a frame with itself cancels every X/Z factor but can leave a
+    global sign in ``pauli.phase``.
     """
 
     __slots__ = ("n_qubits", "pauli")
@@ -168,18 +154,6 @@ class PauliFrame:
     def __init__(self, n_qubits: int, pauli: Pauli = Pauli()):
         self.n_qubits = n_qubits
         self.pauli = pauli
-
-    @property
-    def x(self) -> int:
-        return self.pauli.x
-
-    @property
-    def z(self) -> int:
-        return self.pauli.z
-
-    @property
-    def phase_i(self) -> int:
-        return self.pauli.phase
 
     def copy(self) -> "PauliFrame":
         return PauliFrame(self.n_qubits, self.pauli)
@@ -264,7 +238,6 @@ def run(
     *,
     seed: int | None = DEFAULT_SEED,
     rng: np.random.Generator | None = None,
-    cap: int = DEFAULT_QUBIT_CAP,
 ) -> SimResult:
     """Simulate a circuit layer by layer.
 
@@ -273,10 +246,9 @@ def run(
     under their key.
     """
     n = circuit.n_qubits
-    if n > cap:
-        raise SimulationError(f"{n} qubits exceeds the simulator cap of {cap}")
+    _check_size(n)
     if initial is None:
-        state = StateVector.zero(n, cap=cap)
+        state = StateVector.zero(n)
     else:
         if initial.n_qubits != n:
             raise ValueError("initial state size does not match circuit")
@@ -433,7 +405,7 @@ def _run_block(circuit: Circuit, block: np.ndarray) -> np.ndarray:
     return amps.reshape(block.shape)
 
 
-def _rows_after(circuit: Circuit, idx: np.ndarray, amps: np.ndarray, cap: int) -> Iterator[np.ndarray]:
+def _rows_after(circuit: Circuit, idx: np.ndarray, amps: np.ndarray) -> Iterator[np.ndarray]:
     """The states a measurement-free circuit leaves, one row per input, in blocks.
 
     Input r is the state with amplitude amps[r, i] at basis index idx[r, i]
@@ -447,8 +419,7 @@ def _rows_after(circuit: Circuit, idx: np.ndarray, amps: np.ndarray, cap: int) -
     dense rows runs through the kernels.
     """
     n = circuit.n_qubits
-    if n > cap:
-        raise SimulationError(f"{n} qubits exceeds the simulator cap of {cap}")
+    _check_size(n)
     dim = 1 << n
     # one input has at least as many inputs to evaluate as amplitudes (its
     # support and the +0 inputs below), where the kernels are faster
@@ -478,7 +449,17 @@ def _require_unitary(circuit: Circuit) -> None:
         raise ValueError("circuit contains measurements or frame updates")
 
 
-def to_unitary(circuit: Circuit, *, cap: int = 12) -> np.ndarray:
+# widest matrix to_unitary and effective_unitary build: 2^12 x 2^12
+# complex128 is 256 MB
+_UNITARY_QUBITS = 12
+
+
+def _check_matrix(n_qubits: int) -> None:
+    if n_qubits > _UNITARY_QUBITS:
+        raise SimulationError(f"refusing to build a 2^{n_qubits} unitary (cap {_UNITARY_QUBITS})")
+
+
+def to_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of a measurement-free circuit.
 
     A phase-permutation circuit (X, CNOT, Toffoli, Z, S, S†, T, T†, RZ and
@@ -490,8 +471,7 @@ def to_unitary(circuit: Circuit, *, cap: int = 12) -> np.ndarray:
     _run_block).
     """
     n = circuit.n_qubits
-    if n > cap:
-        raise SimulationError(f"refusing to build a 2^{n} unitary (cap {cap})")
+    _check_matrix(n)
     _require_unitary(circuit)
     dim = 1 << n
     u = np.empty((dim, dim), dtype=np.complex128)
@@ -553,8 +533,6 @@ def run_with_helpers(
     circuit: Circuit,
     data: Mapping[tuple[int, ...], np.ndarray],
     helpers: Mapping[tuple[int, ...], np.ndarray] | None = None,
-    *,
-    cap: int = DEFAULT_QUBIT_CAP,
 ) -> tuple[np.ndarray, float]:
     """Run a measurement-free circuit with helper registers, then project them back.
 
@@ -577,7 +555,7 @@ def run_with_helpers(
     helpers = helpers or {}
     idx, amp = _support(circuit.n_qubits, [*data.items(), *helpers.items()])
     data_qubits = tuple(q for qs in data for q in qs)
-    amps, leaks = next(_helper_blocks(circuit, data_qubits, helpers, idx[None], amp[None], cap))
+    amps, leaks = next(_helper_blocks(circuit, data_qubits, helpers, idx[None], amp[None]))
     return amps[0], leaks[0]
 
 
@@ -587,7 +565,6 @@ def _helper_blocks(
     helpers: Mapping[tuple[int, ...], np.ndarray],
     idx: np.ndarray,
     amps: np.ndarray,
-    cap: int,
 ) -> Iterator[tuple[np.ndarray, list[float]]]:
     """run_with_helpers on B inputs, B a power of two, a block of rows at a time.
 
@@ -598,7 +575,7 @@ def _helper_blocks(
     b leakages, each row bit for bit what a block run of the inputs gives.
     """
     n = circuit.n_qubits
-    blocks = _rows_after(circuit, idx, amps, cap)
+    blocks = _rows_after(circuit, idx, amps)
     ancillas = tuple(q for q in range(n) if q not in data_qubits)
     if not ancillas:
         for rows in blocks:
@@ -607,7 +584,7 @@ def _helper_blocks(
     m = len(ancillas)
     anc_pos = {q: i for i, q in enumerate(ancillas)}
     local = {tuple(anc_pos[q] for q in qs): vec for qs, vec in helpers.items()}
-    ref = product_state(m, local, cap=max(cap, m)).amps
+    ref = product_state(m, local).amps
     rest = tuple(q for q in range(n) if q not in ancillas)
     # each row's part orthogonal to |ref> is psi - |ref> (x) amps, with the
     # ancilla axes moved first (after the row axis) in the block order
@@ -627,8 +604,6 @@ def effective_unitary(
     circuit: Circuit,
     data_qubits: tuple[int, ...],
     fixed: Mapping[tuple[int, ...], np.ndarray] | None = None,
-    *,
-    cap: int = DEFAULT_QUBIT_CAP,
 ) -> tuple[np.ndarray, float]:
     """Action on a data block, with ancilla blocks fixed to given states.
 
@@ -646,6 +621,8 @@ def effective_unitary(
     """
     _require_unitary(circuit)
     data_qubits = tuple(data_qubits)
+    _check_size(circuit.n_qubits)
+    _check_matrix(len(data_qubits))
     helpers = fixed or {}
     dim = 1 << len(data_qubits)
     # every data basis state times the helper blocks, data index outermost:
@@ -659,20 +636,21 @@ def effective_unitary(
     mat = np.empty((dim, dim), dtype=np.complex128)
     worst = 0.0
     start = 0
-    for amps, leaks in _helper_blocks(circuit, data_qubits, helpers, idx.reshape(dim, -1), amp.reshape(dim, -1), cap):
+    for amps, leaks in _helper_blocks(circuit, data_qubits, helpers, idx.reshape(dim, -1), amp.reshape(dim, -1)):
         mat[:, start:start + len(amps)] = amps.T
         start += len(amps)
         worst = max(worst, *leaks)
     return mat, worst
 
 
-def random_state(n_qubits: int, rng: np.random.Generator, *, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
+def random_state(n_qubits: int, rng: np.random.Generator) -> StateVector:
     """Haar-random pure state from normalized complex Gaussians."""
+    _check_size(n_qubits)
     re = rng.standard_normal(1 << n_qubits)
     im = rng.standard_normal(1 << n_qubits)
     amps = re + 1j * im
     amps /= np.linalg.norm(amps)
-    return StateVector(n_qubits, amps, cap=cap)
+    return StateVector(n_qubits, amps)
 
 
 def channel_equal(
@@ -685,7 +663,6 @@ def channel_equal(
     tol: float = 1e-8,
     out_a: tuple[int, ...] | None = None,
     out_b: tuple[int, ...] | None = None,
-    cap: int = DEFAULT_QUBIT_CAP,
 ) -> bool:
     """Monte-Carlo equivalence of two circuits as channels on n_data qubits.
 
@@ -699,9 +676,9 @@ def channel_equal(
     out_b = tuple(range(n_data)) if out_b is None else out_b
     master = np.random.default_rng(seed)
     for trial in range(trials):
-        psi = random_state(n_data, master, cap=cap)
-        va = _run_and_extract(circuit_a, psi, out_a, master, cap)
-        vb = _run_and_extract(circuit_b, psi, out_b, master, cap)
+        psi = random_state(n_data, master)
+        va = _run_and_extract(circuit_a, psi, out_a, master)
+        vb = _run_and_extract(circuit_b, psi, out_b, master)
         if va is None or vb is None:
             return False
         if not states_equal_up_to_phase(va, vb, tol):
@@ -714,12 +691,11 @@ def _run_and_extract(
     data_state: StateVector,
     out_map: tuple[int, ...],
     rng: np.random.Generator,
-    cap: int,
 ) -> np.ndarray | None:
     n = circuit.n_qubits
     n_data = data_state.n_qubits
-    initial = product_state(n, {tuple(range(n_data)): data_state.amps}, cap=cap)
-    res = run(circuit, initial, rng=rng, cap=cap)
+    initial = product_state(n, {tuple(range(n_data)): data_state.amps})
+    res = run(circuit, initial, rng=rng)
     corrected = res.frame.apply_to(res.state)
     others = tuple(q for q in range(n) if q not in out_map)
     if others:

@@ -295,7 +295,7 @@ def test_11_potential_step_end_to_end():
                                   dt=0.05)
     circuit, layout = build_potential_phase_circuit(2, 4, constants)
     data = layout.x1 + layout.x2
-    matrix, leakage = effective_unitary(circuit, data, cap=16)
+    matrix, leakage = effective_unitary(circuit, data)
     oracle = diagonal_oracle(2, 4, constants)
     overlap = abs(np.trace(oracle.conj().T @ matrix)) / matrix.shape[0]
     assert overlap >= 1.0 - 1e-8

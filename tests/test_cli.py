@@ -298,6 +298,30 @@ class TestEstimate2q:
         assert record["per_step"] == per_step
         assert record["rotation_count"] == 1057782
 
+    @pytest.mark.parametrize("bits", ["0", "65", "1100"])
+    def test_readout_bits_outside_one_to_sixty_four_is_an_error_record(self, capsys, bits):
+        status, out, err = run_cli(
+            capsys,
+            "estimate-2q", "--integrals", "tests/data/integrals_12.txt",
+            "--readout-bits", bits, "--dt", "0.1", "--method", "kickback",
+        )
+        assert status == 2
+        assert out == ""
+        assert err.count("\n") == 1  # one record, no traceback
+        record = json.loads(err)
+        assert record["command"] == "estimate-2q"
+        assert record["error"]["message"].startswith("argument --readout-bits")
+
+    @pytest.mark.parametrize("bits", [1, 64])
+    def test_readout_bit_bounds_are_accepted(self, capsys, bits):
+        status, out, _ = run_cli(
+            capsys,
+            "estimate-2q", "--integrals", "tests/data/integrals_12.txt",
+            "--readout-bits", str(bits), "--dt", "0.1", "--method", "kickback",
+        )
+        assert status == 0
+        assert json.loads(out)["steps"] == (1 << bits) - 1
+
     def test_missing_integral_file_is_an_error_record(self, capsys):
         status, _, err = run_cli(
             capsys,

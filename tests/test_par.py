@@ -39,6 +39,7 @@ from ftqc.par import (
     register_bits_for,
 )
 from ftqc.sim import (
+    DEFAULT_SEED,
     product_state,
     project_onto,
     run,
@@ -103,6 +104,18 @@ class TestPrepareAncillas:
             prepare_ancillas(1.0, 2, PREPARE_KICKBACK, 1e-6)
         with pytest.raises(ValueError):
             ParAncillaSet(1.0, 2, PREPARE_EXACT, 1e-4, (PLUS,))
+
+    def test_kickback_register_fits_the_simulator(self):
+        # a kickback rotation takes up to 2n wires and the controlled
+        # fallback 2n + 2, so 11 bits is the widest uncontrolled register
+        # under the 22-qubit cap and 10 the widest controlled one
+        assert register_bits_for(1.53e-3) == 12 and register_bits_for(2e-3) == 11
+        assert register_bits_for(3.07e-3) == 10
+        prepare_ancillas(1.0, 1, PREPARE_KICKBACK, 2e-3)
+        prepare_ancillas(1.0, 1, PREPARE_KICKBACK, 3.07e-3, controlled=True)
+        for eps, controlled in ((1.53e-3, False), (2e-3, True)):
+            with pytest.raises(ValueError, match="relax the budget"):
+                prepare_ancillas(1.0, 1, PREPARE_KICKBACK, eps, controlled=controlled)
 
 
 class TestExecutePar:
@@ -289,6 +302,17 @@ class TestControlledPar:
         want = crz_matrix(1.3) @ psi
         assert abs(np.vdot(want, out.state)) >= 1 - 1e-6
 
+    def test_widest_controlled_kickback_fallback_runs(self):
+        # 10 bits and an odd addend (651): the fallback's controlled
+        # kickback takes every carry, 2 * 10 + 2 = 22 wires
+        phi = math.pi * 651 / 1024
+        aset = prepare_ancillas(phi, 1, PREPARE_KICKBACK, 3.07e-3, controlled=True)
+        psi = np.full(4, 0.5)
+        out = execute_controlled_par(psi, aset, rng=ForcedDraws([1]))
+        assert out.fallback_used
+        # only the ancilla's angle is off, by at most half a step of 2 pi / 2^10
+        assert abs(np.vdot(crz_matrix(phi) @ psi, out.state)) >= math.cos(math.pi / 2**11)
+
     def test_three_qubit_circuit_protocol(self):
         # the cascade needs only control + two recycled carrier qubits:
         # each round reprograms the retired qubit by a controlled rotation
@@ -383,3 +407,27 @@ class TestExpectedRounds:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             expected_rounds(0)
+
+
+class TestDefaultSeed:
+    """sim.DEFAULT_SEED is the one default: an unseeded call repeats the seeded one."""
+
+    def test_execute_par(self):
+        aset = prepare_ancillas(1.0, 6)
+        want = execute_par(PLUS, aset, seed=DEFAULT_SEED)
+        for _ in range(12):  # calls seeded from the OS would spread over round counts
+            out = execute_par(PLUS, aset)
+            assert out.rounds == want.rounds
+            np.testing.assert_array_equal(out.state, want.state)
+
+    def test_execute_controlled_par(self):
+        aset = prepare_ancillas(1.0, 6, controlled=True)
+        psi = np.full(4, 0.5)
+        want = execute_controlled_par(psi, aset, seed=DEFAULT_SEED)
+        for _ in range(12):
+            out = execute_controlled_par(psi, aset)
+            assert out.rounds == want.rounds
+            np.testing.assert_array_equal(out.state, want.state)
+
+    def test_par_statistics(self):
+        assert par_statistics(1.0, 6, 1000) == par_statistics(1.0, 6, 1000, seed=DEFAULT_SEED)

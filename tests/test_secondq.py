@@ -785,7 +785,7 @@ class TestSmallSystemPhaseEstimation:
         for k in range(4):
             predicted = math.sin(np.angle(vals[k]) / 2.0) ** 2
             res = run(circ, product_state(4, {(0, 1): vecs[:, k]}), seed=3)
-            probs = res.state.probabilities()
+            probs = np.abs(res.state.amps) ** 2
             p1 = float(sum(probs[i] for i in range(16) if (i >> 2) & 1))
             assert abs(p1 - predicted) <= 1e-8
 

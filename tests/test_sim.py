@@ -23,7 +23,7 @@ from ftqc.core import (
     toffoli,
 )
 from ftqc.sim import (
-    DEFAULT_QUBIT_CAP,
+    QUBIT_CAP,
     PauliFrame,
     SimulationError,
     StateVector,
@@ -58,32 +58,30 @@ class TestStateVector:
         s = StateVector.basis(3, 5)
         assert s.amps[5] == 1.0
 
-    def test_plus(self):
-        s = StateVector.plus(2)
-        np.testing.assert_allclose(s.amps, np.full(4, 0.5))
-
     def test_cap_enforced(self):
-        with pytest.raises(SimulationError):
-            StateVector.zero(DEFAULT_QUBIT_CAP + 1)
-        StateVector.zero(4, cap=4)
-        with pytest.raises(SimulationError):
-            StateVector.zero(5, cap=4)
+        assert StateVector.zero(QUBIT_CAP).n_qubits == QUBIT_CAP
+        with pytest.raises(SimulationError, match=f"{QUBIT_CAP + 1} qubits exceeds"):
+            StateVector.zero(QUBIT_CAP + 1)
 
-    def test_from_amplitudes_validation(self):
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: product_state(64),
+            lambda: random_state(64, np.random.default_rng(0)),
+            lambda: run_with_helpers(core.Circuit(64, []), {(0,): core.PLUS}),
+            lambda: effective_unitary(core.Circuit(64, []), tuple(range(64))),
+        ],
+        ids=["product_state", "random_state", "run_with_helpers", "effective_unitary"],
+    )
+    def test_oversized_state_refused_before_allocation(self, make):
+        # 2^64 amplitudes cannot be allocated, so anything but the cap's
+        # SimulationError means an allocation came first
+        with pytest.raises(SimulationError, match="64 qubits exceeds"):
+            make()
+
+    def test_amplitude_length_checked(self):
         with pytest.raises(ValueError):
-            StateVector.from_amplitudes([1.0, 0.0, 0.0])
-        s = StateVector.from_amplitudes([0, 1, 0, 0])
-        assert s.n_qubits == 2
-
-    def test_tensor_orders_self_low(self):
-        one = StateVector.basis(1, 1)
-        zero = StateVector.basis(1, 0)
-        assert one.tensor(zero).amps[0b01] == 1.0
-        assert zero.tensor(one).amps[0b10] == 1.0
-
-    def test_probabilities(self):
-        s = StateVector.plus(3)
-        np.testing.assert_allclose(s.probabilities().sum(), 1.0)
+            StateVector(2, np.array([1.0, 0.0, 0.0]))
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.clongdouble, np.float64])
     def test_amplitudes_stored_as_complex128(self, dtype):
@@ -127,7 +125,7 @@ class TestRun:
         np.testing.assert_allclose(res.state.amps, [SQ, 0, 0, SQ], atol=1e-15)
 
     def test_inverse_cdf_outcome_mapping(self):
-        init = StateVector.from_amplitudes([math.sqrt(0.3), math.sqrt(0.7)])
+        init = StateVector(1, np.array([math.sqrt(0.3), math.sqrt(0.7)]))
         c = sequential_circuit(1, [measure(0, key=0)])
         # p0 = 0.3: a draw below p0 gives 0, at/above gives 1
         res = run(c, init.copy(), rng=FakeRng([0.25]))
@@ -165,9 +163,9 @@ class TestRun:
         assert 60 <= ones <= 140  # binomial(200, 1/2), +-5 sigma
 
     def test_cap(self):
-        c = sequential_circuit(2, [gate(core.H, 0)])
-        with pytest.raises(SimulationError):
-            run(c, cap=1)
+        c = core.Circuit(QUBIT_CAP + 1, [])
+        with pytest.raises(SimulationError, match=f"{QUBIT_CAP + 1} qubits exceeds"):
+            run(c)
 
     def test_initial_size_mismatch(self):
         c = sequential_circuit(2, [gate(core.H, 0)])
@@ -192,26 +190,18 @@ class TestRun:
         assert u[0b111, 0b011] == 1.0 and u[0b011, 0b111] == 1.0
         assert u[0b001, 0b001] == 1.0
 
-    def test_raised_cap_reaches_copied_initial_state(self):
-        # run() copies its initial state; the copy must not re-check the
-        # default cap the caller raised
-        n = DEFAULT_QUBIT_CAP + 1
-        c = sequential_circuit(n, [gate(core.Z, n - 1)])
-        res = run(c, StateVector.zero(n, cap=n), cap=n)
-        assert res.state.n_qubits == n and res.state.amps[0] == 1.0
-
 
 def frame_matrix(f: PauliFrame) -> np.ndarray:
     """Dense matrix of the tracked correction, for oracle comparisons."""
     m = np.array([[1.0 + 0j]])
     for q in reversed(range(f.n_qubits)):
         p = np.eye(2, dtype=complex)
-        if f.x >> q & 1:
+        if f.pauli.x >> q & 1:
             p = matrix_of(gate(core.X, 0)) @ p
-        if f.z >> q & 1:
+        if f.pauli.z >> q & 1:
             p = matrix_of(gate(core.Z, 0)) @ p
         m = np.kron(m, p)
-    return (1j ** f.phase_i) * m
+    return (1j ** f.pauli.phase) * m
 
 
 def random_frame(n, rng) -> PauliFrame:
@@ -228,7 +218,7 @@ class TestPauliFrame:
         f = PauliFrame(2)
         f.update(0, "X")
         f.update(0, "X")
-        assert not f.x and f.phase_i == 0
+        assert not f.pauli.x and f.pauli.phase == 0
 
     def test_update_rejects_qubit_outside_frame(self):
         # the masks have no length of their own, so the frame checks the index
@@ -284,7 +274,7 @@ class TestPauliFrame:
         f2 = PauliFrame(1)
         f2.pauli = Pauli(z=0b1)
         f2.propagate(gate(core.T, 0))  # Z commutes with any Z rotation
-        assert f2.z == 0b1 and f2.phase_i == 0
+        assert f2.pauli.z == 0b1 and f2.pauli.phase == 0
 
     def test_toffoli_crossing_rules(self):
         ok = PauliFrame(3)
@@ -313,8 +303,8 @@ class TestPauliFrame:
         rng = np.random.default_rng(10)
         f = random_frame(3, rng)
         sq = f.compose(f)
-        assert not sq.x and not sq.z
-        assert sq.phase_i in (0, 2)  # at most a leftover global sign
+        assert not sq.pauli.x and not sq.pauli.z
+        assert sq.pauli.phase in (0, 2)  # at most a leftover global sign
 
     def test_frame_gate_flips_reported_outcome(self):
         b = CircuitBuilder(1)
@@ -327,7 +317,7 @@ class TestPauliFrame:
     def test_z_frame_measurement_phase_exact(self):
         # measuring through a Z frame must reproduce the explicit-Z run
         # including the collapsed state's sign
-        plus = StateVector.plus(1)
+        plus = StateVector(1, core.PLUS)
         framed = CircuitBuilder(1)
         framed.append(frame_update(0, "Z"))
         framed.append(measure(0, key=0))
@@ -402,6 +392,11 @@ class TestProjection:
 
 
 class TestEffectiveUnitary:
+    def test_matrix_cap(self):
+        # 13 data qubits would make a 4^13-entry matrix, past to_unitary's limit too
+        with pytest.raises(SimulationError, match="refusing to build a 2\\^13 unitary"):
+            effective_unitary(core.Circuit(13, []), tuple(range(13)))
+
     def test_hadamard_sandwich_reverses_cnot(self):
         b = CircuitBuilder(2)
         b.extend([gate(core.H, 0), gate(core.H, 1), cnot(0, 1), gate(core.H, 0), gate(core.H, 1)])
@@ -702,7 +697,7 @@ class TestPhasePermutation:
         rng = np.random.default_rng(181)
         inputs = [[((6, 2), unit_vector(rng, 4)), ((0,), unit_vector(rng, 2))] for _ in range(4)]
         idx, amps = zip(*(sim._support(8, items) for items in inputs))
-        rows = np.concatenate(list(sim._rows_after(c, np.stack(idx), np.stack(amps), DEFAULT_QUBIT_CAP)))
+        rows = np.concatenate(list(sim._rows_after(c, np.stack(idx), np.stack(amps))))
         oracle = np.stack([dense_run(c, product_state(8, items).amps) for items in inputs])
         np.testing.assert_array_equal(bits(rows), bits(oracle))
 
@@ -821,5 +816,5 @@ class TestRandomState:
     def test_normalized_and_deterministic(self):
         s1 = random_state(4, np.random.default_rng(3))
         s2 = random_state(4, np.random.default_rng(3))
-        assert abs(s1.norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(s1.amps) - 1.0) < 1e-12
         np.testing.assert_array_equal(s1.amps, s2.amps)
