@@ -8,9 +8,10 @@ estimator outputs (frontier), and run the acceptance suite (verify).
 
 Artifacts are deterministic: JSON records carry a ``schema: 1`` marker
 and are emitted with sorted keys; CSV follows RFC 4180 (CRLF line ends,
-minimal quoting).  Randomized commands take --seed, which falls back to
-the FTQC_SEED environment variable and then to sim.DEFAULT_SEED, so a fixed
-(config, seed) pair always produces byte-identical output.  Failures
+minimal quoting).  par-sim, the one randomized command, takes --seed,
+which falls back to the FTQC_SEED environment variable and then to
+sim.DEFAULT_SEED, so a fixed (config, seed) pair always produces
+byte-identical output; the other commands take no --seed.  Failures
 exit nonzero after writing a machine-readable error record to stderr.
 
 Exit statuses: 0 on success; 2 for an error record (bad input, unreadable
@@ -424,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser, *, csv_out: bool = False, circuit: bool = False):
         p.add_argument("--json", help="write the JSON record here instead of stdout")
-        p.add_argument("--seed", type=int, help="override the run seed")
         if csv_out:
             p.add_argument("--csv", help="write the CSV artifact here")
         if circuit:
@@ -453,6 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=_finite, required=True)
     p.add_argument("--ancillas", type=_ancillas, required=True, help="cascade rounds, 1 to 64")
     p.add_argument("--trials", type=_trials, required=True, help="Monte Carlo trials, at least 1")
+    p.add_argument("--seed", type=int, help="override the run seed")
     add_common(p)
 
     p = sub.add_parser("estimate-2q", help="second-quantized resource report")
@@ -492,11 +493,11 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     namespace = build_parser().parse_args(argv)
     options = vars(namespace).copy()
     command = options.pop("command")
-    explicit_seed = options.pop("seed", None)
-    if explicit_seed is not None:
-        seed = explicit_seed
-    else:
-        seed = int(os.environ.get("FTQC_SEED", DEFAULT_SEED))
+    seed = DEFAULT_SEED
+    if "seed" in options:  # only par-sim takes --seed, and only it reads FTQC_SEED
+        seed = options.pop("seed")
+        if seed is None:
+            seed = int(os.environ.get("FTQC_SEED", DEFAULT_SEED))
     json_path = options.pop("json", None)
     options["json"] = json_path
     return RunConfig(command=command, options=options, seed=seed)

@@ -36,7 +36,7 @@ from .core import (
     gate,
     toffoli,
 )
-from .sim import StateVector
+from .sim import StateVector, _check_size
 
 RIPPLE_CARRY = "ripple-carry"
 
@@ -71,7 +71,9 @@ def gamma_state(reg: GammaRegister) -> StateVector:
     The state is a product state; qubit j holds
     (|0> + e^{-2 pi i k / 2^(n-j)} |1>) / sqrt(2).  k y is reduced modulo
     2^n in integers, so each phase is one rounding of an angle in (-2 pi, 0].
+    The simulator's size limit is checked before any amplitude is built.
     """
+    _check_size(reg.n)
     n_amp = reg.modulus
     turns = (np.arange(n_amp, dtype=np.int64) * reg.k) % n_amp
     return StateVector(reg.n, np.exp((-TWO_PI / n_amp) * turns * 1j) / np.sqrt(n_amp))

@@ -11,14 +11,25 @@ success telescopes to a net R_Z(phi) exactly: 2^{m-1} phi - (2^{m-1} -
 residual 2^M phi.  The expected number of rounds is below 2, and all the
 expensive synthesis happens at preparation time.
 
+Each preparation method realizes RZ(theta) as a 2x2 action, computed
+once per angle (_rz_action): "exact" writes diag(1, e^{i theta}),
+"sequence" compiles a Clifford+T word with synth.synthesize, and
+"kickback" reads a kickback rotation's action on its target off
+sim.effective_unitary, with the gamma register as the helper.  Ancilla
+j is that action at 2^{j-1} phi on |+>, and the fallback is the action
+at 2^M phi, computed at most once per ancilla set.
+
 Round algebra (ancilla amplitudes (w0, w1), data (chi0, chi1), raw
 outcome r on the measured qubit): r=0 leaves (w0 chi0, w1 chi1) on the
 ancilla wire, r=1 leaves (w0 chi1, w1 chi0) = X (w1 chi0, w0 chi1).
 With a pending X frame f on the data qubit the corrected outcome is
 r xor f, and success/failure classification under corrected outcomes is
-exactly the frameless rule.  _round holds this algebra once; execute_par
-applies it per round and is cross-checked against per-round circuits in
-the tests.
+exactly the frameless rule.  A controlled cascade runs the same algebra
+on two branches that share each measurement: control=0 meets |+> and
+control=1 the prepared ancilla.  _round holds this algebra once, for
+one branch or two.  It serves the failure-path table below, and both
+executors through _cascade, which adds the fallback; the executors are
+cross-checked against per-round circuits in the tests.
 
 Statistics come from one failure-path table.  Every trial of
 par_statistics starts from |+>, and round m runs only if rounds 1..m-1
@@ -35,14 +46,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import PLUS, TWO_PI, rz_matrix
 from .kickback import GammaRegister, gamma_state, kickback_rotation
-from .sim import DEFAULT_SEED, QUBIT_CAP, run_with_helpers
-from .synth import min_sequence
+from .sim import DEFAULT_SEED, QUBIT_CAP, effective_unitary
+from .synth import synthesize
 
 PREPARE_EXACT = "exact"
 PREPARE_KICKBACK = "kickback"
@@ -50,6 +62,9 @@ PREPARE_SEQUENCE = "sequence"
 
 # uniforms par_statistics reads per rng.random call; bounds its memory at any trial count
 _CHUNK = 4096
+
+# the data amplitudes (d=0, d=1) of one control value, or one ancilla's
+Branch = tuple[complex, complex]
 
 
 def register_bits_for(epsilon: float) -> int:
@@ -92,23 +107,53 @@ class ParAncillaSet:
         w = self.ancillas[j - 1]
         return float(np.angle(w[1] / w[0])) % TWO_PI
 
+    @cached_property
+    def _branch_ancillas(self) -> tuple[tuple[Branch, ...], ...]:
+        """Per round, the ancilla each branch meets, as Python complex pairs.
 
-def _exact_ancilla(theta: float) -> np.ndarray:
-    return np.array([1.0, cmath.exp(1j * theta)]) / math.sqrt(2.0)
+        One branch meets ancillas[j]; a controlled set's control=0 branch
+        meets |+> and its control=1 branch ancillas[j].
+        """
+        plus = ((complex(PLUS[0]), complex(PLUS[1])),) if self.controlled else ()
+        return tuple(plus + ((complex(w[0]), complex(w[1])),) for w in self.ancillas)
+
+    @cached_property
+    def fallback(self) -> np.ndarray:
+        """The method's 2x2 action of RZ(2^M phi), run after M failed rounds; built on first use."""
+        return _rz_action((self.phi * (1 << self.m_count)) % TWO_PI, self.method, self.epsilon_each)
 
 
-def _kickback_ancilla(theta: float, n: int, chi: np.ndarray = PLUS) -> np.ndarray:
-    """Simulate a kickback rotation on chi (default |+>) and read back the qubit state."""
+def _rz_action(theta: float, method: str, epsilon: float) -> np.ndarray:
+    """The 2x2 action by which a preparation method realizes RZ(theta).
+
+    "exact" is diag(1, e^{i theta}); "sequence" is the Clifford+T word
+    synth.synthesize compiles, which must come within epsilon; "kickback"
+    is a kickback rotation's action on its target, with a register sized
+    from epsilon projected back onto its gamma state.
+    """
+    if method == PREPARE_EXACT:
+        return np.array([[1.0, 0.0], [0.0, cmath.exp(1j * theta)]])
+    if method == PREPARE_SEQUENCE:
+        seq = synthesize(rz_matrix(theta), epsilon)
+        if not seq.satisfied:
+            raise ValueError(
+                f"no sequence within epsilon_each={epsilon:g} of RZ({theta!r}) (best "
+                f"{seq.achieved_distance:.3g}); relax the budget"
+            )
+        return seq.matrix()
+    if method != PREPARE_KICKBACK:
+        raise ValueError(f"unknown preparation method {method!r}")
+    n = register_bits_for(epsilon)
+    # a kickback rotation takes up to 1 target + n data + (n - 1) carries
+    if n > QUBIT_CAP // 2:
+        raise ValueError(
+            f"epsilon_each={epsilon:g} needs a {n}-bit register, beyond the "
+            f"{QUBIT_CAP // 2}-bit simulable kickback; relax the budget"
+        )
     reg = GammaRegister(1, n)
     kr = kickback_rotation(theta, reg)
-    vec, _ = run_with_helpers(
-        kr.circuit, {(kr.layout.target,): chi}, {kr.layout.gamma: gamma_state(reg).amps}
-    )
-    return vec / np.linalg.norm(vec)
-
-
-def _sequence_ancilla(theta: float, epsilon: float) -> np.ndarray:
-    return min_sequence(rz_matrix(theta), epsilon).matrix() @ PLUS
+    action, _ = effective_unitary(kr.circuit, (kr.layout.target,), {kr.layout.gamma: gamma_state(reg).amps})
+    return action
 
 
 def prepare_ancillas(
@@ -121,44 +166,25 @@ def prepare_ancillas(
 ) -> ParAncillaSet:
     """Build the M doubled-angle ancillas for a PAR cascade.
 
-    Angles are reduced mod 2 pi before preparation.  method "exact"
-    writes the amplitudes analytically; "kickback" simulates a kickback
-    rotation on |+> with a register sized from epsilon_each; "sequence"
-    applies a minimal Clifford+T approximation to |+> (uncontrolled sets
-    only: the sequence alphabet has no controlled member, so controlled
-    sets must use exact or kickback preparation).
+    Angles are reduced mod 2 pi, and ancilla j is the method's action of
+    RZ(2^{j-1} phi) (_rz_action) on |+>: (R [1, 1]) / sqrt(2).  method
+    "exact" writes the amplitudes analytically; "kickback" simulates a
+    kickback rotation with a register sized from epsilon_each, at most
+    QUBIT_CAP // 2 bits; "sequence" compiles each rotation within
+    epsilon_each by synth.synthesize and raises ValueError when even that
+    misses.  Sequence preparation is for uncontrolled sets only: the
+    sequence alphabet has no controlled member, so controlled sets must
+    use exact or kickback preparation.
     """
     if m_count < 1:
         raise ValueError("need at least one ancilla")
-    if method == PREPARE_KICKBACK:
-        n = register_bits_for(epsilon_each)
-        # a kickback rotation takes up to 1 target + n data + (n - 1) carries,
-        # and the controlled fallback one more control and an AND ancilla
-        max_bits = (QUBIT_CAP - 2) // 2 if controlled else QUBIT_CAP // 2
-        if n > max_bits:
-            raise ValueError(
-                f"epsilon_each={epsilon_each:g} needs a {n}-bit register, beyond the "
-                f"{max_bits}-bit simulable kickback; relax the budget"
-            )
     if method == PREPARE_SEQUENCE and controlled:
         raise ValueError("controlled ancillas need exact or kickback preparation")
-    ancillas = []
-    for j in range(m_count):
-        theta = (phi * (1 << j)) % TWO_PI
-        if method == PREPARE_EXACT:
-            ancillas.append(_exact_ancilla(theta))
-        elif method == PREPARE_KICKBACK:
-            ancillas.append(_kickback_ancilla(theta, n))
-        else:
-            ancillas.append(_sequence_ancilla(theta, epsilon_each))
-    return ParAncillaSet(
-        phi=phi,
-        m_count=m_count,
-        method=method,
-        epsilon_each=epsilon_each,
-        ancillas=tuple(ancillas),
-        controlled=controlled,
+    ancillas = tuple(
+        (_rz_action((phi * (1 << j)) % TWO_PI, method, epsilon_each) @ np.ones(2)) / math.sqrt(2.0)
+        for j in range(m_count)
     )
+    return ParAncillaSet(phi, m_count, method, epsilon_each, ancillas, controlled)
 
 
 class ParOutcome(NamedTuple):
@@ -167,44 +193,70 @@ class ParOutcome(NamedTuple):
     fallback_used: bool
 
 
-def _fallback_state(chi: np.ndarray, aset: ParAncillaSet) -> np.ndarray:
-    """Apply the deterministic residual rotation 2^M phi to a logical qubit."""
-    alpha = (aset.phi * (1 << aset.m_count)) % TWO_PI
-    if aset.method == PREPARE_EXACT:
-        return np.array([chi[0], chi[1] * cmath.exp(1j * alpha)])
-    if aset.method == PREPARE_SEQUENCE:
-        seq = min_sequence(rz_matrix(alpha), aset.epsilon_each)
-        return seq.matrix() @ chi
-    return _kickback_ancilla(alpha, register_bits_for(aset.epsilon_each), chi)
+def _unit_branches(state: np.ndarray, count: int) -> list[Branch]:
+    """The normalized data amplitudes (d=0, d=1) of each control value c.
 
-
-def _unit_qubit(state: np.ndarray) -> tuple[complex, complex]:
-    """The amplitudes of a single-qubit state, normalized."""
+    With two branches the state is little-endian over (control, target):
+    index c + 2 d.
+    """
     flat = np.asarray(state).reshape(-1)
-    if flat.shape != (2,):
-        raise ValueError("PAR acts on a single-qubit state")
-    chi0, chi1 = complex(flat[0]), complex(flat[1])
-    norm = math.sqrt(abs(chi0) ** 2 + abs(chi1) ** 2)
-    return chi0 / norm, chi1 / norm
+    if flat.shape != (2 * count,):
+        raise ValueError(f"PAR on {count} branch(es) takes a state of {2 * count} amplitudes")
+    amps = flat.tolist()
+    norm = math.sqrt(sum([abs(a) ** 2 for a in amps]))
+    return [(amps[c] / norm, amps[c + count] / norm) for c in range(count)]
 
 
 def _round(
-    ancilla: np.ndarray, chi0: complex, chi1: complex, outcome: Callable[[float], int]
-) -> tuple[float, int, complex, complex]:
-    """One cascade round on data (chi0, chi1) with the given ancilla.
+    ancillas: tuple[Branch, ...], branches: list[Branch], outcome: Callable[[float], int]
+) -> tuple[float, int, list[Branch]]:
+    """One cascade round on branches that share its measurement.
 
-    outcome(p0) picks the raw measurement result, where p0 is the
-    probability of raw 0.  Returns p0, the raw result and the normalized
-    state it leaves on the ancilla wire (before any Pauli frame).
+    Branch c holds data amplitudes (chi0, chi1) and meets ancillas[c], as
+    ParAncillaSet._branch_ancillas lists them per round.  outcome(p0)
+    picks the raw measurement result, where p0 is the probability of raw
+    0; the sum starts at 0.0, so one branch gets the one-branch sum bit
+    for bit.  Returns p0, the raw result and the normalized branches it
+    leaves on the ancilla wire (before any Pauli frame).
     """
-    w0, w1 = ancilla
-    p0 = abs(w0 * chi0) ** 2 + abs(w1 * chi1) ** 2
+    p0 = 0.0
+    for (w0, w1), (chi0, chi1) in zip(ancillas, branches):
+        p0 += abs(w0 * chi0) ** 2 + abs(w1 * chi1) ** 2
     raw = outcome(p0)
-    if raw == 0:
-        scale = 1.0 / math.sqrt(p0)
-        return p0, raw, w0 * chi0 * scale, w1 * chi1 * scale
-    scale = 1.0 / math.sqrt(1.0 - p0)
-    return p0, raw, w0 * chi1 * scale, w1 * chi0 * scale
+    scale = 1.0 / math.sqrt(1.0 - p0 if raw else p0)
+    return p0, raw, [
+        (w0 * chi[raw] * scale, w1 * chi[1 - raw] * scale) for (w0, w1), chi in zip(ancillas, branches)
+    ]
+
+
+def _cascade(
+    branches: list[Branch], aset: ParAncillaSet, rng: np.random.Generator
+) -> tuple[list[Branch], int, bool]:
+    """Rounds on the branches until one succeeds, else the fallback.
+
+    One rng.random() draw per executed round decides the raw measurement
+    outcome, mirroring the statevector simulator's inverse-CDF rule.
+    After M failed rounds the pending X is materialized on the data and
+    the set's fallback acts on the last branch: the data itself, or
+    control=1.  Returns the branches, the rounds run and whether the
+    fallback ran.
+    """
+    def draw(p0: float) -> int:
+        return 0 if rng.random() < p0 else 1
+
+    frame_x = 0
+    for m, ancillas in enumerate(aset._branch_ancillas, 1):
+        _, raw, branches = _round(ancillas, branches, draw)
+        frame_x ^= raw  # the corrected outcome
+        if frame_x == 0:
+            return branches, m, False
+    # all rounds failed: materialize the pending X, then rotate the residual,
+    # in Python scalars as the rounds are (a matmul can fuse multiply-adds)
+    branches = [(chi1, chi0) for chi0, chi1 in branches]
+    (a, b), (c, d) = aset.fallback.tolist()
+    chi0, chi1 = branches[-1]
+    branches[-1] = (a * chi0 + b * chi1, c * chi0 + d * chi1)
+    return branches, aset.m_count, True
 
 
 def execute_par(
@@ -217,30 +269,16 @@ def execute_par(
     """Run the cascade on a single-qubit state until success or fallback.
 
     One rng.random() draw per executed round decides the raw measurement
-    outcome, mirroring the statevector simulator's inverse-CDF rule, so a
-    (state, set, seed) triple reproduces exactly.  Returns the logical
-    output state (Pauli frame resolved), the number of rounds executed,
-    and whether the deterministic fallback ran.
+    outcome, so a (state, set, seed) triple reproduces exactly.  Returns
+    the logical output state (Pauli frame resolved), the number of rounds
+    executed, and whether the deterministic fallback ran.
     """
     if aset.controlled:
         raise ValueError("controlled sets go through execute_controlled_par")
     if rng is None:
         rng = np.random.default_rng(seed)
-    chi0, chi1 = _unit_qubit(state)
-
-    def draw(p0: float) -> int:
-        return 0 if rng.random() < p0 else 1
-
-    frame_x = 0
-    for m in range(1, aset.m_count + 1):
-        _, raw, chi0, chi1 = _round(aset.ancillas[m - 1], chi0, chi1, draw)
-        corrected = raw ^ frame_x
-        frame_x = corrected
-        if corrected == 0:
-            return ParOutcome(np.array([chi0, chi1]), m, False)
-    # all rounds failed: materialize the pending X, then rotate the residual
-    logical = np.array([chi1, chi0])
-    return ParOutcome(_fallback_state(logical, aset), aset.m_count, True)
+    branches, rounds, fallback = _cascade(_unit_branches(state, 1), aset, rng)
+    return ParOutcome(np.array(branches[0]), rounds, fallback)
 
 
 def execute_controlled_par(
@@ -256,8 +294,9 @@ def execute_controlled_par(
     round ancillas are entangled with the control at preparation time
     (control=0 branch |+>, control=1 branch aset.ancillas[j]), so both
     branches share each measurement outcome and the target-side cascade
-    telescopes to CRZ(phi).  A failed round additionally leaves the known
-    phase e^{i theta_m} on the control=1 branch (the global phase of the
+    telescopes to CRZ(phi); the fallback acts on the control=1 branch
+    alone.  A failed round additionally leaves the known phase
+    e^{i theta_m} on the control=1 branch (the global phase of the
     uncontrolled case, made relative by the control), so the protocol
     closes with one deterministic control rotation by minus the summed
     failed-round angles.
@@ -266,54 +305,11 @@ def execute_controlled_par(
         raise ValueError("this set was prepared without controlled=True")
     if rng is None:
         rng = np.random.default_rng(seed)
-    psi = np.asarray(state, dtype=complex).reshape(-1)
-    if psi.shape != (4,):
-        raise ValueError("controlled PAR takes a two-qubit state")
-    # psi_cd[c][d]
-    psi_cd = np.array([[psi[0], psi[2]], [psi[1], psi[3]]])
-    psi_cd = psi_cd / np.linalg.norm(psi_cd)
-    frame_x = 0
-    fallback = False
-    rounds = aset.m_count
-    control_debt = 0.0  # accumulated control=1 phase from failed rounds
-    for m in range(1, aset.m_count + 1):
-        branch = (PLUS, aset.ancillas[m - 1])
-        p0 = sum(
-            abs(branch[c][b] * psi_cd[c][b]) ** 2 for c in (0, 1) for b in (0, 1)
-        )
-        raw = 0 if rng.random() < p0 else 1
-        new = np.empty_like(psi_cd)
-        for c in (0, 1):
-            for b in (0, 1):
-                new[c][b] = branch[c][b] * psi_cd[c][b ^ raw]
-        psi_cd = new / math.sqrt(p0 if raw == 0 else 1.0 - p0)
-        corrected = raw ^ frame_x
-        frame_x = corrected
-        if corrected == 0:
-            rounds = m
-            break
-        control_debt += aset.phase_of(m)
-    else:
-        fallback = True
-        psi_cd = psi_cd[:, ::-1]  # materialize the pending X on the target
-        alpha = (aset.phi * (1 << aset.m_count)) % TWO_PI
-        if aset.method == PREPARE_EXACT:
-            psi_cd[1][1] *= cmath.exp(1j * alpha)
-        else:
-            n = register_bits_for(aset.epsilon_each)
-            reg = GammaRegister(1, n)
-            kr = kickback_rotation(alpha, reg, controlled=True)
-            lay = kr.layout
-            vec, _ = run_with_helpers(
-                kr.circuit,
-                {(lay.control, lay.target): psi_cd.T.reshape(-1)},  # index c + 2 d
-                {lay.gamma: gamma_state(reg).amps},
-            )
-            vec = vec / np.linalg.norm(vec)
-            psi_cd = np.array([[vec[0], vec[2]], [vec[1], vec[3]]])
+    branches, rounds, fallback = _cascade(_unit_branches(state, 2), aset, rng)
+    out = np.array(branches).T.reshape(-1)  # index c + 2 d
+    control_debt = sum(aset.phase_of(m) for m in range(1, rounds + fallback))
     if control_debt:
-        psi_cd[1] *= cmath.exp(-1j * control_debt)
-    out = np.array([psi_cd[0][0], psi_cd[1][0], psi_cd[0][1], psi_cd[1][1]])
+        out[1::2] *= cmath.exp(-1j * control_debt)
     return ParOutcome(out, rounds, fallback)
 
 
@@ -329,11 +325,11 @@ def expected_rounds(m_count: int | None = None) -> float:
 
 def _failure_path_p0(aset: ParAncillaSet) -> np.ndarray:
     """p0 of round m, for m = 1..M, in a cascade on |+> whose earlier rounds all failed."""
-    chi0, chi1 = _unit_qubit(PLUS)
+    branches = _unit_branches(PLUS, 1)
     fail = 1  # round 1 fails on raw 1 and leaves an X frame, so later rounds fail on raw 0
     p0s = []
-    for ancilla in aset.ancillas:
-        p0, _, chi0, chi1 = _round(ancilla, chi0, chi1, lambda _p0: fail)
+    for ancillas in aset._branch_ancillas:
+        p0, _, branches = _round(ancillas, branches, lambda _p0: fail)
         p0s.append(p0)
         fail = 0
     return np.array(p0s)

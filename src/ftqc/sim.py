@@ -14,9 +14,9 @@ corrected state would have produced.
 One size limit, QUBIT_CAP, bounds every state: _check_size raises
 SimulationError before any amplitude is allocated, in StateVector,
 basis (and so zero), random_state, run, effective_unitary, _rows_after
-and _support (and so product_state and run_with_helpers).  The dense
-matrices of to_unitary and effective_unitary, 4^n entries for n
-qubits, have a tighter one, _UNITARY_QUBITS, that _check_matrix applies.
+and _support (and so product_state).  The dense matrices of to_unitary
+and effective_unitary, 4^n entries for n qubits, have a tighter one,
+_UNITARY_QUBITS, that _check_matrix applies.
 
 The whole-matrix checks (to_unitary and effective_unitary) treat
 circuits built only from X, CNOT, Toffoli and diagonal gates (Z, S, S†,
@@ -25,10 +25,11 @@ basis state times a phase, so one evaluator, _permute_phases, carries
 every input as a column of bit-planes with one amplitude, and multiplies
 that amplitude as the kernels would: the results are bit for bit those
 of the kernel path, at a cost set by the inputs rather than by 2^n
-amplitudes per input.  run() and run_with_helpers keep the kernels for
-every circuit.  A state with amplitude on every basis index gives the
-evaluator as many inputs as amplitudes, and there it timed 1.2x slower
-than the kernels (19-qubit adder, random state on every wire).
+amplitudes per input.  run() keeps the kernels for every circuit: a
+state with amplitude on every basis index gives the evaluator as many
+inputs as amplitudes, and there it timed 1.2x slower than the kernels
+(19-qubit adder, random state on every wire).  effective_unitary is the
+one way to run a circuit with helper registers and project them back.
 """
 
 from __future__ import annotations
@@ -529,99 +530,35 @@ def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -
     return bool(abs(abs(np.vdot(a, b)) / (na * nb) - 1.0) <= tol)
 
 
-def run_with_helpers(
-    circuit: Circuit,
-    data: Mapping[tuple[int, ...], np.ndarray],
-    helpers: Mapping[tuple[int, ...], np.ndarray] | None = None,
-) -> tuple[np.ndarray, float]:
-    """Run a measurement-free circuit with helper registers, then project them back.
-
-    The data blocks and the helper blocks start in one product state; every
-    qubit outside the data blocks is a helper, in |0> unless a helper block
-    names it.  After the run the helpers are projected back onto that same
-    reference state.  Returns (amplitudes, leakage).  The amplitudes are the
-    data register's, unnormalized, with bit j on the j-th data qubit in the
-    order the data blocks list them.  Leakage is ||psi - |ref> (x) amps||,
-    the norm of the output's part orthogonal to the helper reference state:
-    the amplitude that left it.  Unlike sqrt(1 - ||amps||^2), it does not
-    turn rounding eps into sqrt(eps).  This is the one-input case of the
-    rows effective_unitary runs.  It runs on the kernels for every
-    circuit: one input, with its support and the +0 at every other index,
-    gives the basis-state evaluator at least 2^n inputs, the full-support
-    case where the kernels are faster.  A circuit with MEASURE or FRAME
-    gates is rejected with ValueError.
-    """
-    _require_unitary(circuit)
-    helpers = helpers or {}
-    idx, amp = _support(circuit.n_qubits, [*data.items(), *helpers.items()])
-    data_qubits = tuple(q for qs in data for q in qs)
-    amps, leaks = next(_helper_blocks(circuit, data_qubits, helpers, idx[None], amp[None]))
-    return amps[0], leaks[0]
-
-
-def _helper_blocks(
-    circuit: Circuit,
-    data_qubits: tuple[int, ...],
-    helpers: Mapping[tuple[int, ...], np.ndarray],
-    idx: np.ndarray,
-    amps: np.ndarray,
-) -> Iterator[tuple[np.ndarray, list[float]]]:
-    """run_with_helpers on B inputs, B a power of two, a block of rows at a time.
-
-    Input r lists its basis indices and amplitudes in row r of idx and amps
-    (see _rows_after); every qubit outside data_qubits is a helper, and
-    the helper blocks give the reference state it is projected back onto.
-    Yields, per block in input order, the (b, 2^k) data amplitudes and the
-    b leakages, each row bit for bit what a block run of the inputs gives.
-    """
-    n = circuit.n_qubits
-    blocks = _rows_after(circuit, idx, amps)
-    ancillas = tuple(q for q in range(n) if q not in data_qubits)
-    if not ancillas:
-        for rows in blocks:
-            yield _in_order(rows, tuple(range(n)), data_qubits), [0.0] * len(rows)
-        return
-    m = len(ancillas)
-    anc_pos = {q: i for i, q in enumerate(ancillas)}
-    local = {tuple(anc_pos[q] for q in qs): vec for qs, vec in helpers.items()}
-    ref = product_state(m, local).amps
-    rest = tuple(q for q in range(n) if q not in ancillas)
-    # each row's part orthogonal to |ref> is psi - |ref> (x) amps, with the
-    # ancilla axes moved first (after the row axis) in the block order
-    # project_onto uses
-    anc_axes = [n - q for q in reversed(ancillas)]
-    for rows in blocks:
-        # one contraction per row: the BLAS kernel behind it is chosen by the
-        # column count, so contracting all rows at once can move last bits
-        amps = np.array([_project(row, n, ancillas, ref) for row in rows])
-        psi = np.moveaxis(rows.reshape([len(rows)] + [2] * n), anc_axes, range(1, m + 1))
-        ortho = ref.reshape([1] + [2] * m + [1] * (n - m)) * amps.reshape([len(rows)] + [1] * m + [2] * (n - m))
-        np.subtract(psi, ortho, out=ortho)
-        yield _in_order(amps, rest, data_qubits), [float(np.linalg.norm(row)) for row in ortho]
-
-
 def effective_unitary(
     circuit: Circuit,
     data_qubits: tuple[int, ...],
     fixed: Mapping[tuple[int, ...], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Action on a data block, with ancilla blocks fixed to given states.
+    """Action on a data block, with helper registers run and projected back.
 
-    Column j is what run_with_helpers gives for basis state j of the data
-    block (bit for bit from 3 qubits up, see _run_block), with the ancillas
-    (everything outside data_qubits) in the supplied block states, default
-    |0>.  A phase-permutation circuit with at least one data qubit is
-    evaluated once on the filled indices of every column's input state (see
-    to_unitary and _rows_after); any other runs the columns in blocks (see
-    _BLOCK_AMPS), one pass over the circuit per block.  Either way the
-    helpers are projected back a block of columns at a time.  Returns
-    (matrix, worst leakage over the columns); the matrix is exactly unitary
-    iff leakage is zero.  A circuit with MEASURE or FRAME gates is rejected
-    with ValueError.
+    The data block and the helper blocks start in one product state:
+    every qubit outside data_qubits is a helper, in |0> unless a block of
+    fixed names it.  Column j runs basis state j of the data block, then
+    projects the helpers back onto that same reference state; its bit j
+    lives on data_qubits[j], and from 3 qubits up it is bit for bit a run()
+    of that input followed by project_onto (see _run_block).  A column's
+    leakage is ||psi - |ref> (x) amps||, the norm of the output's part
+    orthogonal to the helper reference state: the amplitude that left it.
+    Unlike sqrt(1 - ||amps||^2), it does not turn rounding eps into
+    sqrt(eps).  A phase-permutation circuit with at least one data qubit
+    is evaluated once on the filled indices of every column's input state
+    (see to_unitary and _rows_after); any other runs the columns in
+    blocks (see _BLOCK_AMPS), one pass over the circuit per block.  Either
+    way the helpers are projected back a block of columns at a time.
+    Returns (matrix, worst leakage over the columns); the matrix is
+    exactly unitary iff leakage is zero.  A circuit with MEASURE or FRAME
+    gates is rejected with ValueError.
     """
     _require_unitary(circuit)
     data_qubits = tuple(data_qubits)
-    _check_size(circuit.n_qubits)
+    n = circuit.n_qubits
+    _check_size(n)
     _check_matrix(len(data_qubits))
     helpers = fixed or {}
     dim = 1 << len(data_qubits)
@@ -632,14 +569,32 @@ def effective_unitary(
     # That moves only the sign of a zero, and only under a negative helper
     # entry; the projection onto the helpers then hides it, as its sums
     # start from +0.
-    idx, amp = _support(circuit.n_qubits, [(data_qubits, np.ones(dim, dtype=np.complex128)), *helpers.items()])
+    idx, amp = _support(n, [(data_qubits, np.ones(dim, dtype=np.complex128)), *helpers.items()])
+    ancillas = tuple(q for q in range(n) if q not in data_qubits)
+    rest = tuple(q for q in range(n) if q not in ancillas)
+    if ancillas:
+        m = len(ancillas)
+        anc_pos = {q: i for i, q in enumerate(ancillas)}
+        ref = product_state(m, {tuple(anc_pos[q] for q in qs): vec for qs, vec in helpers.items()}).amps
+        # each row's part orthogonal to |ref> is psi - |ref> (x) amps, with the
+        # ancilla axes moved first (after the row axis) in the block order
+        # project_onto uses
+        anc_axes = [n - q for q in reversed(ancillas)]
     mat = np.empty((dim, dim), dtype=np.complex128)
     worst = 0.0
     start = 0
-    for amps, leaks in _helper_blocks(circuit, data_qubits, helpers, idx.reshape(dim, -1), amp.reshape(dim, -1)):
-        mat[:, start:start + len(amps)] = amps.T
-        start += len(amps)
-        worst = max(worst, *leaks)
+    for rows in _rows_after(circuit, idx.reshape(dim, -1), amp.reshape(dim, -1)):
+        amps = rows
+        if ancillas:
+            # one contraction per row: the BLAS kernel behind it is chosen by
+            # the column count, so contracting all rows at once can move last bits
+            amps = np.array([_project(row, n, ancillas, ref) for row in rows])
+            psi = np.moveaxis(rows.reshape([len(rows)] + [2] * n), anc_axes, range(1, m + 1))
+            ortho = ref.reshape([1] + [2] * m + [1] * (n - m)) * amps.reshape([len(rows)] + [1] * m + [2] * (n - m))
+            np.subtract(psi, ortho, out=ortho)
+            worst = max(worst, *(float(np.linalg.norm(row)) for row in ortho))
+        mat[:, start:start + len(rows)] = _in_order(amps, rest, data_qubits).T
+        start += len(rows)
     return mat, worst
 
 

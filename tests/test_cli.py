@@ -164,6 +164,23 @@ class TestParSim:
         )
 
     @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (("--phi", "2.345", "--ancillas", "20", "--trials", "20000", "--seed", "7"),
+             "bbff9d0eacb899751ea4865c8ca179d7bd6b669a238ba9a7af283dab0ef4d983"),
+            (("--phi", "1.0", "--ancillas", "6", "--trials", "5000", "--seed", "740021"),
+             "787f3c7a9f56fcd3ab101702dba5083a468a27a5b459fd0c0feba8ed00c98af6"),
+        ],
+        ids=["phi-2.345-M20", "phi-1.0-M6"],
+    )
+    def test_output_bytes_stay_pinned(self, capsys, argv, digest):
+        # the failure-path table shares its round arithmetic with execute_par,
+        # so any change to that arithmetic shows in these bytes
+        status, out, _ = run_cli(capsys, "par-sim", *argv)
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "flag,value",
         [("--ancillas", "0"), ("--ancillas", "-1"), ("--ancillas", "65"),
          ("--ancillas", "1100"), ("--trials", "0"), ("--trials", "-5")],
@@ -489,6 +506,24 @@ class TestArgumentHandling:
         )
         assert status == 2
         assert "unrecognized" in err
+
+    def test_seed_is_only_a_par_sim_flag(self, capsys):
+        # par-sim is the one command that draws random numbers
+        status, out, err = run_cli(
+            capsys, "synth", "--angle", "0.7", "--epsilon", "1e-3", "--seed", "5"
+        )
+        assert status == 2
+        assert out == ""
+        assert err.count("\n") == 1  # one record, no traceback
+        record = json.loads(err)
+        assert record["command"] == "synth"
+        assert "unrecognized arguments: --seed 5" in record["error"]["message"]
+
+    def test_seedless_commands_ignore_ftqc_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("FTQC_SEED", "not-a-seed")
+        status, out, err = run_cli(capsys, "synth", "--angle", "0.7", "--epsilon", "1e-2")
+        assert status == 0 and err == ""
+        assert json.loads(out)["command"] == "synth"
 
     def test_missing_required_flag_is_rejected(self, capsys):
         status, _, _ = run_cli(capsys, "synth", "--angle", "0.5")

@@ -9,6 +9,7 @@ exhaustive search.
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,8 @@ from ftqc.kickback import (
 )
 from ftqc.qvr import build_qft_via_qvr, build_qvr_kickback, qvr_params
 from ftqc.sim import (
+    QUBIT_CAP,
+    SimulationError,
     StateVector,
     effective_unitary,
     product_state,
@@ -119,6 +122,21 @@ class TestGammaRegister:
         for k, n in [(1, 1), (3, 3), (63, 6)]:
             amps = gamma_state(GammaRegister(k, n)).amps
             assert abs(np.linalg.norm(amps) - 1.0) < 1e-14
+
+    def test_size_limit_comes_first(self):
+        # past the cap nothing is built: 2^23 amplitudes would be 128 MB,
+        # and 2^64 more than numpy can index
+        assert QUBIT_CAP < 23
+        tracemalloc.start()
+        try:
+            with pytest.raises(SimulationError, match="23 qubits exceeds"):
+                gamma_state(GammaRegister(1, 23))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(SimulationError, match="64 qubits exceeds"):
+            gamma_state(GammaRegister(1, 64))
 
 
 class TestSolveMod:

@@ -22,10 +22,13 @@ from ftqc.core import (
     cnot,
     crz,
     crz_matrix,
+    dist,
     gate,
     measure,
     rz,
+    rz_matrix,
 )
+from ftqc.kickback import GammaRegister, kickback_rotation
 from ftqc.par import (
     PREPARE_EXACT,
     PREPARE_KICKBACK,
@@ -106,16 +109,58 @@ class TestPrepareAncillas:
             ParAncillaSet(1.0, 2, PREPARE_EXACT, 1e-4, (PLUS,))
 
     def test_kickback_register_fits_the_simulator(self):
-        # a kickback rotation takes up to 2n wires and the controlled
-        # fallback 2n + 2, so 11 bits is the widest uncontrolled register
-        # under the 22-qubit cap and 10 the widest controlled one
+        # a kickback rotation takes up to 2n wires, and a controlled set
+        # runs the same rotation, so 11 bits is the widest register under
+        # the 22-qubit cap with or without a control.  pi needs the addend
+        # 2^10 and no carries: the accepted sets simulate 12 wires.
         assert register_bits_for(1.53e-3) == 12 and register_bits_for(2e-3) == 11
-        assert register_bits_for(3.07e-3) == 10
-        prepare_ancillas(1.0, 1, PREPARE_KICKBACK, 2e-3)
-        prepare_ancillas(1.0, 1, PREPARE_KICKBACK, 3.07e-3, controlled=True)
-        for eps, controlled in ((1.53e-3, False), (2e-3, True)):
+        for controlled in (False, True):
+            prepare_ancillas(math.pi, 1, PREPARE_KICKBACK, 2e-3, controlled=controlled)
             with pytest.raises(ValueError, match="relax the budget"):
-                prepare_ancillas(1.0, 1, PREPARE_KICKBACK, eps, controlled=controlled)
+                prepare_ancillas(math.pi, 1, PREPARE_KICKBACK, 1.53e-3, controlled=controlled)
+
+
+class TestSequenceBudget:
+    """Sequence preparation compiles with synthesize and meets its budget."""
+
+    @pytest.mark.parametrize("eps,m_count", [(0.05, 20), (1e-3, 8)])
+    def test_every_action_is_within_budget(self, eps, m_count):
+        for phi in (0.7, 1.3, 1.37, 2.31):
+            aset = prepare_ancillas(phi, m_count, PREPARE_SEQUENCE, eps)
+            for j in range(m_count):
+                theta = (phi * (1 << j)) % TWO_PI
+                action = par._rz_action(theta, PREPARE_SEQUENCE, eps)
+                assert dist(action, rz_matrix(theta)) <= eps, (phi, j)
+                np.testing.assert_array_equal(aset.ancillas[j], action @ np.ones(2) / math.sqrt(2.0))
+            residual = (phi * (1 << m_count)) % TWO_PI
+            assert dist(aset.fallback, rz_matrix(residual)) <= eps, phi
+
+    def test_a_miss_is_an_error(self):
+        # 1e-11 is below the Solovay-Kitaev floor (3.8e-10 for RZ(0.7))
+        with pytest.raises(ValueError, match="relax the budget"):
+            prepare_ancillas(0.7, 1, PREPARE_SEQUENCE, 1e-11)
+
+
+class TestRotationOncePerAngle:
+    """A set computes its method's rotation once per angle: M ancillas and,
+    on first use, the fallback, however many trials run."""
+
+    @pytest.mark.parametrize(
+        "method,eps,controlled",
+        [(PREPARE_EXACT, 1e-4, False), (PREPARE_SEQUENCE, 0.05, False), (PREPARE_KICKBACK, 0.05, False),
+         (PREPARE_EXACT, 1e-4, True), (PREPARE_KICKBACK, 0.05, True)],
+    )
+    def test_thousand_trials(self, monkeypatch, method, eps, controlled):
+        calls = []
+        real = par._rz_action
+        monkeypatch.setattr(par, "_rz_action", lambda *args: calls.append(args) or real(*args))
+        m_count = 2
+        aset = prepare_ancillas(1.37, m_count, method, eps, controlled=controlled)
+        execute, state = (execute_controlled_par, np.full(4, 0.5)) if controlled else (execute_par, PLUS)
+        rng = np.random.default_rng(5)
+        fallbacks = sum(execute(state, aset, rng=rng).fallback_used for _ in range(1000))
+        assert fallbacks > 100  # about a quarter of the trials
+        assert len(calls) == m_count + 1
 
 
 class TestExecutePar:
@@ -202,12 +247,9 @@ class TestStatisticsMatchPerTrial:
 
     @pytest.mark.parametrize("m_count", [1, 2, 6, 20])
     @pytest.mark.parametrize("method,eps", METHODS)
-    def test_equals_one_execute_par_per_trial(self, monkeypatch, method, eps, m_count):
+    def test_equals_one_execute_par_per_trial(self, method, eps, m_count):
         # 20,000 trials draw at least 20,000 uniforms: more than three chunks
         assert max(self.TRIALS) > 3 * par._CHUNK
-        # the fallback rotation draws nothing and its state never reaches the
-        # statistics; the identity in its place keeps the per-trial loop fast
-        monkeypatch.setattr(par, "_fallback_state", lambda chi, aset: chi)
         for trials in self.TRIALS:
             for seed in self.SEEDS:
                 args = (1.37, m_count, trials)
@@ -303,15 +345,16 @@ class TestControlledPar:
         assert abs(np.vdot(want, out.state)) >= 1 - 1e-6
 
     def test_widest_controlled_kickback_fallback_runs(self):
-        # 10 bits and an odd addend (651): the fallback's controlled
-        # kickback takes every carry, 2 * 10 + 2 = 22 wires
-        phi = math.pi * 651 / 1024
-        aset = prepare_ancillas(phi, 1, PREPARE_KICKBACK, 3.07e-3, controlled=True)
+        # 11 bits, the one limit.  The fallback's angle 2 phi has the odd
+        # addend 651, so its kickback takes every carry: 2 * 11 = 22 wires
+        phi = math.pi * 651 / 2048
+        assert kickback_rotation(2 * phi, GammaRegister(1, 11)).circuit.n_qubits == 22
+        aset = prepare_ancillas(phi, 1, PREPARE_KICKBACK, 2e-3, controlled=True)
         psi = np.full(4, 0.5)
         out = execute_controlled_par(psi, aset, rng=ForcedDraws([1]))
         assert out.fallback_used
-        # only the ancilla's angle is off, by at most half a step of 2 pi / 2^10
-        assert abs(np.vdot(crz_matrix(phi) @ psi, out.state)) >= math.cos(math.pi / 2**11)
+        # only the ancilla's angle is off, by at most half a step of 2 pi / 2^11
+        assert abs(np.vdot(crz_matrix(phi) @ psi, out.state)) >= math.cos(math.pi / 2**12)
 
     def test_three_qubit_circuit_protocol(self):
         # the cascade needs only control + two recycled carrier qubits:

@@ -33,7 +33,6 @@ from ftqc.sim import (
     project_onto,
     random_state,
     run,
-    run_with_helpers,
     states_equal_up_to_phase,
     to_unitary,
 )
@@ -68,10 +67,9 @@ class TestStateVector:
         [
             lambda: product_state(64),
             lambda: random_state(64, np.random.default_rng(0)),
-            lambda: run_with_helpers(core.Circuit(64, []), {(0,): core.PLUS}),
             lambda: effective_unitary(core.Circuit(64, []), tuple(range(64))),
         ],
-        ids=["product_state", "random_state", "run_with_helpers", "effective_unitary"],
+        ids=["product_state", "random_state", "effective_unitary"],
     )
     def test_oversized_state_refused_before_allocation(self, make):
         # 2^64 amplitudes cannot be allocated, so anything but the cap's
@@ -437,8 +435,6 @@ class TestEffectiveUnitary:
         c = sequential_circuit(2, [gate(core.H, 0), cnot(0, 1), last])
         with pytest.raises(ValueError):
             effective_unitary(c, (0,))
-        with pytest.raises(ValueError):
-            run_with_helpers(c, {(0,): np.array([1.0, 0.0])})
 
 
 # every unitary gate kind the simulator dispatches on
@@ -471,7 +467,7 @@ def bits(a):
 
 
 def helper_oracle(circuit, data_qubits, helpers, vec, after=None):
-    """run_with_helpers of one data input, from a run() of its own.
+    """effective_unitary's column for one data input, from a run() of its own.
 
     after, if given, replaces that run(): the amplitudes the circuit left.
     The helpers are projected back with project_onto; the leakage is the
@@ -547,16 +543,6 @@ class TestBlockRuns:
         np.testing.assert_array_equal(bits(m), bits(np.stack([v for v, _ in cols], axis=1)))
         assert leak == max(lk for _, lk in cols)
 
-    def test_run_with_helpers_matches_oracle(self):
-        c = random_unitary_circuit(7, seed=71)
-        data = (6, 2, 0)
-        helpers = {(5, 1): np.array([0.6, 0.0, 0.0, 0.8j])}
-        v = np.array([0.5, 0.5j, -0.5, 0.5, 0, 0, 0, 0], dtype=np.complex128)
-        amps, leak = run_with_helpers(c, {data: v}, helpers)
-        want, want_leak = helper_oracle(c, data, helpers, v)
-        np.testing.assert_array_equal(bits(amps), bits(want))
-        assert leak == want_leak
-
 
 PHASE_PERMUTATION_KINDS = (
     core.X, core.Z, core.S, core.SDG, core.T, core.TDG, core.RZ, core.CNOT, core.TOFFOLI, core.CRZ)
@@ -617,29 +603,6 @@ class TestPhasePermutation:
         np.testing.assert_array_equal(bits(m), bits(np.stack([v for v, _ in cols], axis=1)))
         assert leak == max(lk for _, lk in cols)
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_small_run_with_helpers_matches_run(self, n):
-        c = random_unitary_circuit(n, seed=196 + n, kinds=SMALL_KINDS[n])
-        rng = np.random.default_rng(198 + n)
-        data, helpers = ((1,), {(0,): unit_vector(rng, 2)}) if n == 2 else ((0,), {})
-        v = unit_vector(rng, 2)
-        amps, leak = run_with_helpers(c, {data: v}, helpers)
-        want, want_leak = helper_oracle(c, data, helpers, v)
-        np.testing.assert_array_equal(bits(amps), bits(want))
-        assert leak == want_leak
-
-    def test_run_with_helpers_stays_on_kernels(self, monkeypatch):
-        # one input gives the evaluator at least 2^n inputs, where the
-        # kernels are faster; the whole-matrix checks still take it
-        def refuse(*args):
-            raise AssertionError("evaluator called")
-
-        c = random_unitary_circuit(6, seed=200, kinds=PHASE_PERMUTATION_KINDS)
-        monkeypatch.setattr(sim, "_permute_phases", refuse)
-        run_with_helpers(c, {(0, 1, 2): unit_vector(np.random.default_rng(201), 8)})
-        with pytest.raises(AssertionError, match="evaluator called"):
-            effective_unitary(c, (0, 1, 2))
-
     def test_zero_angles_match_dense_runs(self):
         # RZ(0) has the entry exactly 1, which the kernel skips; multiplying
         # by it would clear the sign of some zeros.  CRZ(0) is multiplied.
@@ -678,18 +641,6 @@ class TestPhasePermutation:
         oracle = np.stack([dense_run(c, np.eye(1, 64, index[j])[0])[index] for j in range(64)], axis=1)
         np.testing.assert_array_equal(bits(m), bits(oracle))
         assert leak == 0.0
-
-    @pytest.mark.parametrize("n", [6, 8, 10])
-    def test_run_with_helpers_matches_dense_run(self, n):
-        c = random_unitary_circuit(n, seed=140 + n, kinds=PHASE_PERMUTATION_KINDS)
-        rng = np.random.default_rng(150 + n)
-        data = (n - 1, 2, 0)
-        helpers = {(4, 1): unit_vector(rng, 4)}
-        v = unit_vector(rng, 8)
-        amps, leak = run_with_helpers(c, {data: v}, helpers)
-        want, want_leak = helper_oracle(c, data, helpers, v)
-        np.testing.assert_array_equal(bits(amps), bits(want))
-        assert leak == want_leak
 
     def test_rows_match_dense_runs(self):
         # the dense rows the helpers are projected from, signed zeros and all
