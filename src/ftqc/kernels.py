@@ -1,40 +1,96 @@
 """Statevector kernels, in numpy; there is no other kernel backend.
 
-They are one of the simulator's two execution paths.  run() takes every
-circuit through them, and so do the whole-matrix checks for a circuit
-with H, Y or another gate that mixes basis states.  The whole-matrix
-checks of a circuit of only X, CNOT, Toffoli and diagonal gates go to
-the basis-state evaluator in sim instead.
+run() takes every gate through them, and so do the whole-matrix checks of
+a circuit with H, Y or another gate that mixes basis states; sim's
+basis-state evaluator takes the other whole-matrix checks.
 
-Every function takes a flat complex128 amplitude array of length 2**n,
-where qubit j is bit j of the basis index (qubit 0 is the least
-significant bit), and returns the updated array, modified in place where
-the operation allows.  prob_one sums in a fixed (C) order, so a seeded
-run is reproducible.
+Each function takes a flat, C-contiguous complex128 array of 2**n
+amplitudes, where qubit j is bit j of the basis index.  A kernel that
+changes amplitudes does so in place and returns the array it was given.
+prob_one sums in a fixed (C) order, so a seeded run is reproducible.  No
+kernel assumes that n is the size of one state: sim runs a block of 2**b
+states, stored as one C-contiguous (2**b, 2**n) array, as one state on
+n + b qubits, whose top b bits no gate of the circuit touches.
 
-No kernel assumes that n is the size of one state.  The simulator runs a
-block of B = 2**b states, stored as one C-contiguous (B, 2**n) array,
-through the same kernels as a single state on n + b qubits: the row index
-sits on the bits above the circuit's n, which no gate of the circuit
-touches.
+A dense 1-qubit gate, CNOT and Toffoli work on the two halves of the
+target qubit, where every control bit is 1, in tiles of _TILE amplitudes,
+through a scratch of three tiles that each thread allocates on first use.
+A dense gate copies a tile's bit-clear half a0 into the scratch and
+writes m00*a0 + m01*a1 and m10*a0 + m11*a1 back with out= ufuncs; a swap
+moves a0 through it.  So a tile stays in cache, no state-sized temporary
+is made and no BLAS call runs.
 
 apply_1q given exactly [[0, 1], [1, 0]] swaps the two halves of the
-target qubit in place rather than multiplying, so X moves amplitudes
-without touching their bits.  Any other matrix, even one that rounds to
-X, is multiplied.
+target qubit in place, through a half-state copy, rather than
+multiplying, so X moves amplitudes without touching their bits.  Any
+other matrix, even one that rounds to X, is multiplied.
 """
 
 from __future__ import annotations
+
+import functools
+import math
+import threading
 
 import numpy as np
 
 # the benchmark records this name with each result
 BACKEND_NAME = "python"
 
+# amplitudes per tile: a tile of both halves and the scratch fit in cache
+_TILE = 1 << 13
+_SHORT = 8  # a shorter last axis is cut into single columns, so numpy loops along a longer one
+_local = threading.local()  # each thread's scratch of three tiles
 
-def _axis(n: int, q: int) -> int:
-    # amps.reshape([2]*n) puts the most significant bit on axis 0
-    return n - 1 - q
+
+@functools.cache
+def _layout(t: int, controls: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple, tuple]]:
+    """A shape that gives bit t and each control bit an axis of its own, and
+    the indices of its halves with bit t clear and set, every control 1."""
+    bits = sorted((t, *controls), reverse=True)
+    shape = [-1, 2]
+    for hi, lo in zip(bits, bits[1:]):
+        shape += [1 << (hi - lo - 1), 2]
+    k = bits.index(t)
+    pick, rest = (slice(None), 1) * k, (slice(None), 1) * (len(bits) - k - 1)
+    return (*shape, 1 << bits[-1]), (pick + (slice(None), 0) + rest, pick + (slice(None), 1) + rest)
+
+
+def _tiles(amps: np.ndarray, t: int, controls: tuple[int, ...], k: int):
+    """The two halves of qubit t as views, k scratch arrays of one tile's
+    shape, and the index of every tile of the halves."""
+    shape, picks = _layout(t, controls)
+    x0, x1 = (amps.reshape(shape)[p] for p in picks)
+    shape = x0.shape
+    cols = shape[-1] if shape[-1] < _SHORT and x0.size > _TILE else 0
+    body, budget = (shape[:-1], _TILE // cols) if cols else (shape, _TILE)
+    d, inner = len(body), 1
+    while d and inner * body[d - 1] <= budget:
+        d -= 1
+        inner *= body[d]
+    if d:
+        step = budget // inner
+        tile = (step, *body[d:])
+        index = [(*i, slice(j, j + step), ...) for i in np.ndindex(*body[: d - 1])
+                 for j in range(0, body[d - 1], step)]
+    else:
+        tile, index = body, [()]
+    if cols:
+        index = [(*i, j) for i in index for j in range(cols)]
+    if not hasattr(_local, "buf"):
+        _local.buf = np.empty((3, _TILE), dtype=np.complex128)
+    return x0, x1, [b[: math.prod(tile)].reshape(tile) for b in _local.buf[:k]], index
+
+
+def _swap(amps: np.ndarray, t: int, controls: tuple[int, ...]) -> np.ndarray:
+    """Swap the two halves of qubit t where every control bit is 1."""
+    x0, x1, (s,), index = _tiles(amps, t, controls, 1)
+    for i in index:
+        a0, a1 = x0[i], x1[i]
+        s[...] = a0
+        a0[...] = a1
+        a1[...] = s
+    return amps
 
 
 def apply_1q(amps: np.ndarray, n: int, q: int, m: np.ndarray) -> np.ndarray:
@@ -45,10 +101,14 @@ def apply_1q(amps: np.ndarray, n: int, q: int, m: np.ndarray) -> np.ndarray:
         a[:, 0, :] = a[:, 1, :]
         a[:, 1, :] = tmp
         return amps
-    a = amps.reshape([2] * n)
-    res = np.tensordot(m, a, axes=([1], [_axis(n, q)]))
-    res = np.moveaxis(res, 0, _axis(n, q))
-    return np.ascontiguousarray(res).reshape(-1)
+    m00, m01, m10, m11 = m.flat
+    x0, x1, (s, t, u), index = _tiles(amps, q, (), 3)
+    for i in index:
+        a0, a1 = x0[i], x1[i]
+        s[...] = a0
+        np.add(np.multiply(s, m00, out=u), np.multiply(a1, m01, out=t), out=a0)
+        np.add(np.multiply(s, m10, out=u), np.multiply(a1, m11, out=t), out=a1)
+    return amps
 
 
 def apply_diag_1q(amps: np.ndarray, n: int, q: int, d0: complex, d1: complex) -> np.ndarray:
@@ -61,45 +121,19 @@ def apply_diag_1q(amps: np.ndarray, n: int, q: int, d0: complex, d1: complex) ->
 
 
 def apply_cnot(amps: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
-    a = amps.reshape([2] * n)
-    sel = [slice(None)] * n
-    sel[_axis(n, control)] = 1
-    block = a[tuple(sel)]
-    t_ax = _axis(n, target) - (1 if _axis(n, control) < _axis(n, target) else 0)
-    i0 = [slice(None)] * (n - 1)
-    i1 = list(i0)
-    i0[t_ax] = 0
-    i1[t_ax] = 1
-    tmp = block[tuple(i0)].copy()
-    block[tuple(i0)] = block[tuple(i1)]
-    block[tuple(i1)] = tmp
-    return amps
+    return _swap(amps, target, (control,))
 
 
 def apply_toffoli(amps: np.ndarray, n: int, c1: int, c2: int, target: int) -> np.ndarray:
-    a = amps.reshape([2] * n)
-    sel = [slice(None)] * n
-    sel[_axis(n, c1)] = 1
-    sel[_axis(n, c2)] = 1
-    block = a[tuple(sel)]
-    t_ax = _axis(n, target)
-    t_ax -= sum(1 for c in (c1, c2) if _axis(n, c) < _axis(n, target))
-    i0 = [slice(None)] * (n - 2)
-    i1 = list(i0)
-    i0[t_ax] = 0
-    i1[t_ax] = 1
-    tmp = block[tuple(i0)].copy()
-    block[tuple(i0)] = block[tuple(i1)]
-    block[tuple(i1)] = tmp
-    return amps
+    return _swap(amps, target, (c1, c2))
 
 
 def apply_phase_on_ones(amps: np.ndarray, n: int, mask: int, phase: complex) -> np.ndarray:
-    a = amps.reshape([2] * n)
+    a = amps.reshape([2] * n)  # bit n - 1 on axis 0
     sel = [slice(None)] * n
     for q in range(n):
         if (mask >> q) & 1:
-            sel[_axis(n, q)] = 1
+            sel[n - 1 - q] = 1
     a[tuple(sel)] *= phase
     return amps
 

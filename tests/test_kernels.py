@@ -1,8 +1,16 @@
-"""Statevector kernels against dense-matrix oracles."""
+"""Statevector kernels against dense-matrix oracles, and across tile
+boundaries against index-arithmetic oracles."""
+
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ftqc
 from ftqc import kernels
 
 I2 = np.eye(2, dtype=complex)
@@ -138,6 +146,136 @@ class TestXSwap:
             expect = dense_op_on(n, q, near_x) @ w
             assert np.count_nonzero(expect) == 1 << n
             np.testing.assert_array_equal(got, expect)
+
+
+def index_1q(v, q, m):
+    """apply_1q by index arithmetic: pair each bit-q-clear index with its bit-q-set partner."""
+    i0 = np.flatnonzero((np.arange(v.size) >> q & 1) == 0)
+    i1 = i0 | 1 << q
+    out = v.copy()
+    out[i0] = m[0, 0] * v[i0] + m[0, 1] * v[i1]
+    out[i1] = m[1, 0] * v[i0] + m[1, 1] * v[i1]
+    return out
+
+
+def index_flip(v, controls, t):
+    """Flip bit t of every index whose control bits are all set."""
+    idx = np.arange(v.size)
+    mask = sum(1 << c for c in controls)
+    src = np.flatnonzero(idx & mask == mask)
+    out = v.copy()
+    out[src ^ 1 << t] = v[src]
+    return out
+
+
+def random_unitary(seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestAcrossTiles:
+    """States larger than one tile, with gates below, across and above the
+    tile bit (amplitude index bit log2(_TILE))."""
+
+    TILE_BIT = kernels._TILE.bit_length() - 1
+
+    @pytest.mark.parametrize("n", cases(15, 16))
+    @pytest.mark.parametrize("name", ["H", "random"])
+    def test_apply_1q_every_qubit(self, n, name):
+        m = H if name == "H" else random_unitary(n)
+        for q in range(n):
+            v = rand_state(n, 300 * n + q)
+            expect = index_1q(v, q, m)
+            got = kernels.apply_1q(v, n, q, m)
+            assert got is v
+            np.testing.assert_allclose(got, expect, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", cases(15, 16))
+    def test_apply_cnot(self, n):
+        b = self.TILE_BIT
+        pairs = [(1, 4), (2, b + 1), (b, n - 1)]  # below, across and above the tile bit
+        for c, t in pairs + [(t, c) for c, t in pairs]:
+            v = rand_state(n, 400 * n + c)
+            expect = index_flip(v, (c,), t)
+            got = kernels.apply_cnot(v, n, c, t)
+            assert got is v
+            np.testing.assert_array_equal(got, expect)
+
+    @pytest.mark.parametrize("n", cases(15, 16))
+    def test_apply_toffoli(self, n):
+        b = self.TILE_BIT
+        for c1, c2, t in [(3, b + 1, 0), (b + 1, 3, 7), (3, b, n - 1), (0, 1, b + 1), (b, n - 1, 2)]:
+            v = rand_state(n, 500 * n + t)
+            expect = index_flip(v, (c1, c2), t)
+            got = kernels.apply_toffoli(v, n, c1, c2, t)
+            assert got is v
+            np.testing.assert_array_equal(got, expect)
+
+
+class TestNoStateSizedTemporaries:
+    """A dense 1-qubit gate, CNOT and Toffoli at n = 20 allocate less than
+    an eighth of the 16-MB state, scratch included."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda v, n: kernels.apply_1q(v, n, 9, H), id="apply_1q"),
+            pytest.param(lambda v, n: kernels.apply_cnot(v, n, 19, 2), id="apply_cnot"),
+            pytest.param(lambda v, n: kernels.apply_toffoli(v, n, 0, 15, 8), id="apply_toffoli"),
+        ],
+    )
+    def test_peak_below_an_eighth_of_the_state(self, call):
+        n = 20
+        v = rand_state(n, 600)
+        tracemalloc.start()
+        try:
+            call(v, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < v.nbytes / 8, peak
+
+
+_RUN_DIGEST = """
+import hashlib, sys
+import numpy as np
+from ftqc import core, sim
+
+n = 16
+rng = np.random.default_rng(int(sys.argv[1]))
+b = core.CircuitBuilder(n)
+for q in range(n):
+    b.append(core.gate(core.H, q))
+for _ in range(240):
+    kind = rng.integers(4)
+    q = [int(x) for x in rng.choice(n, size=3, replace=False)]
+    if kind == 0:
+        b.append(core.gate(core.H, q[0]))
+    elif kind == 1:
+        b.append(core.rz(float(rng.uniform(0.0, 2.0 * np.pi)), q[0]))
+    elif kind == 2:
+        b.append(core.cnot(q[0], q[1]))
+    else:
+        b.append(core.toffoli(q[0], q[1], q[2]))
+amps = sim.run(b.build()).state.amps
+print(hashlib.sha256(amps.tobytes()).hexdigest())
+"""
+
+
+class TestDeterminism:
+    def test_run_is_byte_identical_across_blas_threads(self):
+        """run() makes no BLAS call through the kernels, so its bytes do not
+        depend on how many threads BLAS may use."""
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            package_root = str(Path(ftqc.__file__).parents[1])
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+            argv = [sys.executable, "-c", _RUN_DIGEST, "17"]
+            out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120, check=True)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1, digests
 
 
 class TestModule:
