@@ -1,8 +1,9 @@
 """Statevector kernels, in numpy; there is no other kernel backend.
 
-run() takes every gate through them, and so do the whole-matrix checks of
-a circuit with H, Y or another gate that mixes basis states; sim's
-basis-state evaluator takes the other whole-matrix checks.
+run() takes every gate through them unless the circuit holds only X, CNOT
+and Toffoli gates and the input is sparse, and so do the whole-matrix
+checks of a circuit with H, Y or another gate that mixes basis states;
+sim's basis-state evaluator takes the rest.
 
 Each function takes a flat, C-contiguous complex128 array of 2**n
 amplitudes, where qubit j is bit j of the basis index.  A kernel that
@@ -21,7 +22,7 @@ moves a0 through it.  So a tile stays in cache, no state-sized temporary
 is made and no BLAS call runs.
 
 apply_1q given exactly [[0, 1], [1, 0]] swaps the two halves of the
-target qubit in place, through a half-state copy, rather than
+target qubit tile by tile, as CNOT does with no control, rather than
 multiplying, so X moves amplitudes without touching their bits.  Any
 other matrix, even one that rounds to X, is multiplied.
 """
@@ -95,12 +96,7 @@ def _swap(amps: np.ndarray, t: int, controls: tuple[int, ...]) -> np.ndarray:
 
 def apply_1q(amps: np.ndarray, n: int, q: int, m: np.ndarray) -> np.ndarray:
     if m[0, 0] == 0 and m[1, 1] == 0 and m[0, 1] == 1 and m[1, 0] == 1:
-        # exactly X: swap the two halves in place, no arithmetic
-        a = amps.reshape(-1, 2, 1 << q)
-        tmp = a[:, 0, :].copy()
-        a[:, 0, :] = a[:, 1, :]
-        a[:, 1, :] = tmp
-        return amps
+        return _swap(amps, q, ())  # exactly X: no arithmetic
     m00, m01, m10, m11 = m.flat
     x0, x1, (s, t, u), index = _tiles(amps, q, (), 3)
     for i in index:

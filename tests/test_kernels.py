@@ -192,6 +192,15 @@ class TestAcrossTiles:
             np.testing.assert_allclose(got, expect, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n", cases(15, 16))
+    def test_apply_x_every_qubit(self, n):
+        for q in range(n):
+            v = rand_state(n, 700 * n + q)
+            expect = index_flip(v, (), q)
+            got = kernels.apply_1q(v, n, q, X)
+            assert got is v
+            np.testing.assert_array_equal(got, expect)
+
+    @pytest.mark.parametrize("n", cases(15, 16))
     def test_apply_cnot(self, n):
         b = self.TILE_BIT
         pairs = [(1, 4), (2, b + 1), (b, n - 1)]  # below, across and above the tile bit
@@ -214,13 +223,14 @@ class TestAcrossTiles:
 
 
 class TestNoStateSizedTemporaries:
-    """A dense 1-qubit gate, CNOT and Toffoli at n = 20 allocate less than
-    an eighth of the 16-MB state, scratch included."""
+    """A dense 1-qubit gate, X, CNOT and Toffoli at n = 20 allocate less
+    than an eighth of the 16-MB state, scratch included."""
 
     @pytest.mark.parametrize(
         "call",
         [
             pytest.param(lambda v, n: kernels.apply_1q(v, n, 9, H), id="apply_1q"),
+            pytest.param(lambda v, n: kernels.apply_1q(v, n, 13, X), id="apply_1q-X"),
             pytest.param(lambda v, n: kernels.apply_cnot(v, n, 19, 2), id="apply_cnot"),
             pytest.param(lambda v, n: kernels.apply_toffoli(v, n, 0, 15, 8), id="apply_toffoli"),
         ],

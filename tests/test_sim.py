@@ -3,6 +3,7 @@ Pauli-frame tracking, projection helpers, the whole-matrix checks on both
 of their paths, and channel comparison."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import block_overlap, dense_run, matrix_of, sequential_circuit
 
-from ftqc import core, firstq, kickback, sim
+from ftqc import core, firstq, kernels, kickback, sim
 from ftqc.core import (
     CircuitBuilder,
     Pauli,
@@ -701,6 +702,116 @@ class TestPhasePermutation:
         assert max(want).bit_length() > 64
         assert [sum(int(b) << q for q, b in enumerate(planes[:, i])) for i in range(count)] == want
         np.testing.assert_array_equal(amps, 1.0)
+
+
+PERMUTATION_KINDS = (core.X, core.CNOT, core.TOFFOLI)
+KERNELS = ("apply_1q", "apply_diag_1q", "apply_cnot", "apply_toffoli", "apply_phase_on_ones", "prob_one", "collapse")
+
+
+def forbid(monkeypatch, module, names):
+    """Make each named function of module raise when called."""
+    def boom(*args, **kwargs):
+        raise AssertionError("called a function this run must not reach")
+    for name in names:
+        monkeypatch.setattr(module, name, boom)
+
+
+def sparse_inputs(n, rng):
+    """Inputs with at most 2^(n-2) listed amplitudes: basis states, product
+    blocks on a few qubits, and a scattered state holding -0 entries."""
+    dim = 1 << n
+    inputs = [StateVector.basis(n, int(j)) for j in rng.choice(dim, 3, replace=False)]
+    qs = [int(q) for q in rng.permutation(n)]
+    blocks = [(tuple(qs[:2]), unit_vector(rng, 4))] if n >= 4 else []
+    if n != 4:
+        blocks.append(((qs[-1],), unit_vector(rng, 2)))
+    inputs.append(product_state(n, blocks))
+    amps = np.zeros(dim, dtype=np.complex128)
+    pos = rng.choice(dim, dim >> 2, replace=False)
+    amps[pos] = unit_vector(rng, len(pos))
+    signed_zeros = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+    amps[pos[:3]] = signed_zeros[: len(pos[:3])]
+    inputs.append(StateVector(n, amps))
+    return inputs
+
+
+class TestSparseRun:
+    """run() evaluates an X/CNOT/Toffoli circuit on the support of a sparse
+    input; every other run takes the kernels.  The result must be bit for
+    bit the kernels' (reference.dense_run), signed zeros included."""
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_matches_dense_runs(self, n, monkeypatch):
+        c = random_unitary_circuit(n, seed=200 + n, kinds=PERMUTATION_KINDS)
+        inputs = sparse_inputs(n, np.random.default_rng(210 + n))
+        kept = [bits(s.amps).copy() for s in inputs]
+        oracle = [dense_run(c, s.amps) for s in inputs] + [dense_run(c, StateVector.zero(n).amps)]
+        forbid(monkeypatch, kernels, KERNELS)  # so each run below takes the route
+        got = [run(c, s) for s in inputs] + [run(c)]
+        for res, want in zip(got, oracle):
+            np.testing.assert_array_equal(bits(res.state.amps), bits(want))
+            assert res.record == {} and res.qubit_outcomes == {} and res.frame.pauli == Pauli()
+        for s, before in zip(inputs, kept):
+            np.testing.assert_array_equal(bits(s.amps), before)  # the input is left alone
+
+    def test_consumes_no_randomness(self):
+        c = random_unitary_circuit(6, seed=220, kinds=PERMUTATION_KINDS)
+        rng = np.random.default_rng(221)
+        before = rng.bit_generator.state
+        run(c, StateVector.basis(6, 5), rng=rng)
+        assert rng.bit_generator.state == before
+
+    def test_support_rule_boundary(self, monkeypatch):
+        # dim / _SPARSE_SHARE listed amplitudes take the route; one more does not
+        n = 8
+        dim = 1 << n
+        c = random_unitary_circuit(n, seed=230, kinds=PERMUTATION_KINDS)
+        amps = np.zeros(dim, dtype=np.complex128)
+        amps[: dim // sim._SPARSE_SHARE] = -0.0
+        want = dense_run(c, amps)
+        with monkeypatch.context() as m:
+            forbid(m, kernels, KERNELS)
+            np.testing.assert_array_equal(bits(run(c, StateVector(n, amps)).state.amps), bits(want))
+        amps[dim // sim._SPARSE_SHARE] = 1.0
+        want = dense_run(c, amps)
+        forbid(monkeypatch, sim, ["_permute_phases"])
+        np.testing.assert_array_equal(bits(run(c, StateVector(n, amps)).state.amps), bits(want))
+
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_full_support_takes_the_kernels(self, n, monkeypatch):
+        c = random_unitary_circuit(n, seed=240 + n, kinds=PERMUTATION_KINDS)
+        psi = random_state(n, np.random.default_rng(250 + n))
+        want = dense_run(c, psi.amps)
+        forbid(monkeypatch, sim, ["_permute_phases"])
+        np.testing.assert_array_equal(bits(run(c, psi).state.amps), bits(want))
+
+    @pytest.mark.parametrize(
+        "g", [gate(core.H, 1), gate(core.T, 2), crz(0.3, 0, 2), measure(1, key=0)], ids=["H", "T", "CRZ", "MEASURE"])
+    def test_other_gates_take_the_kernels(self, g, monkeypatch):
+        c = sequential_circuit(8, [*random_unitary_circuit(8, seed=260, kinds=PERMUTATION_KINDS).gates(), g])
+        psi = StateVector.basis(8, 0b10110)
+        forbid(monkeypatch, sim, ["_permute_phases"])
+        res = run(c, psi, seed=261)
+        assert res.state.amps.any()
+        if g.is_unitary:
+            np.testing.assert_array_equal(bits(res.state.amps), bits(dense_run(c, psi.amps)))
+
+    def test_adder_run_allocates_one_state(self):
+        # the 21-qubit adder on 2^11 listed amplitudes: the output state and
+        # the support, not a copy of the input nor X temporaries
+        c = kickback.build_adder(kickback.AdderSpec(kickback.RIPPLE_CARRY, 11), 0b10110010111)
+        assert c.n_qubits == 21
+        amps = np.zeros(1 << 21, dtype=np.complex128)
+        amps[: 1 << 11] = unit_vector(np.random.default_rng(270), 1 << 11)
+        psi = StateVector(21, amps)
+        tracemalloc.start()
+        try:
+            out = run(c, psi).state.amps
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * amps.nbytes, peak
+        assert np.count_nonzero(out) == 1 << 11
 
 
 def teleport_circuit(include_z_fix=True):
