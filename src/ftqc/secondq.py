@@ -7,9 +7,10 @@ maps each term to qubits with the Jordan-Wigner transform, and builds the
 Trotter-step propagator circuits:
 
 * ``excitation_operator_strings`` expands the hermitian generator of a
-  term into commuting Pauli strings: each ladder operator is a sum of two
-  ``core.Pauli`` bit-mask operators, products are mask XORs with a phase,
-  and only the returned strings are spelled out as letters,
+  term into commuting Pauli strings: a product of ladder operators is a
+  sum over plain-int (x, z) masks with exact dyadic coefficients, its
+  hermitian conjugate is read off the same sum, and only the returned
+  strings are spelled out as letters,
 * ``build_excitation`` turns those strings into a circuit: basis changes
   into the Z basis (H for an X factor, H.S.H / H.S^dag.H around a Y
   factor), a CNOT parity ladder, one phase rotation on the parity wire,
@@ -26,8 +27,11 @@ Trotter-step propagator circuits:
 ``estimate_second_quantized`` prices a full phase-estimation run (2^n - 1
 controlled Trotter steps for n readout bits) without simulating it, using
 per-method rotation cost models; ``rotation_profile`` documents those
-models.  Gate-level circuits stay exactly verifiable on the statevector
-simulator; the estimator is pure arithmetic over term structure.
+models.  It walks the same masks, builds each parity ladder once per
+(span, mode) for the process, and prices a rotation once per call, or
+once per angle where the price depends on it.  Gate-level circuits stay
+exactly verifiable on the statevector simulator; the estimator is pure
+arithmetic over term structure.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .core import (
@@ -90,6 +95,8 @@ class OneBodyTerm:
     def __post_init__(self) -> None:
         if min(self.p, self.q) < 0:
             raise ValueError("orbital indices must be non-negative")
+        if not math.isfinite(self.value):
+            raise ValueError(f"term value {self.value!r} is not finite")
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -110,6 +117,8 @@ class TwoBodyTerm:
     def __post_init__(self) -> None:
         if min(self.indices) < 0:
             raise ValueError("orbital indices must be non-negative")
+        if not math.isfinite(self.value):
+            raise ValueError(f"term value {self.value!r} is not finite")
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -255,61 +264,60 @@ def apply_cutoff(table: IntegralTable, threshold: float) -> tuple[IntegralTable,
 # iY_j)/2, so qubit j's |1> marks an occupied orbital j and the Z chain
 # carries the fermionic sign.  Since iY_j = Z_j X_j, the ladder operators
 # are a_j = (X_j + Z_j X_j)/2 and a_j^dag = (X_j - Z_j X_j)/2 on the chain
-# z = (1 << j) - 1: two core.Pauli masks with real coefficients.  A product
-# of ladder operators expands into one Pauli product per choice of factors,
-# collected as {(x, z): coeff} over Z^z X^x with each product's phase folded
-# into the complex coefficient.  Every coefficient before the term value
-# enters is a small dyadic rational, so these sums are exact.
+# z = (1 << j) - 1.  A product of k ladder operators is then a sum of
+# Z^z X^x over plain-int masks (x, z) with coefficients n / 2^k for small
+# integers n: moving X^x1 right past Z^z2 only costs (-1)^|x1 & z2|, so
+# the sums are exact.  The hermitian conjugate of that product needs no
+# second expansion, since (Z^z X^x)^dag = X^x Z^z = (-1)^|x & z| Z^z X^x:
+# strings with an odd number of Y factors cancel against it and the rest
+# double.  Finally Z^z X^x = i^|x & z| times the tensor product of its
+# letters, a sign for the strings that survive.
 
-_I_POW = (1, 1j, -1, -1j)
 
-
-def _ladder_product(mode_ops) -> list[tuple[float, Pauli]]:
-    """A product of ladder operators [(index, dagger)], one term per choice of factors."""
-    terms = [(1.0, Pauli())]
+def _ladder_product(mode_ops) -> dict[tuple[int, int], int]:
+    """A product of ladder operators [(index, dagger)] as {(x, z): n}, where
+    Z^z X^x carries the coefficient n / 2^len(mode_ops)."""
+    terms = {(0, 0): 1}
     for j, dagger in mode_ops:
         bit, chain = 1 << j, (1 << j) - 1
-        factors = ((0.5, Pauli(bit, chain)), (-0.5 if dagger else 0.5, Pauli(bit, chain | bit)))
-        terms = [(c * f, p * factor) for c, p in terms for f, factor in factors]
+        product: dict[tuple[int, int], int] = {}
+        for (x, z), n in terms.items():
+            # times Z^chain X^bit, and times -/+ Z^(chain | bit) X^bit,
+            # whose Z_j also passes X^x's bit j
+            n = -n if (x & chain).bit_count() & 1 else n
+            key = (x ^ bit, z ^ chain)
+            product[key] = product.get(key, 0) + n
+            key = (x ^ bit, z ^ chain ^ bit)
+            product[key] = product.get(key, 0) + (-n if dagger != bool(x & bit) else n)
+        terms = product
     return terms
 
 
-def _generator_paulis(term: Term, n_orbitals: int | None) -> list[tuple[float, Pauli]]:
-    """The hermitian generator of a term as (real coeff, Pauli) pairs, unordered.
-
-    Each Pauli carries the phase i^-|x & z| that makes it the hermitian
-    tensor product of its letters.
-    """
+def _generator_masks(term: Term, n_orbitals: int | None) -> list[tuple[float, int, int]]:
+    """The hermitian generator of a term as (real coeff, x, z) triples,
+    unordered: coeff times the tensor product of the letters of Z^z X^x."""
     if n_orbitals is not None and max(term.indices) >= n_orbitals:
         raise ValueError(
             f"term {term.indices} outside register of {n_orbitals} orbitals"
         )
     if isinstance(term, OneBodyTerm):
         ops = [(term.p, True), (term.q, False)]
-        conj = [(term.q, True), (term.p, False)]
         self_adjoint = term.p == term.q
     else:
         ops = [(term.p, True), (term.q, True), (term.r, False), (term.s, False)]
-        conj = [(term.s, True), (term.r, True), (term.q, False), (term.p, False)]
         self_adjoint = term.s == term.p and term.r == term.q
-    collected: dict[tuple[int, int], complex] = {}
-    for product in [ops] if self_adjoint else [ops, conj]:
-        # collect each product exactly before the term value scales it
-        exact: dict[tuple[int, int], complex] = {}
-        for c, p in _ladder_product(product):
-            exact[p.x, p.z] = exact.get((p.x, p.z), 0.0j) + c * _I_POW[p.phase]
-        for key, c in exact.items():
-            collected[key] = collected.get(key, 0.0j) + c * term.value
+    scale = 0.5 ** len(ops)
+    floor = 1e-15 * max(1.0, abs(term.value))
     out = []
-    for (x, z), c in collected.items():
-        if abs(c) <= 1e-15 * max(1.0, abs(term.value)):
-            continue
+    for (x, z), n in _ladder_product(ops).items():
         n_y = (x & z).bit_count()
-        c *= _I_POW[n_y % 4]  # Z^z X^x = i^n_y * (its letters)
-        p = Pauli(x, z, -n_y % 4)
-        if abs(c.imag) > 1e-12 * max(1.0, abs(c)):
-            raise ValueError(f"expansion of {term} is not hermitian: {p.letters()} -> {c}")
-        out.append((float(c.real), p))
+        if n_y & 1 and not self_adjoint:
+            continue
+        c = n * scale * term.value
+        if not self_adjoint:
+            c += c
+        if abs(c) > floor:
+            out.append((-c if n_y & 2 else c, x, z))
     return out
 
 
@@ -333,7 +341,9 @@ def excitation_operator_strings(
     rotation per string.  A string with empty ops is a global phase.
     Strings are sorted by their ops.
     """
-    strings = (PauliString(c, p.letters()) for c, p in _generator_paulis(term, n_orbitals))
+    strings = (
+        PauliString(c, Pauli(x, z).letters()) for c, x, z in _generator_masks(term, n_orbitals)
+    )
     return tuple(sorted(strings, key=lambda s: s.ops))
 
 
@@ -659,12 +669,12 @@ class SecondQuantizedEstimate:
         return self.rotation_depth / self.profile.depth
 
 
-def _ladder_profile(span: int, mode: str, cache: dict) -> ResourceProfile:
+@lru_cache(maxsize=None)
+def _ladder_profile(span: int, mode: str) -> ResourceProfile:
+    """The parity ladder's cost, built once per (span, mode)."""
     if span < 2:
         return ResourceProfile(0, 0, 0, span)
-    if span not in cache:
-        cache[span] = build_jw_ladder(span, mode).profile()
-    return cache[span]
+    return build_jw_ladder(span, mode).profile()
 
 
 def estimate_second_quantized(
@@ -682,14 +692,17 @@ def estimate_second_quantized(
     independent of how far apart the orbitals sit), and one controlled
     rotation priced by the plan's method at epsilon_max.  The per-step
     total is multiplied by the 2^n - 1 steps and wall clock is depth
-    times seconds_per_gate (default 1 ms per gate).  An empty table is a
-    zero-depth run.
+    times seconds_per_gate (default 1 ms per gate), which must be finite.
+    An empty table is a zero-depth run.
     """
     if ladder_mode not in (LADDER_DIRECT, LADDER_TELEPORTED):
         raise ValueError(f"unknown ladder mode {ladder_mode!r}")
     if not seconds_per_gate > 0:
         raise ValueError("seconds_per_gate must be positive")
-    ladder_cache: dict[int, ResourceProfile] = {}
+    # a rotation's price depends on its angle only where sequences are
+    # searched exhaustively; otherwise one price serves every string
+    by_angle = plan.method == METHOD_SEQUENCE and plan.epsilon_max >= SEQUENCE_SEARCH_REACH
+    costs: dict[float | None, RotationCost] = {}
     depth = 0
     t_count = 0
     gates = 0
@@ -698,23 +711,26 @@ def estimate_second_quantized(
     ladder_extra_qubits = 0
     rot_extra_qubits = 0
     for term in table.sorted_terms():
-        for coeff, p in _generator_paulis(term, table.n_orbitals):
-            weight = (p.x | p.z).bit_count()
+        for coeff, x, z in _generator_masks(term, table.n_orbitals):
+            weight = (x | z).bit_count()
             if not weight:
                 continue  # global phase: repaid inside a neighbouring rotation
-            n_y = (p.x & p.z).bit_count()
-            n_x = p.x.bit_count() - n_y
+            n_y = (x & z).bit_count()
+            n_x = x.bit_count() - n_y
             basis_depth = 3 if n_y else (1 if n_x else 0)
             depth += 2 * basis_depth
             gates += 2 * (n_x + 3 * n_y)
-            ladder = _ladder_profile(weight, ladder_mode, ladder_cache)
+            ladder = _ladder_profile(weight, ladder_mode)
             depth += 2 * ladder.depth
             t_count += 2 * ladder.t_count
             gates += 2 * ladder.total_gates
             ladder_extra_qubits = max(ladder_extra_qubits, ladder.qubits - weight)
-            cost = controlled_rotation_profile(
-                plan.method, plan.epsilon_max, 2.0 * coeff * plan.dt
-            )
+            angle = 2.0 * coeff * plan.dt if by_angle else None
+            cost = costs.get(angle)
+            if cost is None:
+                cost = costs[angle] = controlled_rotation_profile(
+                    plan.method, plan.epsilon_max, angle
+                )
             depth += cost.block.depth
             t_count += cost.block.t_count
             gates += cost.block.total_gates
@@ -728,6 +744,12 @@ def estimate_second_quantized(
     per_step = ResourceProfile(depth=depth, t_count=t_count, total_gates=gates, qubits=qubits)
     total = per_step.times(plan.steps)
     rotation_depth = rot_depth * plan.steps
+    wall_clock = total.depth * seconds_per_gate
+    if not math.isfinite(wall_clock):
+        raise ValueError(
+            f"seconds_per_gate {seconds_per_gate!r} times depth {total.depth} "
+            "overflows the wall clock"
+        )
     return SecondQuantizedEstimate(
         profile=total,
         per_step=per_step,
@@ -735,7 +757,7 @@ def estimate_second_quantized(
         clifford_depth=total.depth - rotation_depth,
         rotation_count=rotations * plan.steps,
         steps=plan.steps,
-        wall_clock_seconds=total.depth * seconds_per_gate,
+        wall_clock_seconds=wall_clock,
         method=plan.method,
         ladder_mode=ladder_mode,
     )

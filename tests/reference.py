@@ -3,7 +3,8 @@
 No entry point of the package reaches these.  Some are independent
 oracles: gate matrices, the general unitarity check, the 7-T Toffoli
 expansion, the angle bound of a truncated transform, the gate-by-gate
-kernel run and the per-trial PAR Monte Carlo.  The rest are
+kernel run, the per-trial PAR Monte Carlo and the Jordan-Wigner
+expansion over ``core.Pauli`` products.  The rest are
 test conveniences: one-gate-per-layer circuits, the eigenstate that
 ``build_qft_via_qvr`` expects, and the weight of a state on a register
 block.
@@ -29,6 +30,7 @@ from ftqc.core import (
     Circuit,
     CircuitBuilder,
     Gate,
+    Pauli,
     cnot,
     crz_matrix,
     gate,
@@ -37,6 +39,7 @@ from ftqc.core import (
 from ftqc.kickback import GammaRegister, gamma_state
 from ftqc.par import PREPARE_EXACT, execute_par, expected_rounds, prepare_ancillas
 from ftqc.qvr import qft_gamma_width
+from ftqc.secondq import OneBodyTerm
 from ftqc.sim import StateVector, _apply_unitary, project_onto
 
 
@@ -185,3 +188,53 @@ def per_trial_par_statistics(
         "expected_rounds": expected_rounds(m_count),
         "histogram": histogram,
     }
+
+
+_I_POW = (1, 1j, -1, -1j)
+
+
+def _pauli_ladder_product(mode_ops) -> list[tuple[float, Pauli]]:
+    """A product of ladder operators [(index, dagger)], one Pauli product per
+    choice of factors: a_j = (X_j + Z_j X_j)/2 and a_j^dag = (X_j - Z_j X_j)/2
+    on the Z chain below j."""
+    terms = [(1.0, Pauli())]
+    for j, dagger in mode_ops:
+        bit, chain = 1 << j, (1 << j) - 1
+        factors = ((0.5, Pauli(bit, chain)), (-0.5 if dagger else 0.5, Pauli(bit, chain | bit)))
+        terms = [(c * f, p * factor) for c, p in terms for f, factor in factors]
+    return terms
+
+
+def pauli_generator_masks(term) -> dict[tuple[int, int], float]:
+    """A term's hermitian generator as {(x, z): coeff}, coeff times the letters
+    of Z^z X^x, expanded as core.Pauli products.
+
+    The oracle the mask expansion of ``secondq`` must match float for float:
+    the operator product and its conjugate are expanded separately, each
+    collected exactly before the term value scales it, and phases ride the
+    complex coefficients.
+    """
+    if isinstance(term, OneBodyTerm):
+        ops = [(term.p, True), (term.q, False)]
+        conj = [(term.q, True), (term.p, False)]
+        self_adjoint = term.p == term.q
+    else:
+        ops = [(term.p, True), (term.q, True), (term.r, False), (term.s, False)]
+        conj = [(term.s, True), (term.r, True), (term.q, False), (term.p, False)]
+        self_adjoint = term.s == term.p and term.r == term.q
+    collected: dict[tuple[int, int], complex] = {}
+    for product in [ops] if self_adjoint else [ops, conj]:
+        exact: dict[tuple[int, int], complex] = {}
+        for c, p in _pauli_ladder_product(product):
+            exact[p.x, p.z] = exact.get((p.x, p.z), 0.0j) + c * _I_POW[p.phase]
+        for key, c in exact.items():
+            collected[key] = collected.get(key, 0.0j) + c * term.value
+    out = {}
+    for (x, z), c in collected.items():
+        if abs(c) <= 1e-15 * max(1.0, abs(term.value)):
+            continue
+        c *= _I_POW[(x & z).bit_count() % 4]  # Z^z X^x = i^|x & z| (its letters)
+        if c.imag != 0.0:
+            raise ValueError(f"expansion of {term} is not hermitian at {(x, z)}: {c}")
+        out[x, z] = c.real
+    return out

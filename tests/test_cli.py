@@ -339,6 +339,22 @@ class TestEstimate2q:
         assert status == 0
         assert json.loads(out)["steps"] == (1 << bits) - 1
 
+    def test_overflowing_wall_clock_is_an_error_record(self, capsys):
+        # finite --seconds-per-gate times a finite depth can still overflow
+        status, out, err = run_cli(
+            capsys,
+            "estimate-2q", "--integrals", "tests/data/integrals_12.txt",
+            "--readout-bits", "4", "--dt", "0.05", "--method", "sequence",
+            "--seconds-per-gate", "1e308",
+        )
+        assert status == 2
+        assert out == ""
+        assert err.count("\n") == 1  # one record, no traceback
+        record = json.loads(err)
+        assert record["command"] == "estimate-2q"
+        assert record["error"]["type"] == "ValueError"
+        assert "seconds_per_gate" in record["error"]["message"]
+
     def test_missing_integral_file_is_an_error_record(self, capsys):
         status, _, err = run_cli(
             capsys,

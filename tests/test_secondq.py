@@ -3,15 +3,18 @@ excitation circuits, teleported parity ladders, and the run estimator.
 
 Oracles: annihilation operators assembled as dense kron products (the
 symbolic Pauli expansion is checked against them with no circuit in the
-loop), a clongdouble Taylor/scaling-squaring matrix exponential for the
-propagator checks (kept apart from the complex128 arithmetic of the
-circuits it checks), and direct statevector simulation for channel equality and
-the small-system phase-estimation readout.
+loop), the expansion as ``core.Pauli`` products in ``reference`` (which
+the int-mask expansion must match float for float), a clongdouble
+Taylor/scaling-squaring matrix exponential for the propagator checks
+(kept apart from the complex128 arithmetic of the circuits it checks),
+and direct statevector simulation for channel equality and the
+small-system phase-estimation readout.
 """
 
 import hashlib
 import io
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -19,8 +22,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import pauli_generator_masks
 
-from ftqc import kickback
+from ftqc import cli, kickback, secondq
 from ftqc.core import (
     CNOT,
     FRAME,
@@ -66,6 +70,7 @@ from ftqc.sim import (
 )
 
 FIXTURE = Path(__file__).parent / "data" / "integrals_12.txt"
+PINS = json.loads((Path(__file__).parent / "data" / "estimate_2q_pins.json").read_text())
 
 _SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 _PAULI_1Q = {
@@ -361,6 +366,38 @@ class TestExcitationStrings:
             digest.update(repr(excitation_operator_strings(term, table.n_orbitals)).encode())
         assert table.n_terms == 231
         assert digest.hexdigest() == "23ab659c2c4fef5f231f5f01774c0cfdd4f08ee8d2962d51e53e8ef94960c056"
+
+    @given(
+        st.integers(1, 10).flatmap(
+            lambda m: st.tuples(
+                st.lists(st.integers(0, m - 1), min_size=4, max_size=4),
+                st.sampled_from(["one-body", "two-body", "self-adjoint"]),
+            )
+        ),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mask_expansion_matches_pauli_oracle(self, shape, value):
+        # the oracle expands the product and its conjugate as core.Pauli
+        # products; every coefficient must agree to the last bit
+        (p, q, r, s), kind = shape
+        if kind == "one-body":
+            term = OneBodyTerm(p, q, value)
+        elif kind == "two-body":
+            term = TwoBodyTerm(p, q, r, s, value)
+        else:
+            term = TwoBodyTerm(p, q, q, p, value)
+        triples = secondq._generator_masks(term, None)
+        masks = {(x, z): c for c, x, z in triples}
+        assert len(masks) == len(triples)
+        assert masks == pauli_generator_masks(term)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, value):
+        with pytest.raises(ValueError, match="not finite"):
+            OneBodyTerm(0, 1, value)
+        with pytest.raises(ValueError, match="not finite"):
+            TwoBodyTerm(0, 1, 2, 3, value)
 
     @given(
         st.integers(0, 4),
@@ -740,6 +777,83 @@ class TestEstimator:
             estimate_second_quantized(self.TOY, plan, ladder_mode="magic")
         with pytest.raises(ValueError):
             estimate_second_quantized(self.TOY, plan, seconds_per_gate=0.0)
+        with pytest.raises(ValueError, match="seconds_per_gate"):
+            estimate_second_quantized(self.TOY, plan, seconds_per_gate=1e308)
+
+    def test_ladders_are_built_once_per_span_and_mode(self, monkeypatch):
+        built = []
+
+        def counting_build_jw_ladder(span, mode=LADDER_DIRECT):
+            built.append((span, mode))
+            return build_jw_ladder(span, mode)
+
+        secondq._ladder_profile.cache_clear()
+        monkeypatch.setattr(secondq, "build_jw_ladder", counting_build_jw_ladder)
+        table = load_integrals(FIXTURE)
+        plan = TrotterPlan(dt=0.05, readout_bits=10, method=METHOD_PAR)
+        for mode in (LADDER_TELEPORTED, LADDER_DIRECT):
+            for _ in range(2):
+                estimate_second_quantized(table, plan, ladder_mode=mode)
+        assert built
+        assert len(built) == len(set(built))
+        assert {mode for _, mode in built} == {LADDER_TELEPORTED, LADDER_DIRECT}
+
+    @pytest.mark.parametrize(
+        "method,epsilon",
+        [(METHOD_KICKBACK, 1e-4), (METHOD_SK, 1e-4), (METHOD_PAR, 1e-4), (METHOD_SEQUENCE, 1e-4),
+         (METHOD_SEQUENCE, 0.1)],
+    )
+    def test_rotations_priced_once_per_call_or_angle(self, monkeypatch, method, epsilon):
+        priced = []
+
+        def counting_profile(m, eps, angle=None):
+            priced.append(angle)
+            return controlled_rotation_profile(m, eps, angle)
+
+        monkeypatch.setattr(secondq, "controlled_rotation_profile", counting_profile)
+        table = load_integrals(FIXTURE)
+        plan = TrotterPlan(dt=0.05, readout_bits=10, method=method, epsilon_max=epsilon)
+        est = estimate_second_quantized(table, plan)
+        if epsilon < secondq.SEQUENCE_SEARCH_REACH:
+            assert priced == [None]
+            return
+        angles = {
+            2.0 * coeff * plan.dt
+            for term in table.terms()
+            for coeff, ops in excitation_operator_strings(term, table.n_orbitals)
+            if ops
+        }
+        assert len(priced) == len(set(priced)) == len(angles) < est.rotation_count // plan.steps
+        assert set(priced) == angles
+
+
+class TestPinnedEstimates:
+    """estimate-2q outputs on integrals_12, byte for byte: their sha256
+    digests are pinned in tests/data/estimate_2q_pins.json."""
+
+    @pytest.mark.parametrize("config", sorted(PINS["json_sha256"]))
+    def test_cli_outputs_are_pinned(self, tmp_path, config):
+        method, epsilon = config.split()
+        json_file, csv_file = tmp_path / "out.json", tmp_path / "out.csv"
+        status = cli.main([
+            "estimate-2q", "--integrals", str(FIXTURE), *PINS["args"],
+            "--method", method, "--epsilon", epsilon,
+            "--json", str(json_file), "--csv", str(csv_file),
+        ])
+        assert status == 0
+        assert hashlib.sha256(json_file.read_bytes()).hexdigest() == PINS["json_sha256"][config]
+        assert hashlib.sha256(csv_file.read_bytes()).hexdigest() == PINS["csv_sha256"]
+
+    @pytest.mark.parametrize("config", sorted(PINS["estimate_sha256"]))
+    def test_estimates_are_pinned_in_both_ladder_modes(self, config):
+        method, epsilon, ladder_mode = config.split()
+        args = dict(zip(PINS["args"][::2], PINS["args"][1::2]))
+        plan = TrotterPlan(
+            dt=float(args["--dt"]), readout_bits=int(args["--readout-bits"]),
+            method=method, epsilon_max=float(epsilon),
+        )
+        est = estimate_second_quantized(load_integrals(FIXTURE), plan, ladder_mode=ladder_mode)
+        assert hashlib.sha256(repr(est).encode()).hexdigest() == PINS["estimate_sha256"][config]
 
 
 class TestSmallSystemPhaseEstimation:
