@@ -1,9 +1,11 @@
 """Statevector kernels, in numpy; there is no other kernel backend.
 
-run() takes every gate through them unless the circuit holds only X, CNOT
-and Toffoli gates and the input is sparse, and so do the whole-matrix
-checks of a circuit with H, Y or another gate that mixes basis states;
-sim's basis-state evaluator takes the rest.
+run() takes every gate through them unless the input is sparse and the
+circuit holds a MEASURE or only X, CNOT and Toffoli gates: sim's support
+route runs those on the listed amplitudes, and hands the kernels the rest
+of the circuit only if the support outgrows its share.  The whole-matrix
+checks of a circuit with H, Y or another gate that mixes basis states
+take the kernels too; sim's basis-state evaluator takes the rest.
 
 Each function takes a flat, C-contiguous complex128 array of 2**n
 amplitudes, where qubit j is bit j of the basis index.  A kernel that

@@ -25,14 +25,27 @@ basis state times a phase, so one evaluator, _permute_phases, carries
 every input as a column of bit-planes with one amplitude, and multiplies
 that amplitude as the kernels would: the results are bit for bit those
 of the kernel path, at a cost set by the inputs rather than by 2^n
-amplitudes per input.  run() takes the same evaluator for a circuit of
-X, CNOT and Toffoli gates alone when at most a quarter of the input's
-amplitudes are nonzero (_SPARSE_SHARE): those gates only move
-amplitudes, so it evaluates the input's support and scatters it into a
-fresh state.  A denser input, where the evaluator timed up to 1.4x
-slower than the kernels at full support (19-qubit adder), and any other
-circuit take the kernels.  effective_unitary is the one way to run a
-circuit with helper registers and project them back.
+amplitudes per input.
+
+run() has one sparse route, _Support, which holds the state as its
+listed basis indices and their amplitudes.  It takes a circuit of X,
+CNOT and Toffoli gates alone, and any circuit with a MEASURE, when at
+most a quarter of the input's amplitudes are listed (_SPARSE_SHARE).
+Stretches of phase-permutation gates run on _permute_phases, H and Y
+pair each index with its partner, and a MEASURE keeps the half of the
+support it selects.  A support that grows past the share is scattered
+once into the output, allocated when the route is entered, and the
+kernels take the remaining gates.  The teleported Jordan-Wigner ladder,
+whose Bell-pair halves start in |0> and are measured away, is the case
+this serves: at span 8 its support stays within 2^15 of 2^20 amplitudes.
+Every other run, and every denser input, takes the kernels.  Unitary
+circuits with H, Y, a diagonal gate or CRZ stay on them because
+to_unitary's columns must equal run() bit for bit, and a gathered H
+rounds differently from the kernel's tiles; a measured circuit has no
+such twin, so the route matches the kernels' outcomes and frame, and
+their amplitudes up to rounding.  effective_unitary is the one way to
+run a circuit with helper registers and project them back, and it
+projects without BLAS, so its bytes do not depend on BLAS threads.
 """
 
 from __future__ import annotations
@@ -247,29 +260,32 @@ def run(
 
     Measurements inside one layer consume randomness in listed order.
     FRAME gates with a condition read the (frame-corrected) outcome stored
-    under their key.  A circuit of X, CNOT and Toffoli gates alone, on an
-    input with at most 2^n / _SPARSE_SHARE amplitudes whose bytes are not
-    all zero (-0 counts), skips the kernels: the bit-plane evaluator moves
-    just those amplitudes into a fresh state, bit for bit where the
-    kernels would put them.  On the 19-qubit adder that took 0.19-0.26x
-    the kernels' time at a quarter of the support and 0.04x at 1/1024; at
-    full support it was 1.1-1.4x slower.  The input is never copied then,
-    and no randomness is drawn.
+    under their key.  Two kinds of circuit run on the support of their
+    state (_Support) rather than on 2^n amplitudes, while it lists at most
+    2^n / _SPARSE_SHARE amplitudes whose bytes are not all zero (-0
+    counts): one of X, CNOT and Toffoli gates alone, whose output is bit
+    for bit the kernels' (on the 19-qubit adder that took 0.19-0.26x the
+    kernels' time at a quarter of the support and 0.04x at 1/1024, and
+    1.1-1.4x at full support), and any circuit with a MEASURE, whose
+    outcomes and frame are the kernels' and whose amplitudes may differ
+    from theirs in the last bits.  Such a run never copies its input; a
+    support that outgrows the share is scattered once into the output and
+    the kernels take the remaining gates.  A unitary circuit with any
+    other gate, or a denser input, takes the kernels from the start, so
+    to_unitary's columns stay bit for bit those of run().
     """
     n = circuit.n_qubits
     _check_size(n)
     if initial is not None and initial.n_qubits != n:
         raise ValueError("initial state size does not match circuit")
-    moved = _run_permutation(circuit, initial)
-    if moved is not None:
-        return SimResult(state=moved, record={}, frame=PauliFrame(n))
-    state = StateVector.zero(n) if initial is None else initial.copy()
+    support = _Support.enter(circuit, initial)
+    if support is None:
+        amps = (StateVector.zero(n) if initial is None else initial.copy()).amps
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
     frame = PauliFrame(n)
     record: dict[int, int] = {}
     qubit_outcomes: dict[int, int] = {}
-    amps = state.amps
     K = kernels
 
     for layer in circuit.layers:
@@ -277,10 +293,11 @@ def run(
             kind = g.kind
             if kind == core.MEASURE:
                 q = g.qubits[0]
-                p1 = K.prob_one(amps, n, q)
-                p0 = 1.0 - p1
-                outcome = 0 if rng.random() < p0 else 1
-                amps = K.collapse(amps, n, q, outcome, p0 if outcome == 0 else p1)
+                if support is None:
+                    outcome, prob = _draw(K.prob_one(amps, n, q), rng)
+                    amps = K.collapse(amps, n, q, outcome, prob)
+                else:
+                    outcome = support.measure(q, rng)
                 x, z, phase = frame.pauli
                 true_outcome = outcome ^ (x >> q & 1)
                 if z >> q & 1:
@@ -295,9 +312,19 @@ def run(
                     frame.update(g.qubits[0], g.pauli)
                 continue
             frame.propagate(g)
-            amps = _apply_unitary(amps, n, g)
-    state.amps = amps
-    return SimResult(state=state, record=record, frame=frame, qubit_outcomes=qubit_outcomes)
+            if support is None:
+                amps = _apply_unitary(amps, n, g)
+            elif not support.apply(g):
+                amps, support = support.scatter(), None  # outgrew the share
+    if support is not None:
+        amps = support.scatter()
+    return SimResult(state=StateVector(n, amps), record=record, frame=frame, qubit_outcomes=qubit_outcomes)
+
+
+def _draw(p1: float, rng: np.random.Generator) -> tuple[int, float]:
+    """A measurement's outcome by the inverse CDF of one uniform, and its probability."""
+    p0 = 1.0 - p1
+    return (0, p0) if rng.random() < p0 else (1, p1)
 
 
 def _diagonal(g: Gate) -> tuple[complex, complex]:
@@ -336,8 +363,11 @@ def _is_phase_permutation(circuit: Circuit) -> bool:
     return all(g.kind in _PHASE_PERMUTATION for g in circuit.gates())
 
 
-def _permute_phases(circuit: Circuit, planes: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run a phase-permutation circuit on basis-state inputs, in place.
+def _permute_phases(
+    circuit: Circuit | Iterable[Iterable[Gate]], planes: np.ndarray, amps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run a phase-permutation circuit, or its gates given as layers, on
+    basis-state inputs, in place.
 
     planes is an (n_qubits, inputs) bool array whose row q holds wire q of
     every input; amps holds one complex128 amplitude per input.  Returns
@@ -347,7 +377,7 @@ def _permute_phases(circuit: Circuit, planes: np.ndarray, amps: np.ndarray) -> t
     through the multiplications of a run(), in the same order.  Any other
     gate raises SimulationError.
     """
-    for layer in circuit.layers:
+    for layer in circuit:
         for g in layer:
             kind, qs = g.kind, g.qubits
             if kind == core.X:
@@ -385,43 +415,111 @@ def _indices(planes: np.ndarray) -> np.ndarray:
     return idx
 
 
-# run() takes the evaluator when at most 1/_SPARSE_SHARE of the input's
-# amplitudes are listed.  On the 19-qubit adder (best of 5, 2 cores) it timed
-# 0.04x the kernels' time at 1/1024 support, 0.11-0.15x at 1/8, 0.19-0.26x
-# at 1/4, 0.48x at 1/2 and 1.1-1.4x at full support, the lower figure for a
-# support in one block and the higher for one scattered at random.  Its
-# arrays take about n + 48 bytes per listed amplitude besides the output,
-# so at 1/4 they add about one state's bytes.
+# run() keeps a circuit on its state's support while at most 1/_SPARSE_SHARE
+# of the amplitudes are listed.  On the 19-qubit adder (best of 5, 2 cores)
+# the bit-plane evaluator timed 0.04x the kernels' time at 1/1024 support,
+# 0.11-0.15x at 1/8, 0.19-0.26x at 1/4, 0.48x at 1/2 and 1.1-1.4x at full
+# support, the lower figure for a support in one block and the higher for
+# one scattered at random.  Its arrays take about n + 48 bytes per listed
+# amplitude besides the output, so at 1/4 they add about one state's bytes.
 _SPARSE_SHARE = 4
 
 
-def _run_permutation(circuit: Circuit, initial: StateVector | None) -> StateVector | None:
-    """run() of an X/CNOT/Toffoli circuit on a sparse input, or None for any
-    other circuit or a dense input.
+class _Support:
+    """run()'s state as its listed basis indices and their amplitudes.
 
-    The support lists every amplitude whose bytes are not all zero, -0
-    included, so the listed amplitudes move as the kernels would move them
-    and every other index holds +0 before and after: the state is bit for
-    bit the kernels' state.  Besides the output, the scan takes one byte
-    per amplitude and the rest is sized by the support.
+    Every index the support does not list holds +0.  Phase-permutation
+    gates wait in a stretch that _permute_phases runs on bit-planes once
+    a gate of another kind needs the state, so a circuit of X, CNOT and
+    Toffoli gates alone makes one conversion to planes and one back, and
+    moves each amplitude bit for bit as the kernels would.  H and Y pair
+    each index with its partner idx ^ (1 << q) and drop the results that
+    are zero; a MEASURE sums |a|^2 over the indices with the qubit set,
+    draws as the kernel path does and keeps the chosen half.  The output
+    array is allocated on entry: H and Y use it as a scratch that is +0
+    between gates, and scatter() fills it once.
     """
-    if any(g.kind not in _PERMUTATION for g in circuit.gates()):
-        return None
-    n = circuit.n_qubits
-    dim = 1 << n
-    if initial is None:
-        idx, amps = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128)
-    else:
+
+    __slots__ = ("n", "idx", "amps", "stretch", "out")
+
+    def __init__(self, n: int, idx: np.ndarray, amps: np.ndarray):
+        self.n = n
+        self.out = np.zeros(1 << n, dtype=np.complex128)
+        self.idx, self.amps = idx, amps
+        self.stretch: list[Gate] = []
+
+    @classmethod
+    def enter(cls, circuit: Circuit, initial: StateVector | None) -> "_Support | None":
+        """The support of run()'s input, or None when the kernels take the run:
+        a unitary circuit with a gate other than X, CNOT and Toffoli, or an
+        input with more than 2^n / _SPARSE_SHARE listed amplitudes.
+
+        The support lists every amplitude whose bytes are not all zero, -0
+        included.  Besides the output, the scan takes one byte per amplitude.
+        """
+        kinds = {g.kind for g in circuit.gates()}
+        if not (kinds <= _PERMUTATION or core.MEASURE in kinds):
+            return None
+        n = circuit.n_qubits
+        if initial is None:
+            return cls(n, np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128))
         words = initial.amps.view(np.int64)  # -0 has a nonzero word
         listed = np.logical_or(words[0::2], words[1::2])
-        if np.count_nonzero(listed) * _SPARSE_SHARE > dim:
+        if np.count_nonzero(listed) * _SPARSE_SHARE > 1 << n:
             return None
         idx = np.flatnonzero(listed)
-        amps = initial.amps[idx]
-    planes, amps = _permute_phases(circuit, _planes(n, idx), amps)
-    out = np.zeros(dim, dtype=np.complex128)
-    out[_indices(planes)] = amps
-    return StateVector(n, out)
+        return cls(n, idx, initial.amps[idx])
+
+    def apply(self, g: Gate) -> bool:
+        """Apply a unitary gate; False once the support outgrows the share."""
+        if g.kind in _PHASE_PERMUTATION:
+            self.stretch.append(g)
+            return True
+        self._flush()
+        self._pair(g.qubits[0], _DENSE[g.kind])
+        return len(self.idx) * _SPARSE_SHARE <= len(self.out)
+
+    def measure(self, q: int, rng: np.random.Generator) -> int:
+        """Measure qubit q and keep the half of the support it selects."""
+        self._flush()
+        ones = (self.idx & (1 << q)) != 0
+        outcome, prob = _draw(float(np.sum(np.abs(self.amps[ones]) ** 2)), rng)
+        keep = ones if outcome else ~ones
+        self.idx = self.idx[keep]
+        self.amps = self.amps[keep] * (1.0 / np.sqrt(prob))
+        return outcome
+
+    def scatter(self) -> np.ndarray:
+        """The state as 2^n amplitudes, in the array allocated on entry."""
+        self._flush()
+        self.out[self.idx] = self.amps
+        return self.out
+
+    def _flush(self) -> None:
+        if self.stretch:
+            planes, self.amps = _permute_phases([self.stretch], _planes(self.n, self.idx), self.amps)
+            self.idx = _indices(planes)
+            self.stretch = []
+
+    def _pair(self, q: int, m: np.ndarray) -> None:
+        """A dense one-qubit gate: both entries of every pair the support touches."""
+        bit = 1 << q
+        out, idx, amps = self.out, self.idx, self.amps
+        nonzero = amps != 0  # out tells a listed index by its nonzero amplitude
+        if not nonzero.all():
+            idx, amps = idx[nonzero], amps[nonzero]
+        out[idx] = amps
+        # the bit-clear index of every pair once: a listed one, or the partner
+        # of a listed bit-set index whose own entry is unlisted
+        low = idx & ~bit
+        low = low[(low == idx) | (out[low] == 0)]
+        high = low | bit
+        a0, a1 = out[low], out[high]
+        out[idx] = 0.0
+        m00, m01, m10, m11 = m.flat
+        new = np.concatenate((a0 * m00 + a1 * m01, a0 * m10 + a1 * m11))
+        keep = new != 0
+        self.idx, self.amps = np.concatenate((low, high))[keep], new[keep]
 
 
 # amplitudes per block run (1 MB of complex128): a block holds
@@ -559,15 +657,20 @@ def project_onto(
 
 
 def _project(amps: np.ndarray, n: int, qubits: tuple[int, ...], block: np.ndarray) -> np.ndarray:
-    """project_onto on a flat array of 2^n amplitudes: the residual amplitudes."""
+    """project_onto on a flat array of 2^n amplitudes: the residual amplitudes.
+
+    einsum without optimize runs its own loop, not BLAS, so the sums and
+    their bits do not depend on how many threads BLAS may use.
+    """
     m = len(qubits)
-    a = amps.reshape([2] * n)
-    vec = np.asarray(block).reshape([2] * m) if m else np.asarray(block)
-    state_axes = [n - 1 - q for q in qubits]
-    # block axis j corresponds to bit (m-1-j) of the block index
-    block_axes = [m - 1 - j for j in range(m)]
-    res = np.tensordot(vec.conj(), a, axes=(block_axes, state_axes)) if m else a * block
-    return np.ascontiguousarray(res).reshape(-1)
+    if not m:
+        return (amps * block).reshape(-1)
+    # state axis i holds qubit n - 1 - i; block axis j holds bit m - 1 - j
+    # of the block index, which lives on qubits[m - 1 - j]
+    block_axes = [n - 1 - qubits[m - 1 - j] for j in range(m)]
+    rest = [i for i in range(n) if i not in block_axes]
+    vec = np.asarray(block).reshape([2] * m)
+    return np.einsum(vec.conj(), block_axes, amps.reshape([2] * n), range(n), rest, optimize=False).reshape(-1)
 
 
 def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:

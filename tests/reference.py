@@ -3,11 +3,11 @@
 No entry point of the package reaches these.  Some are independent
 oracles: gate matrices, the general unitarity check, the 7-T Toffoli
 expansion, the angle bound of a truncated transform, the gate-by-gate
-kernel run, the per-trial PAR Monte Carlo and the Jordan-Wigner
-expansion over ``core.Pauli`` products.  The rest are
-test conveniences: one-gate-per-layer circuits, the eigenstate that
-``build_qft_via_qvr`` expects, and the weight of a state on a register
-block.
+kernel runs with and without measurements, the per-trial PAR Monte
+Carlo and the Jordan-Wigner expansion over ``core.Pauli`` products.  The
+rest are test conveniences: one-gate-per-layer circuits, the eigenstate
+that ``build_qft_via_qvr`` expects, and the weight of a state on a
+register block.
 """
 
 from __future__ import annotations
@@ -16,11 +16,14 @@ from typing import Iterable
 
 import numpy as np
 
+from ftqc import kernels
 from ftqc.core import (
     CNOT,
     CRZ,
+    FRAME,
     GATE_MATRICES,
     H,
+    MEASURE,
     PLUS,
     RZ,
     T,
@@ -40,7 +43,7 @@ from ftqc.kickback import GammaRegister, gamma_state
 from ftqc.par import PREPARE_EXACT, execute_par, expected_rounds, prepare_ancillas
 from ftqc.qvr import qft_gamma_width
 from ftqc.secondq import OneBodyTerm
-from ftqc.sim import StateVector, _apply_unitary, project_onto
+from ftqc.sim import PauliFrame, SimResult, StateVector, _apply_unitary, project_onto
 
 
 def sequential_circuit(n_qubits: int, gates: Iterable[Gate]) -> Circuit:
@@ -125,6 +128,40 @@ def dense_run(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
     for g in circuit.gates():
         out = _apply_unitary(out, circuit.n_qubits, g)
     return out
+
+
+def dense_measured_run(circuit: Circuit, amps: np.ndarray, seed: int) -> SimResult:
+    """run() on the kernels alone, gate by gate, measurements and frames included.
+
+    The oracle run()'s support route must match on a measured circuit:
+    its record, outcomes and frame exactly, its amplitudes up to rounding.
+    """
+    n = circuit.n_qubits
+    out = np.array(amps, dtype=np.complex128)
+    rng = np.random.default_rng(seed)
+    frame = PauliFrame(n)
+    record: dict[int, int] = {}
+    qubit_outcomes: dict[int, int] = {}
+    for g in circuit.gates():
+        if g.kind == MEASURE:
+            q = g.qubits[0]
+            p1 = kernels.prob_one(out, n, q)
+            p0 = 1.0 - p1
+            outcome = 0 if rng.random() < p0 else 1
+            out = kernels.collapse(out, n, q, outcome, p0 if outcome == 0 else p1)
+            x, z, phase = frame.pauli
+            true_outcome = outcome ^ (x >> q & 1)
+            if z >> q & 1:
+                frame.pauli = Pauli(x, z ^ 1 << q, (phase + 2 * true_outcome) % 4)
+            record[g.key] = true_outcome
+            qubit_outcomes[q] = true_outcome
+        elif g.kind == FRAME:
+            if g.cond is None or record.get(g.cond, 0) == 1:
+                frame.update(g.qubits[0], g.pauli)
+        else:
+            frame.propagate(g)
+            out = _apply_unitary(out, n, g)
+    return SimResult(state=StateVector(n, out), record=record, frame=frame, qubit_outcomes=qubit_outcomes)
 
 
 def block_overlap(state: StateVector, qubits: tuple[int, ...], block: np.ndarray) -> float:

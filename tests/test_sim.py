@@ -3,15 +3,20 @@ Pauli-frame tracking, projection helpers, the whole-matrix checks on both
 of their paths, and channel comparison."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import block_overlap, dense_run, matrix_of, sequential_circuit
+from reference import block_overlap, dense_measured_run, dense_run, matrix_of, sequential_circuit
 
-from ftqc import core, firstq, kernels, kickback, sim
+import ftqc
+from ftqc import core, firstq, kernels, kickback, secondq, sim
 from ftqc.core import (
     CircuitBuilder,
     Pauli,
@@ -438,6 +443,43 @@ class TestEffectiveUnitary:
             effective_unitary(c, (0,))
 
 
+# effective_unitary of the kickback rotations, uncontrolled and controlled,
+# with the gamma state as the helper: one sha256 of every matrix and leakage
+_KICKBACK_DIGEST = """
+import hashlib
+from ftqc import kickback as kb, sim
+
+digest = hashlib.sha256()
+for n in (5, 7):
+    reg = kb.GammaRegister(1, n)
+    gamma = kb.gamma_state(reg).amps
+    for controlled in (False, True):
+        for phi in (0.7, 2.345, 1.1):
+            rot = kb.kickback_rotation(phi, reg, controlled=controlled)
+            lay = rot.layout
+            data = (lay.control, lay.target) if controlled else (lay.target,)
+            mat, leak = sim.effective_unitary(rot.circuit, data, {lay.gamma: gamma})
+            digest.update(mat.tobytes())
+            digest.update(repr(leak).encode())
+print(digest.hexdigest())
+"""
+
+
+class TestHelperProjectionDeterminism:
+    def test_effective_unitary_is_byte_identical_across_blas_threads(self):
+        """The helpers are projected back without BLAS, so the bytes of
+        effective_unitary do not depend on how many threads BLAS may use."""
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            package_root = str(Path(ftqc.__file__).parents[1])
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+            argv = [sys.executable, "-c", _KICKBACK_DIGEST]
+            out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120, check=True)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1, digests
+
+
 # every unitary gate kind the simulator dispatches on
 UNITARY_1Q = (core.X, core.Y, core.Z, core.H, core.S, core.SDG, core.T, core.TDG)
 
@@ -785,16 +827,14 @@ class TestSparseRun:
         forbid(monkeypatch, sim, ["_permute_phases"])
         np.testing.assert_array_equal(bits(run(c, psi).state.amps), bits(want))
 
-    @pytest.mark.parametrize(
-        "g", [gate(core.H, 1), gate(core.T, 2), crz(0.3, 0, 2), measure(1, key=0)], ids=["H", "T", "CRZ", "MEASURE"])
+    @pytest.mark.parametrize("g", [gate(core.H, 1), gate(core.T, 2), crz(0.3, 0, 2)], ids=["H", "T", "CRZ"])
     def test_other_gates_take_the_kernels(self, g, monkeypatch):
         c = sequential_circuit(8, [*random_unitary_circuit(8, seed=260, kinds=PERMUTATION_KINDS).gates(), g])
         psi = StateVector.basis(8, 0b10110)
         forbid(monkeypatch, sim, ["_permute_phases"])
         res = run(c, psi, seed=261)
         assert res.state.amps.any()
-        if g.is_unitary:
-            np.testing.assert_array_equal(bits(res.state.amps), bits(dense_run(c, psi.amps)))
+        np.testing.assert_array_equal(bits(res.state.amps), bits(dense_run(c, psi.amps)))
 
     def test_adder_run_allocates_one_state(self):
         # the 21-qubit adder on 2^11 listed amplitudes: the output state and
@@ -852,6 +892,169 @@ class TestChannelEqual:
         a = sequential_circuit(2, [cnot(0, 1)])
         ident = core.Circuit(1, [])
         assert not channel_equal(a, ident, 1, out_a=(0,), out_b=(0,))
+
+
+MEASURED_KINDS = (
+    core.H, core.Y, core.S, core.T, core.RZ, core.CRZ, core.CNOT, core.TOFFOLI, core.MEASURE, core.FRAME)
+
+
+def random_measured_circuit(n, seed, extra=50):
+    """Seeded circuit on n qubits holding each of MEASURED_KINDS at least once.
+
+    A FRAME names X or Z and is conditioned on a key measured before it,
+    or on none.  A frame can fail to cross a later gate, so callers pass
+    the circuit through the oracle and take the next seed when it raises.
+    """
+    rng = np.random.default_rng(seed)
+    kinds = list(MEASURED_KINDS)
+    kinds += [kinds[i] for i in rng.integers(0, len(kinds), extra)]
+    gates, keys = [], []
+    for kind in rng.permutation(np.array(kinds, dtype=object)):
+        qs = [int(q) for q in rng.permutation(n)]
+        if kind in (core.H, core.Y, core.S, core.T):
+            gates.append(gate(kind, qs[0]))
+        elif kind == core.RZ:
+            gates.append(rz(rng.uniform(-np.pi, np.pi), qs[0]))
+        elif kind == core.CRZ:
+            gates.append(crz(rng.uniform(-np.pi, np.pi), qs[0], qs[1]))
+        elif kind == core.CNOT:
+            gates.append(cnot(qs[0], qs[1]))
+        elif kind == core.TOFFOLI:
+            gates.append(toffoli(*qs[:3]))
+        elif kind == core.MEASURE:
+            keys.append(len(keys))
+            gates.append(measure(qs[0], key=keys[-1]))
+        else:
+            cond = keys[int(rng.integers(len(keys)))] if keys and rng.random() < 0.8 else None
+            gates.append(frame_update(qs[0], "XZ"[int(rng.integers(2))], cond=cond))
+    return sequential_circuit(n, gates)
+
+
+def assert_same_run(got, want):
+    """The route's run against the kernels': outcomes and frame exactly,
+    amplitudes up to rounding."""
+    assert got.record == want.record
+    assert got.qubit_outcomes == want.qubit_outcomes
+    assert got.frame.pauli == want.frame.pauli
+    np.testing.assert_allclose(got.state.amps, want.state.amps, rtol=0, atol=1e-14)
+
+
+def teleported_ladder_input(span, rng):
+    c = secondq.build_jw_ladder(span, secondq.LADDER_TELEPORTED)
+    amps = np.zeros(1 << c.n_qubits, dtype=np.complex128)
+    amps[: 1 << span] = unit_vector(rng, 1 << span)
+    return c, StateVector(c.n_qubits, amps)
+
+
+class TestSupportRun:
+    """run() keeps a circuit with a MEASURE on its state's support while at
+    most 2^n / _SPARSE_SHARE amplitudes are listed.  Its record, outcomes
+    and frame must be those of the kernel loop (reference.dense_measured_run),
+    its amplitudes within 1e-14 of that loop's, and no kernel runs until
+    the support outgrows the share."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_teleportation_matches_kernel_run(self, seed, monkeypatch):
+        # a 1-qubit input on 3 qubits outgrows a quarter at the first H, so
+        # every listed amplitude is allowed here
+        monkeypatch.setattr(sim, "_SPARSE_SHARE", 1)
+        c = teleport_circuit()
+        psi = product_state(3, {(0,): unit_vector(np.random.default_rng(290 + seed), 2)})
+        kept = bits(psi.amps).copy()
+        want = dense_measured_run(c, psi.amps, 300 + seed)
+        forbid(monkeypatch, kernels, KERNELS)
+        rng = np.random.default_rng(300 + seed)
+        assert_same_run(run(c, psi, rng=rng), want)
+        # one uniform per MEASURE, as the kernel loop draws them
+        ref = np.random.default_rng(300 + seed)
+        ref.random(2)
+        assert rng.random() == ref.random()
+        np.testing.assert_array_equal(bits(psi.amps), kept)  # the input is left alone
+
+    @pytest.mark.parametrize("span", range(3, 9))
+    def test_teleported_ladders_match_kernel_runs(self, span, monkeypatch):
+        c, psi = teleported_ladder_input(span, np.random.default_rng(310 + span))
+        if span < 5:
+            # the Bell pairs of spans 3 and 4 take more than a quarter of
+            # their 2^5 and 2^8 amplitudes; from span 5 the default holds
+            monkeypatch.setattr(sim, "_SPARSE_SHARE", 1)
+        wants = [dense_measured_run(c, psi.amps, seed) for seed in (320, 321)]
+        forbid(monkeypatch, kernels, KERNELS)
+        for seed, want in zip((320, 321), wants):
+            assert_same_run(run(c, psi, seed=seed), want)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_random_measured_circuits_match_kernel_runs(self, n, monkeypatch):
+        # every listed amplitude is allowed, so the route takes every gate
+        monkeypatch.setattr(sim, "_SPARSE_SHARE", 1)
+        rng = np.random.default_rng(330 + n)
+        cases = []
+        for k, psi in enumerate(sparse_inputs(n, rng)):
+            for seed in range(1000 * n + 100 * k, 1000 * n + 100 * k + 50):
+                c = random_measured_circuit(n, seed)
+                try:
+                    cases.append((c, psi, seed, dense_measured_run(c, psi.amps, seed)))
+                    break
+                except SimulationError:  # a frame that cannot cross a later gate
+                    continue
+        assert len(cases) == 5
+        forbid(monkeypatch, kernels, KERNELS)
+        for c, psi, seed, want in cases:
+            assert_same_run(run(c, psi, seed=seed), want)
+
+    def test_measured_permutation_takes_the_route(self, monkeypatch):
+        # a MEASURE sends an X/CNOT/Toffoli circuit to the route, with the
+        # X/CNOT/Toffoli stretch on bit-planes: the case TestSparseRun pins
+        # for H, T and CRZ, which take the kernels
+        c = sequential_circuit(8, [*random_unitary_circuit(8, seed=260, kinds=PERMUTATION_KINDS).gates(),
+                                   measure(1, key=0)])
+        psi = StateVector.basis(8, 0b10110)
+        want = dense_measured_run(c, psi.amps, 261)
+        forbid(monkeypatch, kernels, KERNELS)
+        res = run(c, psi, seed=261)
+        assert_same_run(res, want)
+        np.testing.assert_array_equal(bits(res.state.amps), bits(want.state.amps))
+
+    def test_outgrown_support_hands_off_to_the_kernels(self, monkeypatch):
+        # the head takes 2^3 listed amplitudes of 2^9 to 2^7, a quarter; the
+        # tail's H doubles them past it, and the kernels take the rest
+        n = 9
+        rng = np.random.default_rng(340)
+        psi = product_state(n, {(0, 4, 7): unit_vector(rng, 8)})
+        head = [gate(core.H, 1), cnot(1, 2), gate(core.T, 2), gate(core.H, 3), measure(2, key=0),
+                gate(core.H, 5), gate(core.H, 6), gate(core.Y, 6), crz(0.4, 5, 6), frame_update(8, "X", cond=0),
+                gate(core.H, 2)]
+        tail = [gate(core.H, 8), measure(8, key=1), cnot(0, 8), rz(0.3, 8), measure(5, key=2)]
+        c = sequential_circuit(n, head + tail)
+        want = dense_measured_run(c, psi.amps, 341)
+        calls = []
+        for name in KERNELS:
+            kernel = getattr(kernels, name)
+            monkeypatch.setattr(kernels, name, lambda *a, kernel=kernel, name=name: calls.append(name) or kernel(*a))
+        handed = []
+        scatter = sim._Support.scatter
+        monkeypatch.setattr(sim._Support, "scatter", lambda self: handed.append(len(self.idx)) or scatter(self))
+        assert_same_run(run(c, psi, seed=341), want)
+        # scattered once, at 2^8 listed amplitudes; the kernels ran only the
+        # gates after the tail's H
+        assert handed == [1 << 8]
+        assert calls == ["prob_one", "collapse", "apply_cnot", "apply_diag_1q", "prob_one", "collapse"]
+
+    def test_ladder_run_peaks_below_the_kernel_loop(self):
+        # the span-8 teleported ladder (20 qubits) on 2^8 listed amplitudes:
+        # the output state and the support.  The kernel loop, which copies
+        # the input and sums each measured half into temporaries, peaked at
+        # 1.26-1.28x the state's bytes.
+        c, psi = teleported_ladder_input(8, np.random.default_rng(350))
+        assert c.n_qubits == 20
+        tracemalloc.start()
+        try:
+            out = run(c, psi, seed=351).state.amps
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * psi.amps.nbytes, peak
+        assert np.count_nonzero(out) == 1 << 8
 
 
 class TestToUnitary:
