@@ -13,18 +13,18 @@ corrected state would have produced.
 
 One size limit, QUBIT_CAP, bounds every state: _check_size raises
 SimulationError before any amplitude is allocated, in StateVector,
-basis (and so zero), random_state, run, effective_unitary, _rows_after
-and _support (and so product_state).  The dense matrices of to_unitary
-and effective_unitary, 4^n entries for n qubits, have a tighter one,
+basis (and so zero), random_state, run, effective_unitary and _support
+(and so product_state).  The dense matrices of to_unitary and
+effective_unitary, 4^n entries for n qubits, have a tighter one,
 _UNITARY_QUBITS, that _check_matrix applies.
 
 The whole-matrix checks (to_unitary and effective_unitary) treat
 circuits built only from X, CNOT, Toffoli and diagonal gates (Z, S, S†,
 T, T†, RZ, CRZ) apart.  Such a circuit sends each basis state to one
 basis state times a phase, so one evaluator, _permute_phases, carries
-every input as a column of bit-planes with one amplitude, and multiplies
-that amplitude as the kernels would: the results are bit for bit those
-of the kernel path, at a cost set by the inputs rather than by 2^n
+every listed input amplitude as a column of bit-planes, and multiplies
+it as the kernels would: the results are bit for bit those of the
+kernel path, at a cost set by the listed inputs rather than by 2^n
 amplitudes per input.
 
 run() has one sparse route, _Support, which holds the state as its
@@ -44,8 +44,9 @@ to_unitary's columns must equal run() bit for bit, and a gathered H
 rounds differently from the kernel's tiles; a measured circuit has no
 such twin, so the route matches the kernels' outcomes and frame, and
 their amplitudes up to rounding.  effective_unitary is the one way to
-run a circuit with helper registers and project them back, and it
-projects without BLAS, so its bytes do not depend on BLAS threads.
+run a circuit with helper registers and project them back: it sums each
+column's listed outputs in a fixed order, with no BLAS call, so its
+bytes do not depend on BLAS threads.
 """
 
 from __future__ import annotations
@@ -140,13 +141,25 @@ def _support(
     idx = np.zeros(1, dtype=np.int64)
     amp = np.ones(1, dtype=np.complex128)
     for qubits, vec in items:
-        # bit j of the local index sets qubit qubits[j]
-        offsets = np.zeros(1, dtype=np.int64)
-        for q in qubits:
-            offsets = np.concatenate((offsets, offsets | (1 << q)))
-        idx = (idx[:, None] | offsets[None, :]).reshape(-1)
+        idx = (idx[:, None] | _spread(qubits)[None, :]).reshape(-1)
         amp = (amp[:, None] * np.asarray(vec)[None, :]).reshape(-1)
     return idx, amp
+
+
+def _spread(qubits: Iterable[int]) -> np.ndarray:
+    """The basis index of every local index j, whose bit b sets qubit qubits[b]."""
+    idx = np.zeros(1, dtype=np.int64)
+    for q in qubits:
+        idx = np.concatenate((idx, idx | (1 << q)))
+    return idx
+
+
+def _compress(idx: np.ndarray, qubits: Iterable[int]) -> np.ndarray:
+    """The local index of each basis index, bit b read off qubits[b]: _spread's inverse."""
+    local = np.zeros(len(idx), dtype=np.int64)
+    for b, q in enumerate(qubits):
+        local |= (idx >> q & 1) << b
+    return local
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +385,12 @@ def _permute_phases(
     planes is an (n_qubits, inputs) bool array whose row q holds wire q of
     every input; amps holds one complex128 amplitude per input.  Returns
     both as they stand after the circuit.  A diagonal gate multiplies the
-    amplitudes it selects by the entry _apply_unitary hands its kernel, and
-    skips an entry of exactly 1 as the kernel does, so each amplitude goes
-    through the multiplications of a run(), in the same order.  Any other
-    gate raises SimulationError.
+    amplitudes it selects by the entry _apply_unitary hands its kernel,
+    into a new array (numpy rounds a one-element product made in place
+    without the fused multiply-add of its other loops), and skips an entry
+    of exactly 1 as the kernel does, so each amplitude goes through the
+    multiplications of a run(), in the same order.  Any other gate raises
+    SimulationError.
     """
     for layer in circuit:
         for g in layer:
@@ -387,13 +402,14 @@ def _permute_phases(
             elif kind == core.TOFFOLI:
                 planes[qs[2]] ^= planes[qs[0]] & planes[qs[1]]
             elif kind == core.CRZ:
-                amps[planes[qs[0]] & planes[qs[1]]] *= np.exp(1j * g.angle)
+                sel = planes[qs[0]] & planes[qs[1]]
+                amps[sel] = amps[sel] * np.exp(1j * g.angle)
             elif kind in _DIAG or kind == core.RZ:
                 d0, d1 = _diagonal(g)
                 if d0 != 1.0:
-                    amps[~planes[qs[0]]] *= d0
+                    amps[~planes[qs[0]]] = amps[~planes[qs[0]]] * d0
                 if d1 != 1.0:
-                    amps[planes[qs[0]]] *= d1
+                    amps[planes[qs[0]]] = amps[planes[qs[0]]] * d1
             else:
                 raise SimulationError(f"{kind} does not send basis states to basis states")
     return planes, amps
@@ -555,43 +571,31 @@ def _run_block(circuit: Circuit, block: np.ndarray) -> np.ndarray:
     return amps.reshape(block.shape)
 
 
-def _rows_after(circuit: Circuit, idx: np.ndarray, amps: np.ndarray) -> Iterator[np.ndarray]:
-    """The states a measurement-free circuit leaves, one row per input, in blocks.
+def _outputs(
+    circuit: Circuit, idx: np.ndarray, amps: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The nonzero amplitudes a measurement-free circuit leaves, input by input.
 
-    Input r is the state with amplitude amps[r, i] at basis index idx[r, i]
-    and +0 at every other index, as product_state builds it; the row count
-    is a power of two.  Yields (B, 2^n) blocks of rows in input order, each
-    row bit for bit what the kernels leave in a block run (_run_block).
-    Given more than one input, a phase-permutation circuit is evaluated
-    once, on every listed index of every input and on each basis state
-    with amplitude +0: that zero, as the circuit leaves it, is what a
-    block run holds at every index no input lists.  Otherwise each block of
-    dense rows runs through the kernels.
+    Input r has amplitude amps[r, i] at basis index idx[r, i] and +0
+    elsewhere; the row count is a power of two, and amps may be overwritten.
+    Yields batches of (input, basis index, amplitude), each input whole in
+    one batch and each amplitude bit for bit a block run's (_run_block).
+    A phase-permutation circuit on 3 qubits or more is evaluated once, on
+    the listed indices alone; any other runs its inputs as dense rows, a
+    block at a time (see _BLOCK_AMPS).
     """
     n = circuit.n_qubits
-    _check_size(n)
-    dim = 1 << n
-    # one input has at least as many inputs to evaluate as amplitudes (its
-    # support and the +0 inputs below), where the kernels are faster
-    permute = len(idx) > 1 and _is_phase_permutation(circuit)
-    zeros = np.zeros(dim, dtype=np.complex128)
-    if permute:
-        # one call for every input.  The +0 inputs also keep each selection a
-        # diagonal gate multiplies longer than one element (n >= 3), as the
-        # kernels' always is: numpy multiplies a one-element array without
-        # the fused multiply-add of its longer loops, so blocks evaluated
-        # apart moved last bits.
-        planes, out = _permute_phases(
-            circuit, _planes(n, np.concatenate((idx.ravel(), np.arange(dim)))), np.concatenate((amps.ravel(), zeros)))
-        pos = _indices(planes)
-        zeros[pos[-dim:]] = out[-dim:]
-        idx, amps = pos[:-dim].reshape(idx.shape), out[:-dim].reshape(amps.shape)
+    if n >= 3 and _is_phase_permutation(circuit):
+        planes, out = _permute_phases(circuit, _planes(n, idx.ravel()), amps.ravel())
+        keep = out != 0
+        yield np.repeat(np.arange(len(idx)), idx.shape[1])[keep], _indices(planes)[keep], out[keep]
+        return
     size = _block_size(n, len(idx))
     for start in range(0, len(idx), size):
-        block = np.empty((size, dim), dtype=np.complex128)
-        block[:] = zeros
+        block = np.zeros((size, 1 << n), dtype=np.complex128)
         np.put_along_axis(block, idx[start:start + size], amps[start:start + size], axis=1)
-        yield block if permute else _run_block(circuit, block)
+        rows, index = np.nonzero(_run_block(circuit, block))
+        yield start + rows, index, block[rows, index]
 
 
 def _require_unitary(circuit: Circuit) -> None:
@@ -642,46 +646,15 @@ def to_unitary(circuit: Circuit) -> np.ndarray:
     return u
 
 
-def project_onto(
-    state: StateVector, qubits: tuple[int, ...], block: np.ndarray
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Contract <block| against the given qubits.
-
-    Returns (residual amplitudes on the remaining qubits in ascending
-    order, those qubit indices).  The residual norm squared is the
-    probability weight on |block>; it is NOT renormalized.
-    """
-    n = state.n_qubits
-    rest = tuple(q for q in range(n) if q not in qubits)
-    return _project(state.amps, n, qubits, block), rest
-
-
-def _project(amps: np.ndarray, n: int, qubits: tuple[int, ...], block: np.ndarray) -> np.ndarray:
-    """project_onto on a flat array of 2^n amplitudes: the residual amplitudes.
-
-    einsum without optimize runs its own loop, not BLAS, so the sums and
-    their bits do not depend on how many threads BLAS may use.
-    """
-    m = len(qubits)
-    if not m:
-        return (amps * block).reshape(-1)
-    # state axis i holds qubit n - 1 - i; block axis j holds bit m - 1 - j
-    # of the block index, which lives on qubits[m - 1 - j]
-    block_axes = [n - 1 - qubits[m - 1 - j] for j in range(m)]
-    rest = [i for i in range(n) if i not in block_axes]
-    vec = np.asarray(block).reshape([2] * m)
-    return np.einsum(vec.conj(), block_axes, amps.reshape([2] * n), range(n), rest, optimize=False).reshape(-1)
-
-
 def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
     a = np.asarray(a, dtype=complex).ravel()
     b = np.asarray(b, dtype=complex).ravel()
     if a.shape != b.shape:
         return False
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    na, nb = math.sqrt(np.sum(np.abs(a) ** 2)), math.sqrt(np.sum(np.abs(b) ** 2))
     if na < tol or nb < tol:
         return bool(na < tol and nb < tol)
-    return bool(abs(abs(np.vdot(a, b)) / (na * nb) - 1.0) <= tol)
+    return bool(abs(abs(np.sum(a.conj() * b)) / (na * nb) - 1.0) <= tol)
 
 
 def effective_unitary(
@@ -694,20 +667,22 @@ def effective_unitary(
     The data block and the helper blocks start in one product state:
     every qubit outside data_qubits is a helper, in |0> unless a block of
     fixed names it.  Column j runs basis state j of the data block, then
-    projects the helpers back onto that same reference state; its bit j
-    lives on data_qubits[j], and from 3 qubits up it is bit for bit a run()
-    of that input followed by project_onto (see _run_block).  A column's
-    leakage is ||psi - |ref> (x) amps||, the norm of the output's part
-    orthogonal to the helper reference state: the amplitude that left it.
-    Unlike sqrt(1 - ||amps||^2), it does not turn rounding eps into
-    sqrt(eps).  A phase-permutation circuit with at least one data qubit
-    is evaluated once on the filled indices of every column's input state
-    (see to_unitary and _rows_after); any other runs the columns in
-    blocks (see _BLOCK_AMPS), one pass over the circuit per block.  Either
-    way the helpers are projected back a block of columns at a time.
-    Returns (matrix, worst leakage over the columns); the matrix is
-    exactly unitary iff leakage is zero.  A circuit with MEASURE or FRAME
-    gates is rejected with ValueError.
+    projects the helpers back onto that same reference state |ref>; its
+    bit j lives on data_qubits[j].  Both are read off the column's listed
+    outputs (_outputs).  Entry i sums conj(ref[a]) * psi over the outputs
+    with data bits i, in ascending helper index a, each product formed
+    part by part with no fused multiply-add, and the terms that differ
+    only on the helpers below every data qubit summed first: so from 3
+    qubits up it is bit for bit a run() of the column's input followed by
+    the reference projection in tests/reference.py.  A column's leakage
+    ||psi - |ref> (x) column|| is the amplitude that left |ref>: the square
+    root of the correctly rounded sum (math.fsum) of its squared parts on
+    the union of both supports, which no summation order moves.  Unlike
+    sqrt(1 - ||column||^2), it does not turn rounding eps into sqrt(eps).
+    With no helpers the matrix is to_unitary's in data order.  Returns
+    (matrix, worst leakage over the columns); the matrix is exactly
+    unitary iff leakage is zero.  A circuit with MEASURE or FRAME gates is
+    rejected with ValueError.
     """
     _require_unitary(circuit)
     data_qubits = tuple(data_qubits)
@@ -715,40 +690,54 @@ def effective_unitary(
     _check_size(n)
     _check_matrix(len(data_qubits))
     helpers = fixed or {}
-    dim = 1 << len(data_qubits)
-    # every data basis state times the helper blocks, data index outermost:
-    # row j lists the indices basis state j fills, with product_state's
-    # amplitudes.  The zeros product_state also lists for the other data
-    # states are left out, so they start as the +0 of an unlisted index.
-    # That moves only the sign of a zero, and only under a negative helper
-    # entry; the projection onto the helpers then hides it, as its sums
-    # start from +0.
+    d = len(data_qubits)
+    dim = 1 << d
+    # row j: the indices data basis state j and the helper blocks fill
     idx, amp = _support(n, [(data_qubits, np.ones(dim, dtype=np.complex128)), *helpers.items()])
     ancillas = tuple(q for q in range(n) if q not in data_qubits)
-    rest = tuple(q for q in range(n) if q not in ancillas)
-    if ancillas:
-        m = len(ancillas)
-        anc_pos = {q: i for i, q in enumerate(ancillas)}
-        ref = product_state(m, {tuple(anc_pos[q] for q in qs): vec for qs, vec in helpers.items()}).amps
-        # each row's part orthogonal to |ref> is psi - |ref> (x) amps, with the
-        # ancilla axes moved first (after the row axis) in the block order
-        # project_onto uses
-        anc_axes = [n - q for q in reversed(ancillas)]
-    mat = np.empty((dim, dim), dtype=np.complex128)
+    if not ancillas:
+        order = _spread(data_qubits)
+        return to_unitary(circuit)[np.ix_(order, order)], 0.0
+    m = len(ancillas)
+    # |ref> as its listed helper indices, ascending, and their amplitudes
+    local = {q: k for k, q in enumerate(ancillas)}
+    ref_idx, ref_amp = _support(m, [(tuple(local[q] for q in qs), vec) for qs, vec in helpers.items()])
+    by_idx = np.argsort(ref_idx)
+    ref_idx, ref_amp = ref_idx[by_idx], ref_amp[by_idx]
+    low = next((k for k, q in enumerate(ancillas) if q != k), m)  # helpers below every data qubit
+    mat = np.zeros((dim, dim), dtype=np.complex128)
     worst = 0.0
-    start = 0
-    for rows in _rows_after(circuit, idx.reshape(dim, -1), amp.reshape(dim, -1)):
-        amps = rows
-        if ancillas:
-            # one contraction per row: the BLAS kernel behind it is chosen by
-            # the column count, so contracting all rows at once can move last bits
-            amps = np.array([_project(row, n, ancillas, ref) for row in rows])
-            psi = np.moveaxis(rows.reshape([len(rows)] + [2] * n), anc_axes, range(1, m + 1))
-            ortho = ref.reshape([1] + [2] * m + [1] * (n - m)) * amps.reshape([len(rows)] + [1] * m + [2] * (n - m))
-            np.subtract(psi, ortho, out=ortho)
-            worst = max(worst, *(float(np.linalg.norm(row)) for row in ortho))
-        mat[:, start:start + len(rows)] = _in_order(amps, rest, data_qubits).T
-        start += len(rows)
+    for col, out, psi in _outputs(circuit, idx.reshape(dim, -1), amp.reshape(dim, -1)):
+        # each output keyed (column, data bits, helper index a)
+        a = _compress(out, ancillas)
+        key = (col << d | _compress(out, data_qubits)) << m | a
+        # the matrix: an entry's terms in ascending a, those that differ only
+        # below bit `low` of a summed on their own first
+        at = np.minimum(np.searchsorted(ref_idx, a), len(ref_idx) - 1)
+        hit = np.flatnonzero(ref_idx[at] == a)
+        hit = hit[np.argsort(key[hit])]
+        c, b = ref_amp[at[hit]].conj(), psi[hit]
+        terms = np.empty(len(hit), dtype=np.complex128)
+        terms.real = c.real * b.real - c.imag * b.imag
+        terms.imag = c.real * b.imag + c.imag * b.real
+        first = np.diff(key[hit] >> low, prepend=-1) != 0
+        sums = np.zeros(np.count_nonzero(first), dtype=np.complex128)
+        np.add.at(sums, np.cumsum(first) - 1, terms)
+        entry = key[hit][first] >> m
+        np.add.at(mat, (entry & (dim - 1), entry >> d), sums)
+        # the leakage: psi - |ref> (x) column on the union of both supports
+        batch = np.unique(col)
+        rows, cols = np.nonzero(mat[:, batch])
+        cols = batch[cols]
+        r = len(ref_idx)
+        keys = np.concatenate((key, np.repeat((cols << d | rows) << m, r) | np.tile(ref_idx, len(rows))))
+        diffs = np.concatenate((psi, -(np.tile(ref_amp, len(rows)) * np.repeat(mat[rows, cols], r))))
+        keys, where = np.unique(keys, return_inverse=True)
+        diff = np.zeros(len(keys), dtype=np.complex128)
+        np.add.at(diff, where, diffs)
+        squares = diff.view(np.float64) ** 2
+        starts = 2 * (np.flatnonzero(np.diff(keys >> (d + m))) + 1)
+        worst = max(worst, *(math.sqrt(math.fsum(part.tolist())) for part in np.split(squares, starts)))
     return mat, worst
 
 
@@ -758,7 +747,7 @@ def random_state(n_qubits: int, rng: np.random.Generator) -> StateVector:
     re = rng.standard_normal(1 << n_qubits)
     im = rng.standard_normal(1 << n_qubits)
     amps = re + 1j * im
-    amps /= np.linalg.norm(amps)
+    amps /= np.sqrt(np.sum(re * re) + np.sum(im * im))
     return StateVector(n_qubits, amps)
 
 
@@ -807,29 +796,10 @@ def _run_and_extract(
     res = run(circuit, initial, rng=rng)
     corrected = res.frame.apply_to(res.state)
     # non-output qubits: measured ones hold their corrected outcome, the rest
-    # must have been returned to |0>.  Fixing each one's axis at that value
-    # is project_onto with a one-hot block, up to the sign of zeros.
-    sel = [slice(None)] * n  # qubit q on axis n - 1 - q
-    for q in range(n):
-        if q not in out_map:
-            sel[n - 1 - q] = res.qubit_outcomes.get(q, 0)
-    amps = corrected.amps.reshape([2] * n)[tuple(sel)].reshape(-1)
-    rest = tuple(q for q in range(n) if q in out_map)
+    # must have been returned to |0>; bit j of the output sits on out_map[j]
+    fixed = sum(res.qubit_outcomes.get(q, 0) << q for q in range(n) if q not in out_map)
+    amps = corrected.amps[_spread(out_map) | fixed]
     weight = float(np.sum(np.abs(amps) ** 2))
     if abs(weight - 1.0) > 1e-9:
         return None  # output entangled with leftover qubits: not a clean channel
-    return _in_order(amps, rest, out_map)
-
-
-def _in_order(amps: np.ndarray, rest: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
-    """Amplitudes over the ascending qubits `rest`, reordered so bit j is order[j].
-
-    A leading row axis, as in a (B, 2^k) array, is kept.
-    """
-    pos = {q: i for i, q in enumerate(rest)}
-    k = len(order)
-    lead = amps.ndim - 1
-    # axis for qubit rest[i] is (k-1-i); logical bit j (order[j]) becomes bit j
-    perm = [lead + k - 1 - pos[order[k - 1 - j]] for j in range(k)]
-    a = amps.reshape(amps.shape[:lead] + (2,) * k)
-    return np.transpose(a, [*range(lead), *perm]).reshape(amps.shape)
+    return amps

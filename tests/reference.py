@@ -3,8 +3,10 @@
 No entry point of the package reaches these.  Some are independent
 oracles: gate matrices, the general unitarity check, the 7-T Toffoli
 expansion, the angle bound of a truncated transform, the gate-by-gate
-kernel runs with and without measurements, the per-trial PAR Monte
-Carlo and the Jordan-Wigner expansion over ``core.Pauli`` products.  The
+kernel runs with and without measurements, the einsum projection of a
+state onto a register block (effective_unitary's matrix entries must
+equal it bit for bit), the per-trial PAR Monte Carlo and the
+Jordan-Wigner expansion over ``core.Pauli`` products.  The
 rest are test conveniences: one-gate-per-layer circuits, the eigenstate
 that ``build_qft_via_qvr`` expects, and the weight of a state on a
 register block.
@@ -43,7 +45,7 @@ from ftqc.kickback import GammaRegister, gamma_state
 from ftqc.par import PREPARE_EXACT, execute_par, expected_rounds, prepare_ancillas
 from ftqc.qvr import qft_gamma_width
 from ftqc.secondq import OneBodyTerm
-from ftqc.sim import PauliFrame, SimResult, StateVector, _apply_unitary, project_onto
+from ftqc.sim import PauliFrame, SimResult, StateVector, _apply_unitary
 
 
 def sequential_circuit(n_qubits: int, gates: Iterable[Gate]) -> Circuit:
@@ -162,6 +164,31 @@ def dense_measured_run(circuit: Circuit, amps: np.ndarray, seed: int) -> SimResu
             frame.propagate(g)
             out = _apply_unitary(out, n, g)
     return SimResult(state=StateVector(n, out), record=record, frame=frame, qubit_outcomes=qubit_outcomes)
+
+
+def project_onto(
+    state: StateVector, qubits: tuple[int, ...], block: np.ndarray
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Contract <block| against the given qubits.
+
+    Returns (residual amplitudes on the remaining qubits in ascending
+    order, those qubit indices).  The residual norm squared is the
+    probability weight on |block>; it is NOT renormalized.  einsum without
+    optimize runs its own loop, not BLAS, so the sums and their bits do
+    not depend on how many threads BLAS may use.
+    """
+    n = state.n_qubits
+    rest = tuple(q for q in range(n) if q not in qubits)
+    m = len(qubits)
+    if not m:
+        return (state.amps * block).reshape(-1), rest
+    # state axis i holds qubit n - 1 - i; block axis j holds bit m - 1 - j
+    # of the block index, which lives on qubits[m - 1 - j]
+    block_axes = [n - 1 - qubits[m - 1 - j] for j in range(m)]
+    keep = [i for i in range(n) if i not in block_axes]
+    vec = np.asarray(block).reshape([2] * m)
+    res = np.einsum(vec.conj(), block_axes, state.amps.reshape([2] * n), range(n), keep, optimize=False)
+    return res.reshape(-1), rest
 
 
 def block_overlap(state: StateVector, qubits: tuple[int, ...], block: np.ndarray) -> float:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import per_trial_par_statistics
+from reference import per_trial_par_statistics, project_onto
 
 from ftqc import par
 from ftqc.core import (
@@ -44,7 +44,6 @@ from ftqc.par import (
 from ftqc.sim import (
     DEFAULT_SEED,
     product_state,
-    project_onto,
     run,
     states_equal_up_to_phase,
 )

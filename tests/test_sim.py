@@ -4,6 +4,7 @@ of their paths, and channel comparison."""
 
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import block_overlap, dense_measured_run, dense_run, matrix_of, sequential_circuit
+from reference import block_overlap, dense_measured_run, dense_run, matrix_of, project_onto, sequential_circuit
 
 import ftqc
 from ftqc import core, firstq, kernels, kickback, secondq, sim
@@ -36,7 +37,6 @@ from ftqc.sim import (
     channel_equal,
     effective_unitary,
     product_state,
-    project_onto,
     random_state,
     run,
     states_equal_up_to_phase,
@@ -443,41 +443,94 @@ class TestEffectiveUnitary:
             effective_unitary(c, (0,))
 
 
-# effective_unitary of the kickback rotations, uncontrolled and controlled,
-# with the gamma state as the helper: one sha256 of every matrix and leakage
-_KICKBACK_DIGEST = """
-import hashlib
-from ftqc import kickback as kb, sim
+# one sha256 of every effective_unitary matrix and leakage, for the
+# (circuit, data qubits, helpers) cases pickled on stdin
+_PROJECTION_DIGEST = """
+import hashlib, pickle, sys
+from ftqc import sim
 
 digest = hashlib.sha256()
-for n in (5, 7):
-    reg = kb.GammaRegister(1, n)
-    gamma = kb.gamma_state(reg).amps
-    for controlled in (False, True):
-        for phi in (0.7, 2.345, 1.1):
-            rot = kb.kickback_rotation(phi, reg, controlled=controlled)
-            lay = rot.layout
-            data = (lay.control, lay.target) if controlled else (lay.target,)
-            mat, leak = sim.effective_unitary(rot.circuit, data, {lay.gamma: gamma})
-            digest.update(mat.tobytes())
-            digest.update(repr(leak).encode())
+for circuit, data, helpers in pickle.load(sys.stdin.buffer):
+    mat, leak = sim.effective_unitary(circuit, data, helpers)
+    digest.update(mat.tobytes())
+    digest.update(repr(leak).encode())
 print(digest.hexdigest())
 """
+
+# sha256 of the random_state bytes at 16 qubits
+_RANDOM_STATE_DIGEST = """
+import hashlib
+import numpy as np
+from ftqc import sim
+
+print(hashlib.sha256(sim.random_state(16, np.random.default_rng(16)).amps.tobytes()).hexdigest())
+"""
+
+
+def digests_across_blas_threads(script, stdin=b""):
+    """The stdout of a script run in a fresh interpreter under one and under two BLAS threads."""
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        package_root = str(Path(ftqc.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-c", script]
+        out = subprocess.run(argv, env=env, input=stdin, capture_output=True, timeout=120, check=True)
+        digests.add(out.stdout.strip())
+    return digests
 
 
 class TestHelperProjectionDeterminism:
     def test_effective_unitary_is_byte_identical_across_blas_threads(self):
-        """The helpers are projected back without BLAS, so the bytes of
-        effective_unitary do not depend on how many threads BLAS may use."""
-        digests = set()
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            package_root = str(Path(ftqc.__file__).parents[1])
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-            argv = [sys.executable, "-c", _KICKBACK_DIGEST]
-            out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120, check=True)
-            digests.add(out.stdout.strip())
+        """The helpers are projected back, and the leakage summed, without
+        BLAS, so the bytes of effective_unitary do not depend on how many
+        threads BLAS may use.  The cases: the kickback rotations,
+        uncontrolled and controlled, with the gamma state as the helper,
+        and random circuits at 14 and 16 wires with two superposed helpers,
+        whose leakage took BLAS's summation order while a BLAS norm
+        measured it."""
+        cases = []
+        for n in (5, 7):
+            reg = kickback.GammaRegister(1, n)
+            gamma = kickback.gamma_state(reg).amps
+            for controlled in (False, True):
+                for phi in (0.7, 2.345, 1.1):
+                    rot = kickback.kickback_rotation(phi, reg, controlled=controlled)
+                    lay = rot.layout
+                    data = (lay.control, lay.target) if controlled else (lay.target,)
+                    cases.append((rot.circuit, data, {lay.gamma: gamma}))
+        for n in (14, 16):
+            rng = np.random.default_rng(n)
+            helpers = {(4, 1): unit_vector(rng, 4), (5, 6, 7): unit_vector(rng, 8)}
+            cases.append((random_unitary_circuit(n, seed=7 + n, extra=200), (0, 2), helpers))
+        digests = digests_across_blas_threads(_PROJECTION_DIGEST, pickle.dumps(cases))
         assert len(digests) == 1, digests
+
+    def test_random_state_is_byte_identical_across_blas_threads(self):
+        # normalized by a numpy sum: a BLAS norm sums in an order that
+        # depends on its thread count from about 14 qubits up
+        digests = digests_across_blas_threads(_RANDOM_STATE_DIGEST)
+        assert len(digests) == 1, digests
+
+    def test_widest_kickback_projection_stays_on_the_support(self):
+        # the 22-wire kickback rotation of PAR's widest fallback: an 11-bit
+        # gamma helper and every carry.  Projected on the support it peaks
+        # near 1 MB; scattering rows of 2^22 amplitudes took 504 MB.
+        phi = math.pi * 651 / 2048
+        reg = kickback.GammaRegister(1, 11)
+        rot = kickback.kickback_rotation(2 * phi, reg)
+        assert rot.circuit.n_qubits == 22
+        gamma = kickback.gamma_state(reg).amps
+        tracemalloc.start()
+        try:
+            mat, leak = effective_unitary(rot.circuit, (rot.layout.target,), {rot.layout.gamma: gamma})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 << 20, peak
+        # 2 phi is on the 11-bit grid, so the rotation is exact up to rounding
+        np.testing.assert_allclose(mat, np.diag([1.0, np.exp(2j * phi)]), atol=1e-12)
+        assert leak < 1e-12
 
 
 # every unitary gate kind the simulator dispatches on
@@ -514,8 +567,8 @@ def helper_oracle(circuit, data_qubits, helpers, vec, after=None):
 
     after, if given, replaces that run(): the amplitudes the circuit left.
     The helpers are projected back with project_onto; the leakage is the
-    norm of psi - |ref> (x) amps laid out (ancilla index, rest index) in C
-    order, as the simulator lays it out.
+    norm of psi - |ref> (x) amps, the square root of the correctly rounded
+    sum of its squared real and imaginary parts.
     """
     n = circuit.n_qubits
     if after is None:
@@ -535,7 +588,7 @@ def helper_oracle(circuit, data_qubits, helpers, vec, after=None):
         full |= (np.arange(len(resid))[None, :] >> i & 1) << q
     ortho = ref[:, None] * resid[None, :]
     np.subtract(psi.amps[full], ortho, out=ortho)
-    return resid[to_rest], float(np.linalg.norm(ortho))
+    return resid[to_rest], math.sqrt(math.fsum((ortho.view(np.float64) ** 2).ravel().tolist()))
 
 
 class TestBlockRuns:
@@ -583,6 +636,18 @@ class TestBlockRuns:
         assert sim._block_size(n, 2) == 2
         m, leak = effective_unitary(c, (2,), helpers)
         cols = [helper_oracle(c, (2,), helpers, e) for e in np.eye(2, dtype=np.complex128)]
+        np.testing.assert_array_equal(bits(m), bits(np.stack([v for v, _ in cols], axis=1)))
+        assert leak == max(lk for _, lk in cols)
+
+    def test_leakage_is_correctly_rounded(self):
+        # up to 2^13 squared parts per column, where numpy's pairwise sum
+        # rounds the worst column's leakage to a neighbouring float of fsum's
+        n = 12
+        rng = np.random.default_rng(n)
+        helpers = {(4, 1): unit_vector(rng, 4), (5, 6, 7): unit_vector(rng, 8)}
+        c = random_unitary_circuit(n, seed=7 + n, extra=200)
+        m, leak = effective_unitary(c, (0, 2), helpers)
+        cols = [helper_oracle(c, (0, 2), helpers, e) for e in np.eye(4, dtype=np.complex128)]
         np.testing.assert_array_equal(bits(m), bits(np.stack([v for v, _ in cols], axis=1)))
         assert leak == max(lk for _, lk in cols)
 
@@ -672,6 +737,17 @@ class TestPhasePermutation:
         np.testing.assert_array_equal(bits(m), bits(np.stack([v for v, _ in cols], axis=1)))
         assert leak == max(lk for _, lk in cols)  # positive floats: == is bitwise
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_one_element_selections_match_dense_runs(self, n):
+        # one data qubit and |0> helpers list two inputs, so a diagonal gate
+        # often selects one of them: that product must round as the
+        # kernels' longer selections do
+        c = random_unitary_circuit(n, seed=200, kinds=PHASE_PERMUTATION_KINDS)
+        m, leak = effective_unitary(c, (1,))
+        cols = [helper_oracle(c, (1,), {}, e) for e in np.eye(2, dtype=np.complex128)]
+        np.testing.assert_array_equal(bits(m), bits(np.stack([v for v, _ in cols], axis=1)))
+        assert leak == max(lk for _, lk in cols)
+
     def test_effective_unitary_on_every_qubit_matches_dense_runs(self):
         # no ancillas: the rows reach the matrix without a projection, so
         # the oracle reads the kernel run directly (project_onto multiplies
@@ -685,15 +761,25 @@ class TestPhasePermutation:
         np.testing.assert_array_equal(bits(m), bits(oracle))
         assert leak == 0.0
 
-    def test_rows_match_dense_runs(self):
-        # the dense rows the helpers are projected from, signed zeros and all
-        c = random_unitary_circuit(8, seed=180, kinds=PHASE_PERMUTATION_KINDS)
+    def test_rows_match_dense_runs(self, monkeypatch):
+        # the outputs the helpers are projected from: each input's are its
+        # dense run's nonzero entries, bit for bit.  The phase-permutation
+        # circuit comes in one batch; the other, with H and Y, in a block
+        # of rows per batch.
+        monkeypatch.setattr(sim, "_BLOCK_AMPS", 1 << 9)
         rng = np.random.default_rng(181)
         inputs = [[((6, 2), unit_vector(rng, 4)), ((0,), unit_vector(rng, 2))] for _ in range(4)]
-        idx, amps = zip(*(sim._support(8, items) for items in inputs))
-        rows = np.concatenate(list(sim._rows_after(c, np.stack(idx), np.stack(amps))))
-        oracle = np.stack([dense_run(c, product_state(8, items).amps) for items in inputs])
-        np.testing.assert_array_equal(bits(rows), bits(oracle))
+        for c, batches in ((random_unitary_circuit(8, seed=180, kinds=PHASE_PERMUTATION_KINDS), 1),
+                           (random_unitary_circuit(8, seed=182), 2)):
+            idx, amps = map(np.stack, zip(*(sim._support(8, items) for items in inputs)))
+            outputs = list(sim._outputs(c, idx, amps))
+            assert len(outputs) == batches
+            col, index, amp = map(np.concatenate, zip(*outputs))
+            for r, items in enumerate(inputs):
+                want = dense_run(c, product_state(8, items).amps)
+                mine = np.argsort(index[col == r])
+                np.testing.assert_array_equal(index[col == r][mine], np.flatnonzero(want))
+                np.testing.assert_array_equal(bits(amp[col == r][mine]), bits(want[want != 0]))
 
     def test_potential_step_matches_dense_runs(self):
         constants = firstq.PhysicalConstants(charges=(1.3, -0.7), masses=(1.0, 1.0), dt=0.21)
