@@ -17,14 +17,14 @@ drops the reducible (last gate, gate) pairs, one int64 key per candidate,
 and a stable deduplication in which a unitary's first sequence in
 (sequence, gate) order wins, against every shorter length as well.
 
-Both compilers look the net up the same way: the grown net's matrices
-are stored as one stacked (N, 4) array in length order, so a lookup
-scores every entry with one matrix-vector product, ranks each length by
-its largest overlap with ``np.maximum.reduceat`` and computes distances
-and breaks ties only on the length it chooses.  SK reports the distance
-of the product its recursion already built, not of the word multiplied
-out again, and stops recursing where the commutator correction is the
-identity.
+Both compilers look the net up the same way: the SU(2) part of each
+entry is stored as a real unit quaternion, all in one (4, N) array in
+length order, and |tr U^dag V| = 2 |q_U . q_V|.  So a lookup scores every
+entry with one real product, ranks each length by its largest overlap
+with ``np.maximum.reduceat`` and breaks ties only on the length it
+chooses; the chosen row alone gets a distance, min(|p - q|, |p + q|) /
+sqrt 2, exact hits included.  SK reports the distance of the product its
+recursion built, and stops recursing where the correction is the identity.
 """
 
 from __future__ import annotations
@@ -79,6 +79,14 @@ def _phase_keys(stack: np.ndarray) -> np.ndarray:
     return parts.view(_KEY_ROW).ravel()
 
 
+def _quaternion(a, b, c, d):
+    """(Re a', Im a', Re b', Im b') of [[a', b'], [-b'*, a'*]] = U / sqrt(det U),
+    U = [[a, b], [c, d]], entrywise on arrays; the root's sign matters nowhere."""
+    s = np.sqrt(a * d - b * c)
+    a, b = a / s, b / s
+    return a.real, a.imag, b.real, b.imag
+
+
 def compose_kinds(kinds: tuple[str, ...]) -> np.ndarray:
     """Matrix of a sequence in circuit order (first gate applied first)."""
     u = _ID2
@@ -88,7 +96,7 @@ def compose_kinds(kinds: tuple[str, ...]) -> np.ndarray:
 
 
 def adjoint_kinds(kinds: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(ADJOINT[k] for k in reversed(kinds))
+    return tuple(map(ADJOINT.__getitem__, reversed(kinds)))
 
 
 def _build_reduction_table() -> dict[tuple[str, str], tuple[str, ...]]:
@@ -136,14 +144,12 @@ def _reducible_mask() -> np.ndarray:
 _REDUCIBLE = _reducible_mask()
 
 
+@dataclass(slots=True)
 class _Level:
     """All canonical sequences of one fixed length."""
 
-    __slots__ = ("kinds", "stack")
-
-    def __init__(self, kinds: list[tuple[str, ...]], stack: np.ndarray):
-        self.kinds = kinds
-        self.stack = stack
+    kinds: list[tuple[str, ...]]
+    stack: np.ndarray
 
 
 class _Net:
@@ -158,10 +164,10 @@ class _Net:
     whose unitary no shorter or earlier sequence already has.
 
     The levels are also kept concatenated in row order: ``kinds`` per row,
-    ``starts`` the first row of each length, and ``rows`` the flattened
-    matrices, of which each level's ``stack`` is a view.  Levels never
-    change once grown, so a prefix of rows is the net up to any grown
-    length.
+    ``starts`` (array: ``start_rows``) the first row of each length,
+    ``rows`` the flattened matrices, of which each level's ``stack`` is a
+    view, and ``quats`` their quaternions.  Levels never change once grown,
+    so a prefix of rows is the net up to any grown length.
     """
 
     def __init__(self) -> None:
@@ -173,7 +179,7 @@ class _Net:
         self.last_gate = np.array([len(ALPHABET)])
         self.kinds: list[tuple[str, ...]] = [()]
         self.starts: list[int] = [0, 1]
-        self.rows = identity.reshape(1, 4)
+        self._set_rows(identity.reshape(1, 4))
 
     def grow_to(self, max_len: int) -> None:
         if max_len > MAX_NET_LEN:
@@ -198,10 +204,15 @@ class _Net:
             self.kinds += kinds_out
             self.starts.append(len(self.kinds))
         if len(self.levels) > grown:
-            self.rows = np.concatenate([lvl.stack.reshape(-1, 4) for lvl in self.levels])
-            self.rows.setflags(write=False)
+            self._set_rows(np.concatenate([lvl.stack.reshape(-1, 4) for lvl in self.levels]))
             for lvl, a, b in zip(self.levels, self.starts, self.starts[1:]):
                 lvl.stack = self.rows[a:b].reshape(-1, 2, 2)
+
+    def _set_rows(self, rows: np.ndarray) -> None:
+        self.rows, self.start_rows = rows, np.array(self.starts)
+        self.quats = np.array(_quaternion(*rows.T))
+        for a in (self.rows, self.quats, self.start_rows):
+            a.setflags(write=False)
 
     def matrix(self, row: int) -> np.ndarray:
         return self.rows[row].reshape(2, 2)
@@ -284,31 +295,31 @@ class GateSequence:
 
 
 def _trace_dist(overlap: np.ndarray) -> np.ndarray:
-    """dist from |tr(U^dag V)| of 2x2 unitaries, by the trace form.
+    """dist from the quaternion overlap |q_U . q_V|, by the trace form.
 
     Non-increasing in the overlap, rounding included, so the least
     distance of a set of rows is the distance of its largest overlap.
     """
-    return np.sqrt(np.maximum(0.0, (2.0 - overlap) / 2.0))
+    return np.sqrt(np.maximum(0.0, 1.0 - overlap))
 
 
-def _pick(overlap: np.ndarray, first: int, target: np.ndarray) -> tuple[float, int]:
+def _pick(overlap: np.ndarray, first: int, q: np.ndarray) -> tuple[float, int]:
     """Best (distance, row) of one level, ties broken lexicographically.
 
-    ``overlap`` holds |tr(U^dag target)| for the level's rows, which start
-    at net row ``first``.
+    ``overlap`` holds |q_U . q| for the level's rows, which start at net
+    row ``first``.  Rows are ranked and tied by the trace form; the chosen
+    row's distance takes the difference form, which keeps rounding eps at
+    eps where the trace form makes it sqrt(eps).
     """
-    d = _trace_dist(overlap)
-    dmin = float(d.min())
-    rows = first + np.flatnonzero(d <= dmin + 1e-12)
-    if dmin < 1e-6:
-        # near-exact hits: the batched trace form turns rounding into
-        # sqrt(eps) noise, so re-evaluate through dist(), whose difference
-        # form keeps it at eps and ranks exact hits correctly
-        refined = [(dist(_SHARED_NET.matrix(i), target), i) for i in rows]
-        dmin = min(r for r, _ in refined)
-        rows = [i for r, i in refined if r <= dmin + 1e-12]
-    return dmin, min(rows, key=_SHARED_NET.kinds.__getitem__)
+    # a row tied within 1e-12 in distance lies far inside 1e-9 in overlap
+    near = (overlap >= overlap[overlap.argmax()] - 1e-9).nonzero()[0]
+    d = _trace_dist(overlap[near]).tolist()
+    ties = [first + i for i, di in zip(near.tolist(), d) if di <= min(d) + 1e-12]
+    row = min(ties, key=_SHARED_NET.kinds.__getitem__)
+    p, q = _SHARED_NET.quats[:, row].tolist(), q.tolist()
+    apart = math.hypot(*(x - y for x, y in zip(p, q)))
+    across = math.hypot(*(x + y for x, y in zip(p, q)))
+    return min(apart, across) / math.sqrt(2.0), row
 
 
 def _lookup(target: np.ndarray, max_len: int, epsilon: float | None = None) -> tuple[float, int]:
@@ -319,10 +330,10 @@ def _lookup(target: np.ndarray, max_len: int, epsilon: float | None = None) -> t
     that reaches it, which is then minimal.  The grown prefix is scored in
     one batched scan; lengths past it are grown and scanned one at a time,
     so a hit at length L never enumerates length L + 1.  Each length is
-    ranked by its largest overlap, and only the chosen length's rows are
-    turned into distances.
+    ranked by its largest overlap (below 1e-6, by its best row's distance).
     """
     net = _SHARED_NET
+    q = np.array(_quaternion(*target.ravel().tolist()))
     best_d, best = math.inf, None
     length = 0
     while length <= max_len:
@@ -330,26 +341,19 @@ def _lookup(target: np.ndarray, max_len: int, epsilon: float | None = None) -> t
         net.grow_to(top)
         starts = net.starts[length : top + 2]
         lo = starts[0]
-        # |tr(U^dag V)| = |sum conj(u) v| = |sum u conj(v)|: no conjugated copy
-        ov = np.abs(net.rows[lo : starts[-1]] @ target.reshape(4).conj())
+        ov = np.abs(q @ net.quats[:, lo : starts[-1]])
         # no level is empty (sizes grow with length), so neither is a segment
-        level_max = np.maximum.reduceat(ov, [a - lo for a in starts[:-1]])
+        level_max = np.maximum.reduceat(ov, net.start_rows[length : top + 1] - lo)
         for a, b, dmin in zip(starts, starts[1:], _trace_dist(level_max).tolist()):
             level = (ov[a - lo : b - lo], a)
             if dmin < 1e-6:
-                dmin = _pick(*level, target)[0]
+                dmin = _pick(*level, q)[0]
             if dmin < best_d - 1e-12:
                 best_d, best = dmin, level
             if epsilon is not None and dmin <= epsilon:
-                return _pick(*level, target)
+                return _pick(*level, q)
         length = top + 1
-    return _pick(*best, target)
-
-
-def _nearest(target: np.ndarray, db: SequenceDB) -> tuple[tuple[str, ...], np.ndarray]:
-    """Nearest net element and its stored matrix."""
-    _, row = _lookup(target, db.max_len)
-    return _SHARED_NET.kinds[row], _SHARED_NET.matrix(row)
+    return _pick(*best, q)
 
 
 def _check_target(target: np.ndarray) -> np.ndarray:
@@ -460,7 +464,9 @@ def balanced_commutator_factors(delta: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def _sk(u: np.ndarray, level: int, db: SequenceDB) -> tuple[tuple[str, ...], np.ndarray]:
     if level == 0:
-        return _nearest(u, db)
+        # the nearest net element and its stored matrix
+        row = _lookup(u, db.max_len)[1]
+        return _SHARED_NET.kinds[row], _SHARED_NET.matrix(row)
     kb, mb = _sk(u, level - 1, db)
     delta = u @ mb.conj().T
     v, w = balanced_commutator_factors(delta)
@@ -490,27 +496,21 @@ def synthesize(target: np.ndarray, epsilon: float) -> GateSequence:
 
     The breadth-first search is provably shortest but length-capped, so
     tolerances beyond its coverage fall through to Solovay-Kitaev at
-    increasing recursion level.  The escalation stops at the first level
-    that does not improve on the level below it: past the recursion's
-    precision floor the commutator correction is the identity, and deeper
-    levels only return the same word at a higher cost.  The best sequence
-    seen is returned even when the tolerance was never met (``satisfied``
-    is False then).
+    increasing recursion level while the level budget lasts.  A level that
+    does no better than the one below does not stop it; the precision
+    floor does: a level whose distance equals the level below's, as its
+    commutator correction was the identity.  The best sequence seen is
+    returned even when the tolerance was never met (``satisfied`` False).
     """
     best = min_sequence(target, epsilon)
-    if best.satisfied:
-        return best
-    db = build_net(14)
-    previous = math.inf
+    previous = None
     for level in range(1, MAX_SK_LEVEL + 1):
-        cand = solovay_kitaev(target, level, db)
-        if cand.achieved_distance >= previous:
+        if best.satisfied:
+            break
+        cand = solovay_kitaev(target, level, build_net(14))
+        if cand.achieved_distance == previous:
             break
         previous = cand.achieved_distance
-        if cand.achieved_distance < best.achieved_distance:
-            best = GateSequence(
-                cand.kinds, cand.target, cand.achieved_distance, tolerance=epsilon
-            )
-        if best.achieved_distance <= epsilon:
-            break
+        if previous < best.achieved_distance:
+            best = GateSequence(cand.kinds, cand.target, previous, tolerance=epsilon)
     return best

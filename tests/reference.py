@@ -8,16 +8,21 @@ state onto a register block (effective_unitary's matrix entries must
 equal it bit for bit), the per-trial PAR Monte Carlo and the
 Jordan-Wigner expansion over ``core.Pauli`` products.  The
 rest are test conveniences: one-gate-per-layer circuits, the eigenstate
-that ``build_qft_via_qvr`` expects, and the weight of a state on a
-register block.
+that ``build_qft_via_qvr`` expects, the weight of a state on a
+register block, and a script's output under one and two BLAS threads.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
+import ftqc
 from ftqc import kernels
 from ftqc.core import (
     CNOT,
@@ -302,3 +307,16 @@ def pauli_generator_masks(term) -> dict[tuple[int, int], float]:
             raise ValueError(f"expansion of {term} is not hermitian at {(x, z)}: {c}")
         out[x, z] = c.real
     return out
+
+
+def digests_across_blas_threads(script: str, stdin: bytes = b"") -> set[bytes]:
+    """The stdout of a script run in a fresh interpreter under one and under two BLAS threads."""
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        package_root = str(Path(ftqc.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-c", script]
+        out = subprocess.run(argv, env=env, input=stdin, capture_output=True, timeout=120, check=True)
+        digests.add(out.stdout.strip())
+    return digests

@@ -3,20 +3,23 @@ Pauli-frame tracking, projection helpers, the whole-matrix checks on both
 of their paths, and channel comparison."""
 
 import math
-import os
 import pickle
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import block_overlap, dense_measured_run, dense_run, matrix_of, project_onto, sequential_circuit
+from reference import (
+    block_overlap,
+    dense_measured_run,
+    dense_run,
+    digests_across_blas_threads,
+    matrix_of,
+    project_onto,
+    sequential_circuit,
+)
 
-import ftqc
 from ftqc import core, firstq, kernels, kickback, secondq, sim
 from ftqc.core import (
     CircuitBuilder,
@@ -465,19 +468,6 @@ from ftqc import sim
 
 print(hashlib.sha256(sim.random_state(16, np.random.default_rng(16)).amps.tobytes()).hexdigest())
 """
-
-
-def digests_across_blas_threads(script, stdin=b""):
-    """The stdout of a script run in a fresh interpreter under one and under two BLAS threads."""
-    digests = set()
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        package_root = str(Path(ftqc.__file__).parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-        argv = [sys.executable, "-c", script]
-        out = subprocess.run(argv, env=env, input=stdin, capture_output=True, timeout=120, check=True)
-        digests.add(out.stdout.strip())
-    return digests
 
 
 class TestHelperProjectionDeterminism:

@@ -6,9 +6,9 @@ import math
 
 import numpy as np
 import pytest
-from reference import is_unitary
+from reference import digests_across_blas_threads, is_unitary
 
-from ftqc import synth
+from ftqc import par, synth
 from ftqc.core import GATE_MATRICES, dist, rz_matrix
 from ftqc.synth import (
     ALPHABET,
@@ -400,6 +400,99 @@ class TestSynthesize:
         assert seq.kinds == level6.kinds
         assert seq.achieved_distance == level6.achieved_distance > 1e-11
         assert not seq.satisfied
+
+    def test_escalation_passes_a_level_that_does_not_improve(self):
+        # RZ(2^14 * 1.3 mod 2 pi): level 2 (4.60e-3) does no better than
+        # level 1 (4.52e-3), and level 3 (1.03e-3) improves again, so only
+        # the SK floor may end the escalation
+        target = rz_matrix(5.484993968382987)
+        db = build_net(14)
+        d1, d2 = (solovay_kitaev(target, level, db).achieved_distance for level in (1, 2))
+        assert d2 > d1 > 1e-3
+        seq = synthesize(target, 1e-3)
+        assert seq.satisfied
+        # the PAR ancilla of that angle compiles within its budget too
+        par.prepare_ancillas(1.3, 15, "sequence", 1e-3)
+
+
+def brute_nearest(target, mats, epsilon=None):
+    """The word a net lookup must return, by a plain dist scan over the
+    (kinds, matrix) pairs: the first length within epsilon when there is
+    one, else every length; there, the least distance, with rows within
+    1e-12 of it tied, broken shortest first and then lexicographically."""
+    scored = [(dist(m, target), kinds) for kinds, m in mats]
+    hits = [len(kinds) for d, kinds in scored if epsilon is not None and d <= epsilon]
+    if hits:
+        scored = [(d, kinds) for d, kinds in scored if len(kinds) == min(hits)]
+    dmin = min(d for d, _ in scored)
+    return min((kinds for d, kinds in scored if d <= dmin + 1e-12), key=lambda k: (len(k), k))
+
+
+class TestLookupOracle:
+    """The quaternion scan against a brute-force dist scan of the same net."""
+
+    def test_words_match_a_brute_force_scan(self):
+        db = build_net(8)
+        mats = [(kinds, compose_kinds(kinds)) for kinds in db.sequences()]
+        rng = np.random.default_rng(808)
+        targets = [haar_su2(rng) for _ in range(12)]
+        targets += [rz_matrix(a) for a in rng.uniform(0, 2 * math.pi, 12)]
+        targets += [rz_matrix(k * math.pi / 8) for k in range(16)]
+        for target in targets:
+            nearest = brute_nearest(target, mats)
+            assert solovay_kitaev(target, 0, db).kinds == nearest
+            assert min_sequence(target, 1e-6, max_len=8).kinds == nearest
+            for eps in (0.4, 0.25, 0.15):
+                got = min_sequence(target, eps, max_len=8).kinds
+                assert got == brute_nearest(target, mats, eps)
+
+    def test_breadth_first_distance_is_that_of_the_word(self):
+        rng = np.random.default_rng(809)
+        targets = [haar_su2(rng) for _ in range(100)]
+        targets += [rz_matrix(a) for a in rng.uniform(0, 2 * math.pi, 100)]
+        for target in targets:
+            for eps in (0.3, 0.12):
+                seq = min_sequence(target, eps)
+                assert abs(seq.achieved_distance - dist(compose_kinds(seq.kinds), target)) <= 1e-14
+
+    def test_exact_hits_report_rounding_alone(self):
+        # the trace form gave 2.98e-8 for an exact hit
+        for word in (("T",), ("S",), ("T", "H"), ("H", "T", "H", "S")):
+            seq = synthesize(compose_kinds(word), 1e-9)
+            assert seq.kinds == word
+            assert seq.achieved_distance <= 1e-15
+
+
+# sha256 of the words and distances of 200 seeded breadth-first synthesize
+# calls and of SK levels 0-3 on 5 targets
+_LOOKUP_DIGEST = """
+import hashlib, math
+import numpy as np
+from ftqc import synth
+from ftqc.core import rz_matrix
+
+def su2(rng):
+    q = rng.standard_normal(4)
+    a, b, c, d = q / np.linalg.norm(q)
+    return np.array([[a + 1j * d, c + 1j * b], [-c + 1j * b, a - 1j * d]])
+
+rng = np.random.default_rng(810)
+digest = hashlib.sha256()
+seqs = [synth.synthesize(su2(rng), 0.12) for _ in range(100)]
+seqs += [synth.synthesize(rz_matrix(a), 0.12) for a in rng.uniform(0, 2 * math.pi, 100)]
+db = synth.build_net(14)
+targets = [su2(rng) for _ in range(3)] + [rz_matrix(a) for a in rng.uniform(0, 2 * math.pi, 2)]
+seqs += [synth.solovay_kitaev(t, level, db) for t in targets for level in range(4)]
+for seq in seqs:
+    digest.update((" ".join(seq.kinds) + repr(seq.achieved_distance) + "\\n").encode())
+print(digest.hexdigest())
+"""
+
+
+class TestLookupDeterminism:
+    def test_words_and_distances_are_identical_across_blas_threads(self):
+        digests = digests_across_blas_threads(_LOOKUP_DIGEST)
+        assert len(digests) == 1, digests
 
 
 class TestMinSequence:
