@@ -1,11 +1,18 @@
 """Statevector kernels, in numpy; there is no other kernel backend.
 
-run() takes every gate through them unless the input is sparse and the
-circuit holds a MEASURE or only X, CNOT and Toffoli gates: sim's support
-route runs those on the listed amplitudes, and hands the kernels the rest
-of the circuit only if the support outgrows its share.  The whole-matrix
-checks of a circuit with H, Y or another gate that mixes basis states
-take the kernels too; sim's basis-state evaluator takes the rest.
+A dense run() and the block runs of the whole-matrix checks take every
+gate through them but X and CNOT, which sim._Relabel folds into a
+pending relabelling of basis indices and applies, when a gate needs it,
+with one gather instead of a swap.  A one-qubit diagonal gate on a
+relabelled wire is also multiplied there, on the amplitudes it selects;
+on any other wire it reaches apply_diag_1q.  run() leaves the kernels
+out altogether while a sparse input's circuit holds a MEASURE or only
+X, CNOT and Toffoli gates: sim's support route runs those on the listed
+amplitudes, and hands the rest of the circuit to the dense path only if
+the support outgrows its share.  The whole-matrix checks of a circuit
+built from X, CNOT, Toffoli and diagonal gates alone take sim's
+basis-state evaluator instead.  apply_cnot, and apply_1q's swap for X,
+serve the gate-by-gate oracle of the tests.
 
 Each function takes a flat, C-contiguous complex128 array of 2**n
 amplitudes, where qubit j is bit j of the basis index.  A kernel that

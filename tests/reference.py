@@ -3,10 +3,11 @@
 No entry point of the package reaches these.  Some are independent
 oracles: gate matrices, the general unitarity check, the 7-T Toffoli
 expansion, the angle bound of a truncated transform, the gate-by-gate
-kernel runs with and without measurements, the einsum projection of a
-state onto a register block (effective_unitary's matrix entries must
-equal it bit for bit), the per-trial PAR Monte Carlo and the
-Jordan-Wigner expansion over ``core.Pauli`` products.  The
+kernel runs with and without measurements, a Pauli frame applied one
+factor at a time, the einsum projection of a state onto a register
+block (effective_unitary's matrix entries must equal it bit for bit),
+the per-trial PAR Monte Carlo and the Jordan-Wigner expansion over
+``core.Pauli`` products.  The
 rest are test conveniences: one-gate-per-layer circuits, the eigenstate
 that ``build_qft_via_qvr`` expects, the weight of a state on a
 register block, and a script's output under one and two BLAS threads.
@@ -37,6 +38,7 @@ from ftqc.core import (
     TDG,
     TOFFOLI,
     TWO_PI,
+    X,
     Circuit,
     CircuitBuilder,
     Gate,
@@ -127,9 +129,9 @@ def decompose_toffolis(c: Circuit) -> Circuit:
 def dense_run(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
     """Amplitudes after a measurement-free circuit, one kernel call per gate.
 
-    The statevector path gate by gate, as a run() takes it: the oracle the
-    phase-permutation evaluator of the whole-matrix checks must match bit
-    for bit.
+    The oracle that run()'s dense path, which relabels X and CNOT instead
+    of moving amplitudes, and the phase-permutation evaluator of the
+    whole-matrix checks must match bit for bit.
     """
     out = np.array(amps, dtype=np.complex128)
     for g in circuit.gates():
@@ -142,6 +144,7 @@ def dense_measured_run(circuit: Circuit, amps: np.ndarray, seed: int) -> SimResu
 
     The oracle run()'s support route must match on a measured circuit:
     its record, outcomes and frame exactly, its amplitudes up to rounding.
+    run()'s dense path must match it bit for bit.
     """
     n = circuit.n_qubits
     out = np.array(amps, dtype=np.complex128)
@@ -169,6 +172,26 @@ def dense_measured_run(circuit: Circuit, amps: np.ndarray, seed: int) -> SimResu
             frame.propagate(g)
             out = _apply_unitary(out, n, g)
     return SimResult(state=StateVector(n, out), record=record, frame=frame, qubit_outcomes=qubit_outcomes)
+
+
+def apply_frame_by_factors(frame: PauliFrame, state: StateVector) -> StateVector:
+    """E|state> for a frame E, one kernel pass per X or Z factor after a copy.
+
+    The oracle PauliFrame.apply_to must match bit for bit: for each qubit in
+    ascending order its X swaps the halves, then its Z negates the set half,
+    and i^s multiplies the result.
+    """
+    out = state.amps.copy()
+    n = state.n_qubits
+    x, z, phase = frame.pauli
+    for q in range(n):
+        if x >> q & 1:
+            out = kernels.apply_1q(out, n, q, GATE_MATRICES[X])
+        if z >> q & 1:
+            out = kernels.apply_diag_1q(out, n, q, 1.0, -1.0)
+    if phase:
+        out *= 1j ** phase
+    return StateVector(n, out)
 
 
 def project_onto(

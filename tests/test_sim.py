@@ -1,6 +1,7 @@
 """Statevector simulator: state construction, measurement via inverse CDF,
 Pauli-frame tracking, projection helpers, the whole-matrix checks on both
-of their paths, and channel comparison."""
+of their paths, the sparse route and the relabelling of X and CNOT in
+dense runs, and channel comparison."""
 
 import math
 import pickle
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (
+    apply_frame_by_factors,
     block_overlap,
     dense_measured_run,
     dense_run,
@@ -242,6 +244,54 @@ class TestPauliFrame:
             psi = random_state(3, rng)
             out = f.apply_to(psi)
             np.testing.assert_allclose(out.amps, frame_matrix(f) @ psi.amps, atol=1e-14)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_apply_to_matches_the_factor_loop(self, n):
+        # X^x as one reversed-stride copy, then the Z passes and i^s: bit for
+        # bit one kernel pass per factor, signed zeros included
+        rng = np.random.default_rng(360 + n)
+        for _ in range(20):
+            f = PauliFrame(n, Pauli(int(rng.integers(1 << n)), int(rng.integers(1 << n)), int(rng.integers(4))))
+            psi = random_state(n, rng)
+            psi.amps[rng.integers(0, 1 << n, 2)] = [complex(-0.0, 0.0), complex(0.0, -0.0)]
+            kept = bits(psi.amps).copy()
+            got = f.apply_to(psi)
+            np.testing.assert_array_equal(bits(got.amps), bits(apply_frame_by_factors(f, psi).amps))
+            np.testing.assert_array_equal(bits(psi.amps), kept)  # the input is left alone
+
+    @pytest.mark.parametrize("span", range(3, 9))
+    def test_apply_to_matches_the_factor_loop_on_teleported_ladders(self, span):
+        c, psi = teleported_ladder_input(span, np.random.default_rng(370 + span))
+        flips = 0
+        for seed in range(371, 377):
+            res = run(c, psi, seed=seed)
+            flips += res.frame.pauli.x != 0
+            want = apply_frame_by_factors(res.frame, res.state)
+            np.testing.assert_array_equal(bits(res.corrected_state().amps), bits(want.amps))
+        assert flips  # the case the reversed-stride copy serves
+
+    def test_apply_to_allocates_one_state(self):
+        # one copy of the state, and the Z passes' ufunc buffers
+        n = 18
+        psi = random_state(n, np.random.default_rng(380))
+        f = PauliFrame(n, Pauli(0b101011000000100101, 0b010100000011000110, 3))
+        tracemalloc.start()
+        try:
+            out = f.apply_to(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert psi.amps.nbytes <= peak < 1.1 * psi.amps.nbytes, peak
+        assert out.amps.flags.c_contiguous and out.n_qubits == n
+
+    @pytest.mark.parametrize("state_qubits", [4, 7])
+    def test_apply_to_rejects_a_state_of_another_size(self, state_qubits):
+        # a 6-qubit frame with X on qubit 5 once returned a 4-qubit state
+        # unchanged, dropping the factor that lies beyond it
+        f = PauliFrame(6)
+        f.update(5, "X")
+        with pytest.raises(ValueError, match="frame size mismatch"):
+            f.apply_to(StateVector.zero(state_qubits))
 
     @pytest.mark.parametrize("kind", [core.X, core.Y, core.Z, core.H, core.S, core.SDG])
     def test_single_qubit_propagation_exact(self, kind):
@@ -963,6 +1013,45 @@ class TestChannelEqual:
         b = sequential_circuit(1, [gate(core.S, 0)])
         assert not channel_equal(a, b, 1)
 
+    def test_listed_input_matches_the_scanned_one(self, monkeypatch):
+        # each trial enters the route from product_state's lists, not from a
+        # dense input that run() scans back; its bytes are the scanned run's,
+        # and a dense run's where the route does not apply
+        cases = [(teleport_circuit(), 1, (2,)), (random_unitary_circuit(6, seed=390), 2, (0, 1))]
+        for span in (3, 5, 8):
+            for kind in (secondq.LADDER_TELEPORTED, secondq.LADDER_DIRECT):
+                cases.append((secondq.build_jw_ladder(span, kind), span, secondq.ladder_output_map(span, kind)))
+        wants = []
+        for i, (c, n_data, out_map) in enumerate(cases):
+            psi = random_state(n_data, np.random.default_rng(400 + i))
+            res = run(c, product_state(c.n_qubits, {tuple(range(n_data)): psi.amps}), rng=np.random.default_rng(i))
+            fixed = sum(res.qubit_outcomes.get(q, 0) << q for q in range(c.n_qubits) if q not in out_map)
+            wants.append((psi, apply_frame_by_factors(res.frame, res.state).amps[sim._spread(out_map) | fixed]))
+        forbid(monkeypatch, sim._Support, ["enter"])  # the scan
+        for i, ((c, n_data, out_map), (psi, want)) in enumerate(zip(cases, wants)):
+            got = sim._run_and_extract(c, psi, out_map, np.random.default_rng(i))
+            if i == 1:
+                assert got is None  # an entangled leftover
+            else:
+                np.testing.assert_array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("n", [5, 7, 10])
+    def test_listed_support_is_the_scan(self, n):
+        # the same indices, in the same ascending order, with the same bytes:
+        # an amplitude with a -0 part listed and +0 dropped, as the scan of a
+        # product_state finds them
+        rng = np.random.default_rng(410 + n)
+        c = random_measured_circuit(n, 420 + n)
+        blocks = {(n - 1, 0): unit_vector(rng, 4), (2,): unit_vector(rng, 2)}
+        blocks[n - 1, 0][1], blocks[2,][0] = complex(-0.0, 0.0), 0.0
+        idx, amp = sim._support(n, blocks)
+        scanned = sim._Support.enter(c, product_state(n, blocks))
+        listed = sim._Support.listed(c, idx, amp)
+        np.testing.assert_array_equal(listed.idx, scanned.idx)
+        np.testing.assert_array_equal(bits(listed.amps), bits(scanned.amps))
+        assert len(listed.idx) < len(idx)  # products of +0 whose bytes are all zero are dropped
+        assert sim._Support.listed(random_unitary_circuit(n, seed=n), idx, amp) is None  # takes the kernels
+
     def test_entangled_leftover_rejected(self):
         # a CNOT into an unmeasured ancilla is not a clean 1-qubit channel
         a = sequential_circuit(2, [cnot(0, 1)])
@@ -1112,9 +1201,10 @@ class TestSupportRun:
         monkeypatch.setattr(sim._Support, "scatter", lambda self: handed.append(len(self.idx)) or scatter(self))
         assert_same_run(run(c, psi, seed=341), want)
         # scattered once, at 2^8 listed amplitudes; the kernels ran only the
-        # gates after the tail's H
+        # gates after the tail's H, and of those the CNOT and the RZ on its
+        # moved target stayed off them (sim._Relabel)
         assert handed == [1 << 8]
-        assert calls == ["prob_one", "collapse", "apply_cnot", "apply_diag_1q", "prob_one", "collapse"]
+        assert calls == ["prob_one", "collapse", "prob_one", "collapse"]
 
     def test_ladder_run_peaks_below_the_kernel_loop(self):
         # the span-8 teleported ladder (20 qubits) on 2^8 listed amplitudes:
@@ -1131,6 +1221,155 @@ class TestSupportRun:
             tracemalloc.stop()
         assert peak < 1.2 * psi.amps.nbytes, peak
         assert np.count_nonzero(out) == 1 << 8
+
+
+def relabel_circuit(n, seed, measured=False, rounds=40):
+    """Seeded circuit that moves a wire and then acts on it.
+
+    Each round puts a CNOT into a random wire q, or an X on it, then a gate
+    of a random kind with q among its wires: every unitary kind, and a
+    MEASURE if measured, comes first once each.  A quarter of the rounds
+    then repeat their X or CNOT, so the map can return to the identity.
+    """
+    rng = np.random.default_rng(seed)
+    kinds = [*UNITARY_1Q, core.RZ, core.CNOT, core.TOFFOLI, core.CRZ, *([core.MEASURE] if measured else [])]
+    gates = []
+    for r in range(rounds):
+        q, a, b = (int(w) for w in rng.permutation(n)[:3])
+        move = cnot(a, q) if rng.random() < 0.7 else gate(core.X, q)
+        kind = kinds[r] if r < len(kinds) else kinds[int(rng.integers(len(kinds)))]
+        if kind in UNITARY_1Q:
+            g = gate(kind, q)
+        elif kind == core.RZ:
+            g = rz(rng.uniform(-np.pi, np.pi), q)
+        elif kind == core.CNOT:
+            g = cnot(q, b) if rng.random() < 0.5 else cnot(b, q)
+        elif kind == core.TOFFOLI:
+            g = toffoli(*[int(w) for w in rng.permutation([q, a, b])])
+        elif kind == core.CRZ:
+            g = crz(rng.uniform(-np.pi, np.pi), q, b)
+        else:
+            g = measure(q, key=r)
+        gates += [move, g] + ([move] if rng.random() < 0.25 else [])
+    return sequential_circuit(n, gates)
+
+
+def dense_input(n, rng):
+    """A random state on n qubits holding -0 entries: the kernels take it."""
+    psi = random_state(n, rng)
+    psi.amps[rng.choice(1 << n, 3, replace=False)] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    return psi
+
+
+@pytest.fixture
+def relabel_paths(monkeypatch):
+    """Counts of the diagonals run on a moved wire and of the gathers."""
+    seen = {"diagonal": 0, "gather": 0}
+    diagonal, flushed = sim._Relabel._diagonal, sim._Relabel.flushed
+
+    def count_diagonal(self, *args):
+        seen["diagonal"] += 1
+        return diagonal(self, *args)
+
+    def count_flushed(self):
+        seen["gather"] += self._moved() != 0
+        return flushed(self)
+
+    monkeypatch.setattr(sim._Relabel, "_diagonal", count_diagonal)
+    monkeypatch.setattr(sim._Relabel, "flushed", count_flushed)
+    return seen
+
+
+# sha256 of every run() on the (circuit, amplitudes) cases pickled on stdin
+_RUN_DIGEST = """
+import hashlib, pickle, sys
+from ftqc import sim
+
+digest = hashlib.sha256()
+for circuit, amps in pickle.load(sys.stdin.buffer):
+    res = sim.run(circuit, sim.StateVector(circuit.n_qubits, amps), seed=5)
+    digest.update(res.state.amps.tobytes())
+    digest.update(repr(sorted(res.record.items())).encode())
+print(digest.hexdigest())
+"""
+
+
+class TestRelabel:
+    """Dense runs hold X and CNOT as a pending GF(2) map on basis indices
+    (sim._Relabel) instead of moving amplitudes.  Their amplitudes, records
+    and frames must be bit for bit those of the gate-by-gate kernel loop
+    (reference.dense_run and dense_measured_run), signed zeros included."""
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_unitary_runs_match_the_kernel_loop(self, n, relabel_paths):
+        rng = np.random.default_rng(500 + n)
+        for seed in (510 + n, 530 + n):
+            c = relabel_circuit(n, seed)
+            psi = dense_input(n, rng)
+            kept = bits(psi.amps).copy()
+            res = run(c, psi)
+            np.testing.assert_array_equal(bits(res.state.amps), bits(dense_run(c, psi.amps)))
+            assert res.frame.pauli == Pauli() and res.record == {}
+            np.testing.assert_array_equal(bits(psi.amps), kept)  # the input is left alone
+        assert relabel_paths["diagonal"] and relabel_paths["gather"]
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_measured_runs_match_the_kernel_loop(self, n, relabel_paths):
+        rng = np.random.default_rng(550 + n)
+        for seed in (560 + n, 580 + n):
+            c = relabel_circuit(n, seed, measured=True)
+            psi = dense_input(n, rng)
+            want = dense_measured_run(c, psi.amps, seed)
+            got = run(c, psi, seed=seed)
+            assert got.record == want.record and got.qubit_outcomes == want.qubit_outcomes
+            assert got.frame.pauli == want.frame.pauli
+            np.testing.assert_array_equal(bits(got.state.amps), bits(want.state.amps))
+        assert relabel_paths["diagonal"] and relabel_paths["gather"]
+
+    @pytest.mark.parametrize("block_amps", [1 << 8, 1 << 16], ids=["several-blocks", "one-block"])
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_to_unitary_matches_per_column_runs(self, n, block_amps, monkeypatch):
+        # each block of columns is one state whose top bits no gate touches
+        monkeypatch.setattr(sim, "_BLOCK_AMPS", block_amps)
+        c = relabel_circuit(n, 600 + n)
+        u = to_unitary(c)
+        for j in range(1 << n):
+            np.testing.assert_array_equal(bits(u[:, j]), bits(dense_run(c, StateVector.basis(n, j).amps)))
+
+    def test_mirrored_ladders_move_no_amplitude(self, relabel_paths, monkeypatch):
+        # a two-body excitation on 10 orbitals: each Pauli string's CNOT
+        # ladder is mirrored back to the identity, and its rotation lands on
+        # the ladder's parity wire, so no CNOT kernel runs and nothing is gathered
+        c = secondq.build_excitation(secondq.TwoBodyTerm(0, 3, 6, 9, 0.7), 0.4, n_orbitals=10)
+        psi = dense_input(10, np.random.default_rng(620))
+        want = dense_run(c, psi.amps)
+        forbid(monkeypatch, kernels, ["apply_cnot"])
+        np.testing.assert_array_equal(bits(run(c, psi).state.amps), bits(want))
+        assert relabel_paths == {"diagonal": 8, "gather": 0}
+
+    def test_gather_holds_two_states(self, relabel_paths):
+        # run()'s copy of the input and the gathered copy, with no
+        # state-sized index beside them (that would be half a state more)
+        n = 18
+        c = sequential_circuit(n, [cnot(0, 17), gate(core.X, 5), cnot(17, 9), gate(core.H, 9)])
+        psi = dense_input(n, np.random.default_rng(650))
+        want = dense_run(c, psi.amps)
+        tracemalloc.start()
+        try:
+            out = run(c, psi).state.amps
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert relabel_paths["gather"] == 1
+        assert peak < 2.2 * psi.amps.nbytes, peak
+        np.testing.assert_array_equal(bits(out), bits(want))
+
+    def test_runs_are_byte_identical_across_blas_threads(self):
+        rng = np.random.default_rng(630)
+        cases = [(relabel_circuit(n, 640 + n, measured=measured), dense_input(n, rng).amps)
+                 for n in (10, 12) for measured in (False, True)]
+        digests = digests_across_blas_threads(_RUN_DIGEST, pickle.dumps(cases))
+        assert len(digests) == 1, digests
 
 
 class TestToUnitary:
