@@ -14,10 +14,14 @@ Trotter-step propagator circuits:
 * ``build_excitation`` turns those strings into a circuit: basis changes
   into the Z basis (H for an X factor, H.S.H / H.S^dag.H around a Y
   factor), a CNOT parity ladder, one phase rotation on the parity wire,
-  and the mirror image.  The controlled variant used in phase estimation
-  realizes every rotation through an AND ancilla (two Toffolis around a
-  plain rotation, ancilla restored to |0>) so only single-qubit rotations
-  ever need synthesis,
+  and the mirror image.  Between two strings each wire gets one word,
+  the first string's way back followed by the next one's way in, with
+  adjacent adjoint pairs cancelled.  The controlled variant used in
+  phase estimation realizes every rotation through an AND ancilla (two
+  Toffolis around a plain rotation, ancilla restored to |0>) so only
+  single-qubit rotations ever need synthesis.  The estimator does not
+  price this built block yet (ROADMAP item 6); it prices each string's
+  ladder and rotation from cost models,
 * ``build_jw_ladder`` provides the parity ladder either directly (depth
   span-1) or teleported to constant depth: one Bell pair per interior
   wire lets all ladder CNOTs run in a single layer, and the Bell-state
@@ -43,6 +47,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .core import (
+    ADJOINT,
     H,
     S,
     SDG,
@@ -354,6 +359,18 @@ _BASIS_PRE = {"X": (H,), "Y": (H, S, H)}  # into the Z basis
 _BASIS_POST = {"X": (H,), "Y": (H, SDG, H)}  # and back
 
 
+def _cancel_adjoints(kinds) -> list[str]:
+    """A word of single-qubit gates, in the order they act, with adjacent
+    adjoint pairs (H.H, S.S^dag, S^dag.S) cancelled until none is left."""
+    out: list[str] = []
+    for kind in kinds:
+        if out and ADJOINT[kind] == out[-1]:
+            out.pop()
+        else:
+            out.append(kind)
+    return out
+
+
 def _emit_rotation(builder, theta, wire, method, epsilon) -> None:
     theta %= TWO_PI
     if theta == 0.0:
@@ -382,10 +399,21 @@ def build_excitation(
 
     Each Pauli string becomes basis changes + CNOT parity ladder + one
     rotation of angle 2 c dt on the parity wire + mirror; for one-body
-    off-diagonal terms that rotation angle is exactly h dt.  The plain
-    circuit realizes the propagator up to a global phase.  With
-    controlled=True (wire layout: orbitals, control, AND ancilla) each
-    rotation is wrapped in two Toffolis against a |0> ancilla so the
+    off-diagonal terms that rotation angle is exactly h dt.  The basis
+    changes merge at each boundary between strings: a wire gets the
+    closing word of string k and the opening word of string k+1 as one
+    word with adjacent adjoint pairs cancelled (X to X and Y to Y leave
+    nothing, X to Y leaves S.H and Y to X leaves H.S^dag, gates listed in
+    the order they act), and a wire absent from string k+1 is closed in
+    full.  The merges are exact identities, and every CNOT, Toffoli and
+    rotation is that of the string-by-string circuit, in its order; on
+    the 18-orbital double excitation (0, 5, 12, 17) the H, S and S^dag
+    counts fall from 96, 16 and 16 to 28, 10 and 10.
+    estimate_second_quantized does not price this block yet (ROADMAP
+    item 6).  The plain circuit realizes the propagator up to a global
+    phase.  With controlled=True (wire layout: orbitals, control, AND
+    ancilla) each rotation is wrapped in two Toffolis against a |0>
+    ancilla so the
     phase lands only when the control is set, and the accumulated global
     phase is repaid by one extra rotation on the control itself, making
     the block exactly diag(I, exp(-i A dt)).
@@ -401,16 +429,19 @@ def build_excitation(
         control = ancilla = None
         builder = CircuitBuilder(max(n_orbitals, 1))
     phase_sum = 0.0  # the realized circuit misses exp(-i phase_sum)
+    owed: dict[int, str] = {}  # wire -> letter of the last string, not yet closed
     for coeff, ops in strings:
         alpha = coeff * dt
         phase_sum += alpha
         if not ops:
             continue
         theta = 2.0 * alpha
+        letters = dict(ops)
+        for q in sorted(owed.keys() | letters.keys()):
+            word = _BASIS_POST.get(owed.get(q), ()) + _BASIS_PRE.get(letters.get(q), ())
+            builder.extend(gate(kind, q) for kind in _cancel_adjoints(word))
+        owed = letters
         wires = [q for q, _ in ops]
-        for q, letter in ops:
-            for kind in _BASIS_PRE.get(letter, ()):
-                builder.append(gate(kind, q))
         for a, b in zip(wires, wires[1:]):
             builder.append(cnot(a, b))
         target = wires[-1]
@@ -422,9 +453,8 @@ def build_excitation(
             _emit_rotation(builder, theta, target, method, epsilon)
         for a, b in reversed(list(zip(wires, wires[1:]))):
             builder.append(cnot(a, b))
-        for q, letter in ops:
-            for kind in _BASIS_POST.get(letter, ()):
-                builder.append(gate(kind, q))
+    for q, letter in owed.items():
+        builder.extend(gate(kind, q) for kind in _BASIS_POST.get(letter, ()))
     if controlled:
         _emit_rotation(builder, -phase_sum, control, method, epsilon)
     return builder.build()

@@ -6,11 +6,12 @@ expansion, the angle bound of a truncated transform, the gate-by-gate
 kernel runs with and without measurements, a Pauli frame applied one
 factor at a time, the einsum projection of a state onto a register
 block (effective_unitary's matrix entries must equal it bit for bit),
-the per-trial PAR Monte Carlo and the Jordan-Wigner expansion over
-``core.Pauli`` products.  The
-rest are test conveniences: one-gate-per-layer circuits, the eigenstate
-that ``build_qft_via_qvr`` expects, the weight of a state on a
-register block, and a script's output under one and two BLAS threads.
+the per-trial PAR Monte Carlo, the Jordan-Wigner expansion over
+``core.Pauli`` products and the string-by-string excitation circuit
+whose basis changes ``build_excitation`` merges.  The rest are test
+conveniences: one-gate-per-layer circuits, the eigenstate that
+``build_qft_via_qvr`` expects, the weight of a state on a register
+block, and a script's output under one and two BLAS threads.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from ftqc.core import (
     MEASURE,
     PLUS,
     RZ,
+    S,
+    SDG,
     T,
     TDG,
     TOFFOLI,
@@ -47,11 +50,12 @@ from ftqc.core import (
     crz_matrix,
     gate,
     rz_matrix,
+    toffoli,
 )
 from ftqc.kickback import GammaRegister, gamma_state
 from ftqc.par import PREPARE_EXACT, execute_par, expected_rounds, prepare_ancillas
 from ftqc.qvr import qft_gamma_width
-from ftqc.secondq import OneBodyTerm
+from ftqc.secondq import OneBodyTerm, _emit_rotation, excitation_operator_strings
 from ftqc.sim import PauliFrame, SimResult, StateVector, _apply_unitary
 
 
@@ -330,6 +334,47 @@ def pauli_generator_masks(term) -> dict[tuple[int, int], float]:
             raise ValueError(f"expansion of {term} is not hermitian at {(x, z)}: {c}")
         out[x, z] = c.real
     return out
+
+
+_SANDWICH_IN = {"X": (H,), "Y": (H, S, H)}
+_SANDWICH_OUT = {"X": (H,), "Y": (H, SDG, H)}
+
+
+def excitation_sandwich(
+    term, dt: float, *, n_orbitals: int, method: str, epsilon: float, controlled: bool
+) -> Circuit:
+    """``build_excitation`` string by string, with no merging: every Pauli
+    string gets its full basis change into the Z basis (H for X, H.S.H for
+    Y), ladder, rotation, mirror ladder and basis change back (H, H.S^dag.H).
+
+    The merged builder must realize the same unitary from the same CNOT,
+    Toffoli and rotation gates, with no more H, S or S^dag.
+    """
+    strings = excitation_operator_strings(term, n_orbitals)
+    width = n_orbitals + 2 if controlled else max(n_orbitals, 1)
+    control, ancilla = n_orbitals, n_orbitals + 1
+    builder = CircuitBuilder(width)
+    phase_sum = 0.0
+    for coeff, ops in strings:
+        alpha = coeff * dt
+        phase_sum += alpha
+        if not ops:
+            continue
+        wires = [q for q, _ in ops]
+        ladder = [cnot(a, b) for a, b in zip(wires, wires[1:])]
+        builder.extend(gate(kind, q) for q, letter in ops for kind in _SANDWICH_IN.get(letter, ()))
+        builder.extend(ladder)
+        if controlled:
+            builder.append(toffoli(control, wires[-1], ancilla))
+            _emit_rotation(builder, 2.0 * alpha, ancilla, method, epsilon)
+            builder.append(toffoli(control, wires[-1], ancilla))
+        else:
+            _emit_rotation(builder, 2.0 * alpha, wires[-1], method, epsilon)
+        builder.extend(reversed(ladder))
+        builder.extend(gate(kind, q) for q, letter in ops for kind in _SANDWICH_OUT.get(letter, ()))
+    if controlled:
+        _emit_rotation(builder, -phase_sum, control, method, epsilon)
+    return builder.build()
 
 
 def digests_across_blas_threads(script: str, stdin: bytes = b"") -> set[bytes]:

@@ -16,21 +16,25 @@ import io
 import itertools
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import pauli_generator_masks
+from reference import excitation_sandwich, pauli_generator_masks
 
 from ftqc import cli, kickback, secondq
 from ftqc.core import (
+    ADJOINT,
     CNOT,
     FRAME,
     MEASURE,
     RZ,
+    SDG,
     H,
+    S,
     CircuitBuilder,
     dist,
     gate,
@@ -38,7 +42,7 @@ from ftqc.core import (
 )
 from ftqc.kickback import RIPPLE_CARRY, AdderSpec, build_adder, ripple_profile
 from ftqc.par import register_bits_for
-from ftqc.qvr import ROTATION_SEQUENCE
+from ftqc.qvr import ROTATION_EXACT, ROTATION_SEQUENCE
 from ftqc.secondq import (
     LADDER_DIRECT,
     LADDER_TELEPORTED,
@@ -501,6 +505,69 @@ class TestBuildExcitation:
     def test_register_bound_enforced(self):
         with pytest.raises(ValueError, match="outside"):
             build_excitation(OneBodyTerm(0, 3, 1.0), 0.5, n_orbitals=2)
+
+
+def _terms(n_orbitals: int):
+    """One- and two-body terms on n_orbitals, coincident indices included."""
+    index = st.integers(0, n_orbitals - 1)
+    value = st.floats(min_value=-2, max_value=2, allow_nan=False)
+    return st.one_of(
+        st.builds(OneBodyTerm, index, index, value),
+        st.builds(TwoBodyTerm, index, index, index, index, value),
+    )
+
+
+_BASIS_KINDS = (H, S, SDG)
+
+
+class TestMergedBasisChanges:
+    """build_excitation merges each wire's basis changes at string
+    boundaries; the string-by-string sandwich of reference is its oracle."""
+
+    @given(
+        st.integers(2, 6).flatmap(lambda m: st.tuples(st.just(m), _terms(m))),
+        st.floats(min_value=0.1, max_value=1.5),
+        st.sampled_from([(ROTATION_EXACT, 1e-4), (ROTATION_SEQUENCE, 2e-2)]),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_string_by_string_sandwich(self, sized_term, dt, rotation, controlled):
+        m, term = sized_term
+        method, epsilon = rotation
+        kwargs = dict(n_orbitals=m, method=method, epsilon=epsilon, controlled=controlled)
+        merged = build_excitation(term, dt, **kwargs)
+        oracle = excitation_sandwich(term, dt, **kwargs)
+        if controlled:
+            data = tuple(range(m + 1))
+            (u, leak), (want, want_leak) = effective_unitary(merged, data), effective_unitary(oracle, data)
+            # an exact rotation returns the AND ancilla to |0>; a synthesized
+            # one leaks by its own error, the same in both circuits
+            assert leak <= (1e-12 if method == ROTATION_EXACT else want_leak + 1e-12)
+        else:
+            u, want = to_unitary(merged), to_unitary(oracle)
+        assert float(np.max(np.abs(u - want))) <= 1e-12
+        rest = [[g for g in circuit_gates(c) if g.kind not in _BASIS_KINDS] for c in (merged, oracle)]
+        assert rest[0] == rest[1]
+        basis = [Counter(g.kind for g in circuit_gates(c) if g.kind in _BASIS_KINDS) for c in (merged, oracle)]
+        assert all(basis[0][k] <= basis[1][k] for k in _BASIS_KINDS)
+
+    def test_double_excitation_gate_counts(self):
+        circ = build_excitation(TwoBodyTerm(0, 5, 12, 17, 0.7), 0.4, n_orbitals=18)
+        counts = Counter(g.kind for g in circuit_gates(circ))
+        assert counts == {H: 28, S: 10, SDG: 10, CNOT: 176, RZ: 8}
+        assert sum(counts.values()) == 232
+
+    @pytest.mark.parametrize("term", TERM_SHAPES)
+    @pytest.mark.parametrize("controlled", [False, True], ids=["plain", "controlled"])
+    def test_no_wire_holds_an_adjacent_adjoint_pair(self, term, controlled):
+        # one-qubit pairs only: a mirrored ladder's last CNOT can meet the
+        # next string's first, and sharing ladders is not this merge
+        last: dict[int, str] = {}
+        for g in circuit_gates(build_excitation(term, 0.83, controlled=controlled)):
+            if g.kind in ADJOINT:
+                assert last.get(g.qubits[0]) != ADJOINT[g.kind], g
+            for q in g.qubits:
+                last[q] = g.kind
 
 
 class TestJwLadder:

@@ -259,6 +259,23 @@ class TestPauliFrame:
             np.testing.assert_array_equal(bits(got.amps), bits(apply_frame_by_factors(f, psi).amps))
             np.testing.assert_array_equal(bits(psi.amps), kept)  # the input is left alone
 
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_read_at_indices_matches_apply_to(self, n):
+        # channel_equal reads the corrected outputs at a few indices instead
+        # of materializing E|psi>: the same values, signed zeros included
+        rng = np.random.default_rng(390 + n)
+        for _ in range(20):
+            f = PauliFrame(n, Pauli(int(rng.integers(1 << n)), int(rng.integers(1 << n)), int(rng.integers(4))))
+            psi = random_state(n, rng)
+            psi.amps[rng.integers(0, 1 << n, 2)] = [complex(-0.0, 0.0), complex(0.0, -0.0)]
+            out_map = tuple(int(q) for q in rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+            fixed = sum(int(rng.integers(2)) << q for q in range(n) if q not in out_map)
+            idx = np.concatenate((sim._spread(out_map) | fixed, rng.integers(0, 1 << n, 16)))
+            want = f.apply_to(psi).amps[idx]
+            got = sim._corrected_at(f, psi.amps, idx)
+            assert np.array_equal(got, want)
+            np.testing.assert_array_equal(bits(got), bits(want))
+
     @pytest.mark.parametrize("span", range(3, 9))
     def test_apply_to_matches_the_factor_loop_on_teleported_ladders(self, span):
         c, psi = teleported_ladder_input(span, np.random.default_rng(370 + span))
