@@ -143,7 +143,7 @@ def _cmd_qvr(config: RunConfig) -> tuple[dict, int]:
     q = config.opt("q")
     mode = config.opt("mode")
     if mode == "bitwise":
-        circuit = qvr_mod.build_qvr_bitwise(q, xi, epsilon_total=config.opt("epsilon"))
+        circuit = qvr_mod.build_qvr_bitwise(q, xi)
         extra = {}
     else:
         params = qvr_mod.qvr_params(xi, q)
@@ -446,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", type=_finite, required=True)
     p.add_argument("--q", type=int, required=True, help="value register width")
     p.add_argument("--mode", choices=("bitwise", "kickback"), default="kickback")
-    p.add_argument("--epsilon", type=_tolerance, default=1e-3, help="bitwise synthesis budget")
     add_common(p, circuit=True)
 
     p = sub.add_parser("par-sim", help="seeded Monte Carlo over the ancilla cascade")

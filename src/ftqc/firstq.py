@@ -12,7 +12,8 @@ Two things here are gate-level and simulator-checkable: the desk-scale
 one-dimensional potential-phase circuit (positions -> r^2 table ->
 quantized 1/r table -> bitwise rotation -> mirrored uncompute) and the
 small reversible arithmetic it leans on (register adder, schoolbook
-multiplier, copy-expansion tree).  The step models price every adder,
+multiplier whose rows are ftqc.kickback.emit_controlled_add,
+copy-expansion tree).  The step models price every adder,
 subtractor, multiplier and copy-expansion tree from those built circuits
 at the estimator's width, so the fully-parallel potential step costs its
 fan-out with the tree it would run and the 1/r pipeline its multiplies
@@ -38,7 +39,7 @@ from .core import (
     rz,
     toffoli,
 )
-from .kickback import emit_register_add, ripple_profile
+from .kickback import emit_controlled_add, emit_register_add, ripple_profile
 from .qvr import build_qft_via_qvr, build_qvr_bitwise, build_qvr_kickback, qvr_params
 
 __all__ = [
@@ -332,12 +333,13 @@ def multiplier_layout(width: int) -> MultiplierLayout:
 def build_multiplier(width: int) -> Circuit:
     """Schoolbook reversible multiplier |a>|b>|0...0> -> |a>|b>|a*b>.
 
-    Each row ANDs one bit of a into a width-bit gated copy of b, then
-    ripple-adds the copy into a (width+1)-bit slice of the 2*width-bit
-    product, the top slice bit taking only the final carry; the slice
-    always holds less than 2^width beforehand, so every row add is exact
-    and the full product appears without modular wrap.  The copy register
-    and the carry ancilla return to |0> on every input.
+    Each row adds b, controlled on one bit of a, into a (width+1)-bit
+    slice of the 2*width-bit product by emit_controlled_add: a width-bit
+    gated copy of b, ripple-added with the top slice bit taking only the
+    final carry, then uncopied.  The slice always holds less than 2^width
+    beforehand, so every row add is exact and the full product appears
+    without modular wrap.  The copy register and the carry ancilla return
+    to |0> on every input.
 
     This is the multiplier the cost models price (multiply_profile) at
     every width: width rows of 2*width Toffolis and one MAJ/UMA register
@@ -348,10 +350,7 @@ def build_multiplier(width: int) -> Circuit:
     lay = multiplier_layout(width)
     builder = CircuitBuilder(lay.carry + 1)
     for i in range(width):
-        gated_copy = [toffoli(lay.a[i], lay.b[j], lay.copy[j]) for j in range(width)]
-        builder.extend(gated_copy)
-        emit_register_add(builder, lay.copy, lay.product[i : i + width + 1], lay.carry)
-        builder.extend(gated_copy)
+        emit_controlled_add(builder, lay.a[i], lay.b, lay.copy, lay.product[i : i + width + 1], lay.carry)
     return builder.build()
 
 
@@ -428,6 +427,12 @@ def newton_profile(width: int = DEFAULT_WIDTH) -> ResourceProfile:
     per_iter = multiply_profile(width).times(3).in_series(ripple_profile(width))
     budget = newton_iterations_bound(width)
     return per_iter.times(budget).with_qubits(multiply_profile(width).qubits + width)
+
+
+@lru_cache(maxsize=None)
+def _qft_profile(q: int) -> ResourceProfile:
+    """Fourier-transform cost on a q-wire axis register, taken from build_qft_via_qvr."""
+    return build_qft_via_qvr(q).profile()
 
 
 @lru_cache(maxsize=None)
@@ -571,7 +576,7 @@ def build_kinetic_step(
     constants.check_particles(grid.b)
     if not dt_factor > 0.0:
         raise ValueError("dt_factor must be positive")
-    qft = build_qft_via_qvr(grid.p).profile()
+    qft = _qft_profile(grid.p)
     fourier = qft.in_parallel(qft).in_parallel(qft)  # three axes at once
     ksq = multiply_profile(width).times(3).in_series(register_adder_profile(width).times(2))
     scales = tuple(sorted({constants.kinetic_scale(j, dt_factor) for j in range(grid.b)}))

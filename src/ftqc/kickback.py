@@ -162,10 +162,10 @@ def emit_add_constant(
     addend %= 1 << n
     if addend == 0:
         return
-    low = (addend & -addend).bit_length() - 1
-    need = n - 1 - low
+    need = carries_needed(n, addend)
     if len(carries) < need:
         raise ValueError(f"addend {addend} on {n} bits needs {need} carry ancillas")
+    low = n - 1 - need  # lowest set bit of the addend
     bit = [(addend >> j) & 1 for j in range(n)]
     # carry[j] holds the carry into data bit j, for j in low+1 .. n-1
     carry = {j: carries[i] for i, j in enumerate(range(low + 1, n))}
@@ -222,6 +222,23 @@ def emit_register_add(builder: CircuitBuilder, addend, target, carry: int) -> No
         builder.append(cnot(carry, target[width - 1]))
     for c, t, a in reversed(chain):  # UMA
         builder.extend([toffoli(c, t, a), cnot(a, c), cnot(c, t)])
+
+
+def emit_controlled_add(builder: CircuitBuilder, control: int, addend, copies, target, carry: int) -> None:
+    """Emit |c>|a>|t> -> |c>|a>|t + c a mod 2^len(target)>.
+
+    Toffolis copy the addend onto copies under the control,
+    emit_register_add adds the copies into the target, and the same
+    Toffolis uncopy; adding zero is the identity, so the adder needs no
+    control.  Entries of copies past len(addend) are pad wires holding 0.
+    Every wire but the target comes back as it went in.
+    """
+    if len(copies) < len(addend):
+        raise ValueError("need one copy wire per addend bit")
+    copy = [toffoli(control, a, c) for a, c in zip(addend, copies)]
+    builder.extend(copy)
+    emit_register_add(builder, copies, target, carry)
+    builder.extend(copy)
 
 
 @lru_cache(maxsize=None)
@@ -284,28 +301,14 @@ def kickback_rotation(phi: float, reg: GammaRegister, controlled: bool = False) 
     residual: dist <= |delta_phi| / 2 + numerical noise.
     """
     u = solve_mod(reg.k, reg.n, phi)
-    delta_phi = phase_error(reg.n, phi)
-    n = reg.n
-    n_carry = carries_needed(n, u)
-    if controlled:
-        data_start = 2
-    else:
-        data_start = 1
-    gamma_qubits = tuple(range(data_start, data_start + n))
-    carry_qubits = tuple(range(data_start + n, data_start + n + n_carry))
-    if controlled:
-        and_anc = data_start + n + n_carry
-        layout = KickbackLayout(
-            target=1, gamma=gamma_qubits, carries=carry_qubits, control=0,
-            and_ancilla=and_anc,
-        )
-        builder = CircuitBuilder(and_anc + 1)
-        if u != 0:
-            builder.append(toffoli(0, 1, and_anc))
-            emit_add_constant(builder, list(gamma_qubits), u, list(carry_qubits), control=and_anc)
-            builder.append(toffoli(0, 1, and_anc))
-    else:
-        layout = KickbackLayout(target=0, gamma=gamma_qubits, carries=carry_qubits)
-        builder = CircuitBuilder(data_start + n + n_carry)
-        emit_add_constant(builder, list(gamma_qubits), u, list(carry_qubits), control=0)
-    return KickbackRotation(builder.build(), delta_phi, u, layout)
+    start = 2 if controlled else 1  # wires before the gamma register: (control,) target
+    end = start + reg.n + carries_needed(reg.n, u)  # one past the carries
+    and_anc = end if controlled else None
+    gamma, carries = tuple(range(start, start + reg.n)), tuple(range(start + reg.n, end))
+    layout = KickbackLayout(start - 1, gamma, carries, 0 if controlled else None, and_anc)
+    builder = CircuitBuilder(end + controlled)
+    and_pair = [toffoli(0, 1, and_anc)] if controlled and u else []
+    builder.extend(and_pair)
+    emit_add_constant(builder, gamma, u, carries, control=and_anc if controlled else 0)
+    builder.extend(and_pair)
+    return KickbackRotation(builder.build(), phase_error(reg.n, phi), u, layout)

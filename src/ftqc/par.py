@@ -24,12 +24,24 @@ outcome r on the measured qubit): r=0 leaves (w0 chi0, w1 chi1) on the
 ancilla wire, r=1 leaves (w0 chi1, w1 chi0) = X (w1 chi0, w0 chi1).
 With a pending X frame f on the data qubit the corrected outcome is
 r xor f, and success/failure classification under corrected outcomes is
-exactly the frameless rule.  A controlled cascade runs the same algebra
-on two branches that share each measurement: control=0 meets |+> and
-control=1 the prepared ancilla.  _round holds this algebra once, for
-one branch or two.  It serves the failure-path table below, and both
-executors through _cascade, which adds the fallback; the executors are
-cross-checked against per-round circuits in the tests.
+exactly the frameless rule.
+
+A controlled set enacts CRZ(phi) on (control, target), little-endian:
+index c + 2 d.  Its round ancillas are entangled with the control at
+preparation time, so the cascade runs the same algebra on two branches
+that share each measurement: control=0 meets |+> and control=1 the
+prepared ancilla, and the target-side cascade telescopes to CRZ(phi).
+The fallback acts on the control=1 branch alone.  A failed round also
+leaves the known phase e^{i theta_m} on the control=1 branch (the global
+phase of the uncontrolled case, made relative by the control), so the
+protocol closes with one deterministic rotation of the control by minus
+the summed failed-round angles: the control debt.
+
+_round holds the round algebra once, for one branch or two.  It serves
+the failure-path table below, and execute_par through _cascade, which
+adds the fallback; execute_par runs the cascade its set asks for and
+closes a controlled set's debt.  Both cascades are cross-checked against
+per-round circuits in the tests.
 
 Statistics come from one failure-path table.  Every trial of
 par_statistics starts from |+>, and round m runs only if rounds 1..m-1
@@ -88,19 +100,21 @@ class ParAncillaSet:
     """
 
     phi: float
-    m_count: int
     method: str
     epsilon_each: float
     ancillas: tuple[np.ndarray, ...]
     controlled: bool = False
 
     def __post_init__(self) -> None:
-        if self.m_count < 1:
+        if not self.ancillas:
             raise ValueError("need at least one ancilla")
         if self.method not in (PREPARE_EXACT, PREPARE_KICKBACK, PREPARE_SEQUENCE):
             raise ValueError(f"unknown preparation method {self.method!r}")
-        if len(self.ancillas) != self.m_count:
-            raise ValueError("ancilla count does not match M")
+
+    @property
+    def m_count(self) -> int:
+        """M, the number of cascade rounds before the fallback."""
+        return len(self.ancillas)
 
     def phase_of(self, j: int) -> float:
         """Realized |1>-amplitude phase of ancilla j (1-based), in [0, 2 pi)."""
@@ -176,15 +190,13 @@ def prepare_ancillas(
     sequence alphabet has no controlled member, so controlled sets must
     use exact or kickback preparation.
     """
-    if m_count < 1:
-        raise ValueError("need at least one ancilla")
     if method == PREPARE_SEQUENCE and controlled:
         raise ValueError("controlled ancillas need exact or kickback preparation")
     ancillas = tuple(
         (_rz_action((phi * (1 << j)) % TWO_PI, method, epsilon_each) @ np.ones(2)) / math.sqrt(2.0)
         for j in range(m_count)
     )
-    return ParAncillaSet(phi, m_count, method, epsilon_each, ancillas, controlled)
+    return ParAncillaSet(phi, method, epsilon_each, ancillas, controlled)
 
 
 class ParOutcome(NamedTuple):
@@ -213,7 +225,8 @@ def _round(
     """One cascade round on branches that share its measurement.
 
     Branch c holds data amplitudes (chi0, chi1) and meets ancillas[c], as
-    ParAncillaSet._branch_ancillas lists them per round.  outcome(p0)
+    ParAncillaSet._branch_ancillas lists them per round: one branch for a
+    plain set, control values 0 and 1 for a controlled one.  outcome(p0)
     picks the raw measurement result, where p0 is the probability of raw
     0; the sum starts at 0.0, so one branch gets the one-branch sum bit
     for bit.  Returns p0, the raw result and the normalized branches it
@@ -239,7 +252,7 @@ def _cascade(
     After M failed rounds the pending X is materialized on the data and
     the set's fallback acts on the last branch: the data itself, or
     control=1.  Returns the branches, the rounds run and whether the
-    fallback ran.
+    fallback ran; a controlled set's debt is left to execute_par.
     """
     def draw(p0: float) -> int:
         return 0 if rng.random() < p0 else 1
@@ -266,50 +279,25 @@ def execute_par(
     seed: int = DEFAULT_SEED,
     rng: np.random.Generator | None = None,
 ) -> ParOutcome:
-    """Run the cascade on a single-qubit state until success or fallback.
+    """Run the set's cascade until success or fallback.
 
-    One rng.random() draw per executed round decides the raw measurement
-    outcome, so a (state, set, seed) triple reproduces exactly.  Returns
-    the logical output state (Pauli frame resolved), the number of rounds
-    executed, and whether the deterministic fallback ran.
+    A plain set rotates a single-qubit state of 2 amplitudes.  A
+    controlled set enacts CRZ(phi) on a two-qubit state of 4 amplitudes,
+    little-endian over (control, target), and closes its control debt
+    (module docstring).  One rng.random() draw per executed round decides
+    the raw measurement outcome, so a (state, set, seed) triple
+    reproduces exactly.  Returns the logical output state (Pauli frame
+    resolved), the number of rounds executed, and whether the
+    deterministic fallback ran.
     """
-    if aset.controlled:
-        raise ValueError("controlled sets go through execute_controlled_par")
     if rng is None:
         rng = np.random.default_rng(seed)
-    branches, rounds, fallback = _cascade(_unit_branches(state, 1), aset, rng)
-    return ParOutcome(np.array(branches[0]), rounds, fallback)
-
-
-def execute_controlled_par(
-    state: np.ndarray,
-    aset: ParAncillaSet,
-    *,
-    seed: int = DEFAULT_SEED,
-    rng: np.random.Generator | None = None,
-) -> ParOutcome:
-    """Cascade enacting a controlled rotation on a two-qubit state.
-
-    state is little-endian over (control, target): index = c + 2 d.  The
-    round ancillas are entangled with the control at preparation time
-    (control=0 branch |+>, control=1 branch aset.ancillas[j]), so both
-    branches share each measurement outcome and the target-side cascade
-    telescopes to CRZ(phi); the fallback acts on the control=1 branch
-    alone.  A failed round additionally leaves the known phase
-    e^{i theta_m} on the control=1 branch (the global phase of the
-    uncontrolled case, made relative by the control), so the protocol
-    closes with one deterministic control rotation by minus the summed
-    failed-round angles.
-    """
-    if not aset.controlled:
-        raise ValueError("this set was prepared without controlled=True")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    branches, rounds, fallback = _cascade(_unit_branches(state, 2), aset, rng)
+    branches, rounds, fallback = _cascade(_unit_branches(state, 1 + aset.controlled), aset, rng)
     out = np.array(branches).T.reshape(-1)  # index c + 2 d
-    control_debt = sum(aset.phase_of(m) for m in range(1, rounds + fallback))
-    if control_debt:
-        out[1::2] *= cmath.exp(-1j * control_debt)
+    if aset.controlled:
+        control_debt = sum(aset.phase_of(m) for m in range(1, rounds + fallback))
+        if control_debt:
+            out[1::2] *= cmath.exp(-1j * control_debt)
     return ParOutcome(out, rounds, fallback)
 
 

@@ -21,9 +21,10 @@ adder follows from the same identity:
 
 The eigenstate register is an input the circuits expect to receive, not
 something they prepare; ``eigenstate_for`` builds the right state.
-Controlled variants never control the adder internals: the addend bits
-are copied out under the control (Toffolis), added, and uncopied, since
-adding zero is the identity.
+Controlled variants never control the adder internals: they go through
+ftqc.kickback.emit_controlled_add, which copies the addend bits out under
+the control (Toffolis), adds, and uncopies, since adding zero is the
+identity.
 """
 
 from __future__ import annotations
@@ -43,9 +44,8 @@ from .core import (
     gate,
     rz,
     rz_matrix,
-    toffoli,
 )
-from .kickback import GammaRegister, emit_register_add, gamma_state
+from .kickback import GammaRegister, emit_controlled_add, emit_register_add, gamma_state
 from .sim import StateVector
 from .synth import synthesize
 
@@ -221,15 +221,10 @@ def build_qvr_kickback(params: QvrParams, controlled: bool = False) -> Circuit:
         return builder.build()
     addend_bits = layout.theta[: min(params.q, params.n)]
     if controlled:
-        for data_bit, copy_bit in zip(addend_bits, layout.scratch):
-            builder.append(toffoli(layout.control, data_bit, copy_bit))
-        addend = layout.scratch + layout.pads
+        copies = layout.scratch + layout.pads
+        emit_controlled_add(builder, layout.control, addend_bits, copies, layout.gamma, layout.ancilla)
     else:
-        addend = addend_bits + layout.pads
-    emit_register_add(builder, addend, layout.gamma, layout.ancilla)
-    if controlled:
-        for data_bit, copy_bit in zip(addend_bits, layout.scratch):
-            builder.append(toffoli(layout.control, data_bit, copy_bit))
+        emit_register_add(builder, addend_bits + layout.pads, layout.gamma, layout.ancilla)
     return builder.build()
 
 
@@ -275,14 +270,8 @@ def build_qft_via_qvr(q: int, approx_drop: int = 0) -> Circuit:
         bits = tuple(range(drop, t))
         if not bits:
             continue
-        width = t + 1 - drop
-        gamma_slice = gamma[gamma_width - width :]
-        used = scratch[: len(bits)]
-        for data_bit, copy_bit in zip(bits, used):
-            builder.append(toffoli(t, data_bit, copy_bit))
-        emit_register_add(builder, used, gamma_slice, ancilla)
-        for data_bit, copy_bit in zip(bits, used):
-            builder.append(toffoli(t, data_bit, copy_bit))
+        gamma_slice = gamma[gamma_width - (t + 1 - drop) :]
+        emit_controlled_add(builder, t, bits, scratch[: len(bits)], gamma_slice, ancilla)
     for i in range(q // 2):
         j = q - 1 - i
         builder.extend([cnot(i, j), cnot(j, i), cnot(i, j)])

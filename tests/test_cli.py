@@ -248,6 +248,18 @@ class TestQvr:
         assert record["profile"]["qubits"] == 4
         assert record["profile"]["total_gates"] <= 4
 
+    def test_epsilon_is_not_a_flag(self, capsys):
+        # the CLI builds exact placeholders, which no synthesis budget reaches
+        status, out, err = run_cli(capsys, "qvr", "--xi", "1.25", "--q", "3",
+                                   "--mode", "bitwise", "--epsilon", "1e-9")
+        assert status == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["command"] == "qvr"
+        assert "unrecognized arguments: --epsilon 1e-9" in record["error"]["message"]
+
 
 class TestEstimate2q:
     def test_report_and_cutoff_curve(self, tmp_path, capsys):

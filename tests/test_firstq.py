@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftqc import sim
+from ftqc import firstq, sim
+from ftqc.cli import main
 from ftqc.core import CircuitBuilder, X, gate
 from ftqc.firstq import (
     FULLY_PARALLEL,
@@ -44,6 +45,7 @@ from ftqc.firstq import (
     register_adder_profile,
 )
 from ftqc.kickback import ripple_profile
+from ftqc.qvr import build_qft_via_qvr
 from ftqc.sim import StateVector, effective_unitary, product_state, random_state, run
 
 
@@ -426,6 +428,23 @@ class TestKineticStep:
         model = build_kinetic_step(GridSpec(2, 5), electrons(5))
         assert model.profile.qubits == 5 * model.unit.qubits
         assert model.kind == KINETIC_STEP
+
+    def test_qft_is_built_once_per_grid_width(self, monkeypatch, capsys):
+        # every particle count of both calls prices its Fourier transforms at
+        # one grid width, so one built QFT serves them all
+        built = []
+
+        def counting_build_qft_via_qvr(q, approx_drop=0):
+            built.append((q, approx_drop))
+            return build_qft_via_qvr(q, approx_drop)
+
+        firstq._qft_profile.cache_clear()
+        monkeypatch.setattr(firstq, "build_qft_via_qvr", counting_build_qft_via_qvr)
+        argv = ["estimate-1q", "--particles", "12", "--grid-bits", "5", "--steps", "3",
+                "--mode", "parallel", "--width", "8"]
+        assert main(argv) == 0 and main(argv) == 0
+        capsys.readouterr()
+        assert built == [(5, 0)]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -8,8 +8,10 @@ exhaustive search.
 """
 
 import hashlib
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from ftqc.kickback import (
     GammaRegister,
     build_adder,
     carries_needed,
+    emit_controlled_add,
     emit_register_add,
     gamma_state,
     kickback_rotation,
@@ -45,6 +48,7 @@ from ftqc.kickback import (
     solve_mod,
 )
 from ftqc.qvr import build_qft_via_qvr, build_qvr_kickback, qvr_params
+from ftqc import sim
 from ftqc.sim import (
     QUBIT_CAP,
     SimulationError,
@@ -300,6 +304,96 @@ class TestRegisterAdder:
         texts.append(circuit_to_text(build_potential_phase_circuit(2, 4, constants)[0]))
         digest = hashlib.sha256("".join(texts).encode()).hexdigest()
         assert digest == "0966107b27e6790721a888d157a60938ed8f04e3e27c69702cbc9a1d576ad731"
+
+
+class TestControlledAdd:
+    INPUTS = 64
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_adds_the_addend_under_the_control(self, width):
+        # t -> t + c a mod 2^width on seeded basis inputs, run on bit-planes,
+        # for copies as wide as the target or one bit narrower and every
+        # addend width up to theirs, the rest of the copies being zero pads
+        rng = np.random.default_rng(width)
+        for reach in (width - 1, width):
+            for bits in range(reach + 1):
+                addend = tuple(range(1, 1 + bits))
+                copies = tuple(range(1 + bits, 1 + bits + reach))
+                target = tuple(range(1 + bits + reach, 1 + bits + reach + width))
+                carry = target[-1] + 1
+                builder = CircuitBuilder(carry + 1)
+                emit_controlled_add(builder, 0, addend, copies, target, carry)
+                circuit = builder.build()
+
+                c = np.arange(self.INPUTS) % 2  # the control set and clear
+                a = rng.integers(0, 1 << bits, self.INPUTS)
+                t = rng.integers(0, 1 << width, self.INPUTS)
+                planes = np.zeros((circuit.n_qubits, self.INPUTS), dtype=bool)
+                planes[0] = c
+                for j, wire in enumerate(addend):
+                    planes[wire] = (a >> j) & 1
+                for j, wire in enumerate(target):
+                    planes[wire] = (t >> j) & 1
+                want = planes.copy()
+                for j, wire in enumerate(target):
+                    want[wire] = ((t + c * a) % (1 << width) >> j) & 1
+                amps = np.ones(self.INPUTS, dtype=np.complex128)
+                planes, amps = sim._permute_phases(circuit, planes, amps)
+                # control, addend, copies and carry come back as they went in
+                np.testing.assert_array_equal(planes, want, err_msg=f"{reach=} {bits=}")
+                np.testing.assert_array_equal(amps, 1.0)
+
+    def test_rejects_fewer_copies_than_addend_bits(self):
+        with pytest.raises(ValueError, match="copy wire"):
+            emit_controlled_add(CircuitBuilder(8), 0, (1, 2, 3), (4, 5), (6, 7), 8)
+
+
+PINS = json.loads((Path(__file__).parent / "data" / "circuit_pins.json").read_text())
+
+
+def pinned_circuits():
+    """(family, case, circuit) for every circuit tests/data/circuit_pins.json pins."""
+    for w in range(1, 9):
+        yield "build_register_adder", f"w={w}", build_register_adder(w)
+        yield "build_multiplier", f"w={w}", build_multiplier(w)
+    for q in range(1, 9):
+        for drop in range(3):
+            yield "build_qft_via_qvr", f"q={q} drop={drop}", build_qft_via_qvr(q, drop)
+        for xi in (0.1, 0.375, 1.25, 4.0):
+            for controlled in (False, True):
+                circuit = build_qvr_kickback(qvr_params(xi, q), controlled)
+                yield "build_qvr_kickback", f"xi={xi} q={q} controlled={controlled}", circuit
+    for n in range(1, 9):
+        for phi in (0.0, 0.7, 2.345, 5.5):
+            for controlled in (False, True):
+                circuit = kickback_rotation(phi, GammaRegister(1, n), controlled).circuit
+                yield "kickback_rotation", f"phi={phi} n={n} controlled={controlled}", circuit
+
+
+def circuit_digests() -> dict[str, dict[str, str]]:
+    """sha256 of circuit_to_text for each pinned circuit, by family and case."""
+    digests: dict[str, dict[str, str]] = {}
+    for family, case, circuit in pinned_circuits():
+        text = circuit_to_text(circuit).encode()
+        digests.setdefault(family, {})[case] = hashlib.sha256(text).hexdigest()
+    return digests
+
+
+class TestCircuitPins:
+    def test_builders_match_their_pinned_digests(self):
+        # the register adder, the multiplier, the QFT, kickback QVR and the
+        # kickback rotation, gate for gate as they were before the controlled
+        # register add and the kickback layout each got one definition
+        got = circuit_digests()
+        assert got.keys() == PINS["sha256"].keys()
+        moved = [
+            f"{family} {case}"
+            for family, cases in PINS["sha256"].items()
+            for case, digest in cases.items()
+            if got[family].get(case) != digest
+        ]
+        assert not moved, moved
+        assert all(got[f].keys() == PINS["sha256"][f].keys() for f in got)
 
 
 class TestEigenstateProperty:

@@ -34,7 +34,6 @@ from ftqc.par import (
     PREPARE_KICKBACK,
     PREPARE_SEQUENCE,
     ParAncillaSet,
-    execute_controlled_par,
     execute_par,
     expected_rounds,
     par_statistics,
@@ -104,8 +103,10 @@ class TestPrepareAncillas:
         with pytest.raises(ValueError):
             # needs a register beyond the simulable kickback width
             prepare_ancillas(1.0, 2, PREPARE_KICKBACK, 1e-6)
-        with pytest.raises(ValueError):
-            ParAncillaSet(1.0, 2, PREPARE_EXACT, 1e-4, (PLUS,))
+        with pytest.raises(ValueError, match="at least one ancilla"):
+            ParAncillaSet(1.0, PREPARE_EXACT, 1e-4, ())
+        # M is the ancilla count, not a second field that could disagree with it
+        assert prepare_ancillas(1.0, 3).m_count == 3
 
     def test_kickback_register_fits_the_simulator(self):
         # a kickback rotation takes up to 2n wires, and a controlled set
@@ -155,9 +156,9 @@ class TestRotationOncePerAngle:
         monkeypatch.setattr(par, "_rz_action", lambda *args: calls.append(args) or real(*args))
         m_count = 2
         aset = prepare_ancillas(1.37, m_count, method, eps, controlled=controlled)
-        execute, state = (execute_controlled_par, np.full(4, 0.5)) if controlled else (execute_par, PLUS)
+        state = np.full(4, 0.5) if controlled else PLUS
         rng = np.random.default_rng(5)
-        fallbacks = sum(execute(state, aset, rng=rng).fallback_used for _ in range(1000))
+        fallbacks = sum(execute_par(state, aset, rng=rng).fallback_used for _ in range(1000))
         assert fallbacks > 100  # about a quarter of the trials
         assert len(calls) == m_count + 1
 
@@ -315,7 +316,7 @@ class TestControlledPar:
         for _ in range(40):
             psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             psi /= np.linalg.norm(psi)
-            out = execute_controlled_par(psi, aset, rng=rng)
+            out = execute_par(psi, aset, rng=rng)
             assert abs(np.vdot(target @ psi, out.state)) >= 1 - 1e-10
 
     def test_every_branch_exact(self):
@@ -328,7 +329,7 @@ class TestControlledPar:
         saw_fallback = False
         for pattern in range(16):
             bits = [(pattern >> i) & 1 for i in range(4)]
-            out = execute_controlled_par(psi, aset, rng=ForcedDraws(bits))
+            out = execute_par(psi, aset, rng=ForcedDraws(bits))
             saw_fallback |= out.fallback_used
             assert abs(np.vdot(want, out.state)) >= 1 - 1e-12, bits
         assert saw_fallback
@@ -338,7 +339,7 @@ class TestControlledPar:
         rng = np.random.default_rng(2)
         psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         psi /= np.linalg.norm(psi)
-        out = execute_controlled_par(psi, aset, rng=ForcedDraws([1, 0]))
+        out = execute_par(psi, aset, rng=ForcedDraws([1, 0]))
         assert out.fallback_used
         want = crz_matrix(1.3) @ psi
         assert abs(np.vdot(want, out.state)) >= 1 - 1e-6
@@ -350,7 +351,7 @@ class TestControlledPar:
         assert kickback_rotation(2 * phi, GammaRegister(1, 11)).circuit.n_qubits == 22
         aset = prepare_ancillas(phi, 1, PREPARE_KICKBACK, 2e-3, controlled=True)
         psi = np.full(4, 0.5)
-        out = execute_controlled_par(psi, aset, rng=ForcedDraws([1]))
+        out = execute_par(psi, aset, rng=ForcedDraws([1]))
         assert out.fallback_used
         # only the ancilla's angle is off, by at most half a step of 2 pi / 2^11
         assert abs(np.vdot(crz_matrix(phi) @ psi, out.state)) >= math.cos(math.pi / 2**12)
@@ -368,7 +369,7 @@ class TestControlledPar:
             psi = master.standard_normal(4) + 1j * master.standard_normal(4)
             psi /= np.linalg.norm(psi)
             seed_run = int(master.integers(0, 2**31))
-            fast = execute_controlled_par(psi, aset, seed=seed_run)
+            fast = execute_par(psi, aset, seed=seed_run)
 
             rng = np.random.default_rng(seed_run)
             state = product_state(3, {(0, 1): psi})
@@ -426,12 +427,13 @@ class TestControlledPar:
             assert states_equal_up_to_phase(vec, want, tol=1e-9)
 
     def test_rejections(self):
+        # the set says which cascade runs; a state of the other size is refused
         plain = prepare_ancillas(1.0, 2)
-        with pytest.raises(ValueError):
-            execute_controlled_par(np.ones(4) / 2, plain)
+        with pytest.raises(ValueError, match="2 amplitudes"):
+            execute_par(np.ones(4) / 2, plain)
         ctrl = prepare_ancillas(1.0, 2, controlled=True)
-        with pytest.raises(ValueError):
-            execute_controlled_par(np.ones(2), ctrl)
+        with pytest.raises(ValueError, match="4 amplitudes"):
+            execute_par(np.ones(2), ctrl)
 
 
 class TestExpectedRounds:
@@ -462,12 +464,12 @@ class TestDefaultSeed:
             assert out.rounds == want.rounds
             np.testing.assert_array_equal(out.state, want.state)
 
-    def test_execute_controlled_par(self):
+    def test_execute_par_controlled(self):
         aset = prepare_ancillas(1.0, 6, controlled=True)
         psi = np.full(4, 0.5)
-        want = execute_controlled_par(psi, aset, seed=DEFAULT_SEED)
+        want = execute_par(psi, aset, seed=DEFAULT_SEED)
         for _ in range(12):
-            out = execute_controlled_par(psi, aset)
+            out = execute_par(psi, aset)
             assert out.rounds == want.rounds
             np.testing.assert_array_equal(out.state, want.state)
 
