@@ -11,7 +11,6 @@ from .core import (
     circuit_to_text,
     dist,
     rz_matrix,
-    crz_matrix,
 )
 from .sim import StateVector, SimResult, PauliFrame, run, to_unitary, channel_equal
 
@@ -28,7 +27,6 @@ __all__ = [
     "channel_equal",
     "circuit_from_text",
     "circuit_to_text",
-    "crz_matrix",
     "dist",
     "run",
     "rz_matrix",

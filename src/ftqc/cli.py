@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -488,8 +489,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The process's one parser tree, built on first use: parsing reads
+    it and keeps no state in it between calls."""
+    return build_parser()
+
+
 def parse_args(argv: list[str] | None = None) -> RunConfig:
-    namespace = build_parser().parse_args(argv)
+    namespace = _shared_parser().parse_args(argv)
     options = vars(namespace).copy()
     command = options.pop("command")
     seed = DEFAULT_SEED

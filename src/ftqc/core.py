@@ -305,12 +305,6 @@ def rz_matrix(angle: float) -> np.ndarray:
     return np.array([[1, 0], [0, np.exp(1j * angle)]], dtype=complex)
 
 
-def crz_matrix(angle: float) -> np.ndarray:
-    m = np.eye(4, dtype=complex)
-    m[3, 3] = np.exp(1j * angle)
-    return m
-
-
 def dist(u: np.ndarray, v: np.ndarray) -> float:
     """Global-phase-invariant (Fowler) distance sqrt((d - |tr(U^dag V)|) / d).
 
@@ -425,6 +419,12 @@ def circuit_to_text(c: Circuit) -> str:
 
 
 def circuit_from_text(text: str) -> Circuit:
+    """Read back what circuit_to_text writes (the CLI's --circuit files).
+
+    Public API with no caller inside the package: it is the round-trip
+    partner of circuit_to_text, so a saved circuit can be loaded and run
+    or checked again, layers as written.
+    """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("qubits "):

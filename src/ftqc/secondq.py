@@ -31,9 +31,11 @@ Trotter-step propagator circuits:
 ``estimate_second_quantized`` prices a full phase-estimation run (2^n - 1
 controlled Trotter steps for n readout bits) without simulating it, using
 per-method rotation cost models; ``rotation_profile`` documents those
-models.  It walks the same masks, builds each parity ladder once per
-(span, mode) for the process, and prices a rotation once per call, or
-once per angle where the price depends on it.  Gate-level circuits stay
+models.  It walks the same masks, expands each term's strings once per
+index pattern and builds each parity ladder once per (span, mode) for
+the process (a term value only scales its pattern's strings), and
+prices a rotation once per call, or once per angle where the price
+depends on it.  Gate-level circuits stay
 exactly verifiable on the statevector simulator; the estimator is pure
 arithmetic over term structure.
 """
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -241,23 +244,28 @@ def apply_cutoff(table: IntegralTable, threshold: float) -> tuple[IntegralTable,
 
     The report's curve samples the retained count at decade thresholds
     10^0 .. 10^-16 so the falloff can be plotted without recomputing.
+    When nothing is dropped the input table itself is returned.
     """
     if not threshold >= 0:
         raise ValueError("cutoff threshold must be non-negative")
-    values = [abs(t.value) for t in table.terms()]
-    curve = tuple(
-        (10.0**e, sum(1 for v in values if v > 10.0**e)) for e in range(0, -17, -1)
-    )
-    kept = IntegralTable(
-        table.n_orbitals,
-        tuple(t for t in table.one_body if abs(t.value) > threshold),
-        tuple(t for t in table.two_body if abs(t.value) > threshold),
-    )
+    values = sorted(abs(t.value) for t in table.terms())
+
+    def above(level: float) -> int:
+        return len(values) - bisect_right(values, level)
+
+    retained = above(threshold)
+    kept = table
+    if retained < table.n_terms:
+        kept = IntegralTable(
+            table.n_orbitals,
+            tuple(t for t in table.one_body if abs(t.value) > threshold),
+            tuple(t for t in table.two_body if abs(t.value) > threshold),
+        )
     report = CutoffReport(
         threshold=threshold,
-        retained=kept.n_terms,
-        dropped=table.n_terms - kept.n_terms,
-        curve=curve,
+        retained=retained,
+        dropped=table.n_terms - retained,
+        curve=tuple((10.0**e, above(10.0**e)) for e in range(0, -17, -1)),
     )
     return kept, report
 
@@ -279,50 +287,66 @@ def apply_cutoff(table: IntegralTable, threshold: float) -> tuple[IntegralTable,
 # letters, a sign for the strings that survive.
 
 
-def _ladder_product(mode_ops) -> dict[tuple[int, int], int]:
-    """A product of ladder operators [(index, dagger)] as {(x, z): n}, where
-    Z^z X^x carries the coefficient n / 2^len(mode_ops)."""
-    terms = {(0, 0): 1}
+@lru_cache(maxsize=4096)
+def _jw_expansion(
+    mode_ops: tuple[tuple[int, bool], ...], self_adjoint: bool
+) -> tuple[tuple[int, bool, int, int], ...]:
+    """A product of ladder operators [(index, dagger)] expanded once per
+    (operators, self-adjoint flag) for the process, with everything but
+    the term value: each Z^z X^x that survives the conjugate as
+    (n, flip, x, z), n / 2^len(mode_ops) its exact coefficient before the
+    conjugate doubles it and flip the sign of i^|x & z|.  Every string of
+    the product has the same X part, the xor of the mode bits, so the
+    sign of moving it past a chain and that of a Z_j passing its bit j
+    are one per factor.  Strings whose n cancels to 0 are left out: no
+    term value lifts them above the floor."""
+    x = 0
+    terms = {0: 1}  # z -> n
     for j, dagger in mode_ops:
         bit, chain = 1 << j, (1 << j) - 1
-        product: dict[tuple[int, int], int] = {}
-        for (x, z), n in terms.items():
-            # times Z^chain X^bit, and times -/+ Z^(chain | bit) X^bit,
-            # whose Z_j also passes X^x's bit j
-            n = -n if (x & chain).bit_count() & 1 else n
-            key = (x ^ bit, z ^ chain)
-            product[key] = product.get(key, 0) + n
-            key = (x ^ bit, z ^ chain ^ bit)
-            product[key] = product.get(key, 0) + (-n if dagger != bool(x & bit) else n)
+        # times Z^chain X^bit, and times -/+ Z^(chain | bit) X^bit
+        first = -1 if (x & chain).bit_count() & 1 else 1
+        second = -first if dagger != bool(x & bit) else first
+        product: dict[int, int] = {}
+        for z, n in terms.items():
+            key = z ^ chain
+            product[key] = product.get(key, 0) + first * n
+            key ^= bit
+            product[key] = product.get(key, 0) + second * n
         terms = product
-    return terms
+        x ^= bit
+    out = []
+    for z, n in terms.items():
+        n_y = (x & z).bit_count()
+        if n and (self_adjoint or not n_y & 1):
+            out.append((n, bool(n_y & 2), x, z))
+    return tuple(out)
 
 
 def _generator_masks(term: Term, n_orbitals: int | None) -> list[tuple[float, int, int]]:
     """The hermitian generator of a term as (real coeff, x, z) triples,
-    unordered: coeff times the tensor product of the letters of Z^z X^x."""
+    unordered: coeff times the tensor product of the letters of Z^z X^x.
+    The term value scales the cached expansion of its index pattern."""
     if n_orbitals is not None and max(term.indices) >= n_orbitals:
         raise ValueError(
             f"term {term.indices} outside register of {n_orbitals} orbitals"
         )
     if isinstance(term, OneBodyTerm):
-        ops = [(term.p, True), (term.q, False)]
+        ops = ((term.p, True), (term.q, False))
         self_adjoint = term.p == term.q
     else:
-        ops = [(term.p, True), (term.q, True), (term.r, False), (term.s, False)]
+        ops = ((term.p, True), (term.q, True), (term.r, False), (term.s, False))
         self_adjoint = term.s == term.p and term.r == term.q
+    value = term.value
     scale = 0.5 ** len(ops)
-    floor = 1e-15 * max(1.0, abs(term.value))
+    floor = 1e-15 * max(1.0, abs(value))
     out = []
-    for (x, z), n in _ladder_product(ops).items():
-        n_y = (x & z).bit_count()
-        if n_y & 1 and not self_adjoint:
-            continue
-        c = n * scale * term.value
+    for n, flip, x, z in _jw_expansion(ops, self_adjoint):
+        c = n * scale * value
         if not self_adjoint:
             c += c
         if abs(c) > floor:
-            out.append((-c if n_y & 2 else c, x, z))
+            out.append((-c if flip else c, x, z))
     return out
 
 
@@ -723,7 +747,10 @@ def estimate_second_quantized(
     rotation priced by the plan's method at epsilon_max.  The per-step
     total is multiplied by the 2^n - 1 steps and wall clock is depth
     times seconds_per_gate (default 1 ms per gate), which must be finite.
-    An empty table is a zero-depth run.
+    An empty table is a zero-depth run.  A term's strings are expanded
+    once per index pattern for the process and scaled by its value on
+    each call, so pricing a table again under another plan repeats only
+    the arithmetic.
     """
     if ladder_mode not in (LADDER_DIRECT, LADDER_TELEPORTED):
         raise ValueError(f"unknown ladder mode {ladder_mode!r}")

@@ -47,7 +47,6 @@ from ftqc.core import (
     Gate,
     Pauli,
     cnot,
-    crz_matrix,
     gate,
     rz_matrix,
     toffoli,
@@ -71,6 +70,13 @@ def packed_circuit(n_qubits: int, gates: Iterable[Gate]) -> Circuit:
 
 _CNOT_M = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
 _TOFFOLI_M = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]]
+
+
+def crz_matrix(angle: float) -> np.ndarray:
+    """diag(1, 1, 1, e^{i angle}): the controlled phase rotation (CRZ gate)."""
+    m = np.eye(4, dtype=complex)
+    m[3, 3] = np.exp(1j * angle)
+    return m
 
 
 def matrix_of(g: Gate) -> np.ndarray:

@@ -527,6 +527,82 @@ class TestVerify:
         assert "17 passed" in err
 
 
+class TestSharedParser:
+    """cli.main parses with one parser tree per process; every call must
+    give the bytes that a freshly built tree gives."""
+
+    PAR_SIM = ("par-sim", "--phi", "1.0", "--ancillas", "6", "--trials", "200")
+    ESTIMATE = ("estimate-2q", "--integrals", "tests/data/integrals_12.txt",
+                "--readout-bits", "4", "--dt", "0.05", "--method", "par")
+    SYNTH = ("synth", "--angle", "0.5", "--epsilon", "1e-2")
+
+    @staticmethod
+    def _run(capsys, monkeypatch, steps) -> list[tuple[int, str, str]]:
+        # steps are (FTQC_SEED or None, argv); returns status, stdout, stderr
+        outputs = []
+        for env_seed, argv in steps:
+            if env_seed is None:
+                monkeypatch.delenv("FTQC_SEED", raising=False)
+            else:
+                monkeypatch.setenv("FTQC_SEED", env_seed)
+            outputs.append(run_cli(capsys, *argv))
+        return outputs
+
+    def _check(self, capsys, monkeypatch, steps) -> list[tuple[int, str, str]]:
+        cli._shared_parser.cache_clear()
+        shared = self._run(capsys, monkeypatch, steps)
+        assert cli._shared_parser.cache_info().misses == 1
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_shared_parser", cli.build_parser)
+            fresh = self._run(capsys, monkeypatch, steps)
+        assert shared == fresh
+        return shared
+
+    def test_one_tree_per_process_and_a_fresh_one_on_request(self):
+        assert cli._shared_parser() is cli._shared_parser()
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli.build_parser() is not cli._shared_parser()
+
+    def test_seed_flag_does_not_stick(self, capsys, monkeypatch):
+        outputs = self._check(capsys, monkeypatch, [
+            (None, self.PAR_SIM + ("--seed", "5")),
+            ("13", self.PAR_SIM),
+            (None, self.PAR_SIM),
+        ])
+        seeds = [json.loads(out)["seed"] for _, out, _ in outputs]
+        assert seeds == [5, 13, DEFAULT_SEED]
+
+    def test_cutoff_flag_does_not_stick(self, capsys, monkeypatch):
+        outputs = self._check(capsys, monkeypatch, [
+            (None, self.ESTIMATE + ("--cutoff", "0.1")),
+            (None, self.ESTIMATE),
+        ])
+        cutoffs = [json.loads(out)["cutoff"] for _, out, _ in outputs]
+        assert cutoffs[0]["threshold"] == 0.1 and cutoffs[0]["dropped"] > 0
+        assert cutoffs[1] == {"threshold": 0.0, "retained": 231, "dropped": 0}
+
+    def test_error_record_then_a_valid_call(self, capsys, monkeypatch):
+        outputs = self._check(capsys, monkeypatch, [
+            (None, self.SYNTH + ("--bogus",)),
+            (None, self.SYNTH),
+        ])
+        (status, out, err), (status2, out2, err2) = outputs
+        assert (status, out) == (2, "")
+        assert "unrecognized arguments: --bogus" in json.loads(err)["error"]["message"]
+        assert (status2, err2) == (0, "")
+        assert json.loads(out2)["command"] == "synth"
+
+    def test_help_then_a_valid_call(self, capsys, monkeypatch):
+        outputs = self._check(capsys, monkeypatch, [
+            (None, ("estimate-2q", "--help")),
+            (None, self.ESTIMATE),
+        ])
+        (status, out, err), (status2, out2, err2) = outputs
+        assert status == 0 and "--cutoff" in out and err == ""
+        assert (status2, err2) == (0, "")
+        assert json.loads(out2)["cutoff"]["threshold"] == 0.0
+
+
 class TestArgumentHandling:
     def test_unknown_flag_is_rejected(self, capsys):
         status, _, err = run_cli(

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import per_trial_par_statistics, project_onto
+from reference import crz_matrix, per_trial_par_statistics, project_onto
 
 from ftqc import par
 from ftqc.core import (
@@ -21,7 +21,6 @@ from ftqc.core import (
     CircuitBuilder,
     cnot,
     crz,
-    crz_matrix,
     dist,
     gate,
     measure,

@@ -317,6 +317,60 @@ class TestApplyCutoff:
         with pytest.raises(ValueError):
             apply_cutoff(IntegralTable(1), -1.0)
 
+    def test_nothing_dropped_returns_the_input_table(self):
+        t = load_integrals(FIXTURE)
+        assert apply_cutoff(t, 0.0)[0] is t
+        kept, _ = apply_cutoff(t, 1e-10)
+        assert kept is not t and kept.n_terms == 99
+
+    # every decade 10^0 .. 10^-16 is itself a term value, with both signs
+    ON_DECADES = IntegralTable(
+        17,
+        tuple(OneBodyTerm(i, i, (-1.0) ** i * 10.0**-i) for i in range(17)),
+        (TwoBodyTerm(0, 1, 1, 0, 1e-3), TwoBodyTerm(1, 0, 0, 1, -1e-3)),
+    )
+
+    @staticmethod
+    def _scanned_curve(table):
+        # the curve by definition: one scan of the values per decade
+        values = [abs(t.value) for t in table.terms()]
+        return tuple((10.0**e, sum(1 for v in values if v > 10.0**e)) for e in range(0, -17, -1))
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-10, 1e-3, 0.1, math.inf])
+    @pytest.mark.parametrize("name", ["integrals_12", "on_decades"])
+    def test_curve_and_counts_match_a_scan(self, name, threshold):
+        table = load_integrals(FIXTURE) if name == "integrals_12" else self.ON_DECADES
+        kept, report = apply_cutoff(table, threshold)
+        assert report.curve == self._scanned_curve(table)
+        retained = sum(1 for t in table.terms() if abs(t.value) > threshold)
+        assert report.retained == kept.n_terms == retained
+        assert report.dropped == table.n_terms - retained
+        assert kept.terms() == tuple(t for t in table.terms() if abs(t.value) > threshold)
+
+    @pytest.mark.parametrize("name", ["integrals_12", "on_decades"])
+    def test_csv_bytes_match_a_scan(self, tmp_path, name):
+        if name == "integrals_12":
+            path, table = FIXTURE, load_integrals(FIXTURE)
+        else:
+            table = self.ON_DECADES
+            path = tmp_path / "on_decades.txt"
+            path.write_text("".join(
+                " ".join(str(i + 1) for i in t.indices) + f" {t.value!r}\n" for t in table.terms()
+            ))
+            assert load_integrals(path) == table
+        csv_file = tmp_path / "curve.csv"
+        status = cli.main([
+            "estimate-2q", "--integrals", str(path), *PINS["args"], "--method", "par",
+            "--json", str(tmp_path / "out.json"), "--csv", str(csv_file),
+        ])
+        assert status == 0
+        want = "threshold,retained\r\n" + "".join(
+            f"{threshold!r},{retained}\r\n" for threshold, retained in self._scanned_curve(table)
+        )
+        assert csv_file.read_bytes() == want.encode()
+        if name == "integrals_12":
+            assert hashlib.sha256(want.encode()).hexdigest() == PINS["csv_sha256"]
+
 
 class TestExcitationStrings:
     @pytest.mark.parametrize("term", TERM_SHAPES)
@@ -430,6 +484,58 @@ class TestExcitationStrings:
         for coeff, ops in excitation_operator_strings(term, n_orbitals=5):
             total += string_matrix(coeff, ops, 5)
         assert np.allclose(total, term_matrix(term, 5), atol=1e-12)
+
+
+def _hex_masks(triples) -> dict[tuple[int, int], str]:
+    """(coeff, x, z) triples as {(x, z): coeff.hex()}, so equality is bitwise."""
+    masks = {(x, z): c.hex() for c, x, z in triples}
+    assert len(masks) == len(triples)
+    return masks
+
+
+class TestCachedExpansion:
+    """The expansion of a term's ladder-operator product is cached per
+    index pattern; the term value scales it anew on every call."""
+
+    def test_every_pattern_on_four_orbitals_matches_the_oracle_cold_and_warm(self):
+        terms = [OneBodyTerm(p, q, math.pi / 10) for p, q in itertools.product(range(4), repeat=2)]
+        terms += [TwoBodyTerm(*idx, -1.2345678901234567) for idx in itertools.product(range(4), repeat=4)]
+        secondq._jw_expansion.cache_clear()
+        for call in ("cold", "warm"):
+            for term in terms:
+                want = {key: c.hex() for key, c in pauli_generator_masks(term).items()}
+                assert _hex_masks(secondq._generator_masks(term, 4)) == want, (call, term)
+        info = secondq._jw_expansion.cache_info()
+        assert (info.misses, info.hits) == (len(terms), len(terms))
+
+    @pytest.mark.parametrize(
+        "indices",
+        [(1, 3), (2, 2), (0, 1, 2, 3), (2, 0, 0, 2), (1, 1, 2, 2), (3, 1, 1, 0)],
+    )
+    def test_values_sharing_a_pattern_are_each_scaled(self, indices):
+        # one cache entry serves every value: a cache that kept the first
+        # value's coefficients, or its floor, would fail the later ones
+        make = OneBodyTerm if len(indices) == 2 else TwoBodyTerm
+        secondq._jw_expansion.cache_clear()
+        for value in (0.3, -2.5e3, 3e-15, -1e-300):
+            term = make(*indices, value)
+            want = {key: c.hex() for key, c in pauli_generator_masks(term).items()}
+            assert _hex_masks(secondq._generator_masks(term, None)) == want, value
+        assert secondq._jw_expansion.cache_info().misses == 1
+
+    def test_cached_entry_is_an_immutable_tuple(self):
+        secondq._jw_expansion.cache_clear()
+        secondq._generator_masks(TwoBodyTerm(0, 1, 2, 3, 0.5), None)
+        entry = secondq._jw_expansion(((0, True), (1, True), (2, False), (3, False)), False)
+        info = secondq._jw_expansion.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert info.maxsize is not None  # bounded memory
+        assert isinstance(entry, tuple) and len(entry) == 8
+        for item in entry:
+            assert isinstance(item, tuple)
+            n, flip, x, z = item
+            assert type(n) is int and n != 0
+            assert type(flip) is bool and type(x) is int and type(z) is int
 
 
 class TestBuildExcitation:
@@ -864,6 +970,16 @@ class TestEstimator:
         assert built
         assert len(built) == len(set(built))
         assert {mode for _, mode in built} == {LADDER_TELEPORTED, LADDER_DIRECT}
+
+    def test_strings_are_expanded_once_per_index_pattern(self):
+        secondq._jw_expansion.cache_clear()
+        table = load_integrals(FIXTURE)
+        for method in (METHOD_SK, METHOD_KICKBACK):
+            estimate_second_quantized(table, TrotterPlan(dt=0.05, readout_bits=10, method=method))
+        patterns = {(type(t), t.indices) for t in table.terms()}
+        assert len(patterns) == table.n_terms == 231
+        info = secondq._jw_expansion.cache_info()
+        assert (info.misses, info.hits) == (len(patterns), len(patterns))
 
     @pytest.mark.parametrize(
         "method,epsilon",
