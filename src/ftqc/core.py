@@ -47,6 +47,16 @@ _ARITY.update({CNOT: 2, TOFFOLI: 3, RZ: 1, CRZ: 2, MEASURE: 1, FRAME: 1})
 # Adjoint within the alphabet; every fault-tolerant kind has one.
 ADJOINT = {X: X, Y: Y, Z: Z, H: H, S: SDG, SDG: S, T: TDG, TDG: T}
 
+# The rotation methods, named once for every module: exact and sequence are
+# built by synth.emit_rz, kickback by ftqc.kickback, sk and par are priced only.
+EXACT, SEQUENCE, KICKBACK, SK, PAR = "exact", "sequence", "kickback", "sk", "par"
+
+
+def check_epsilon(epsilon: float, name: str = "epsilon") -> None:
+    """Reject an accuracy that is not finite and positive (NaN included)."""
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {epsilon!r}")
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -76,6 +86,8 @@ class Gate:
             raise ValueError("qubit indices must be non-negative")
         if (self.angle is not None) != (self.kind in (RZ, CRZ)):
             raise ValueError(f"angle is required for RZ/CRZ and forbidden otherwise ({self.kind})")
+        if self.angle is not None and not math.isfinite(self.angle):
+            raise ValueError(f"{self.kind} angle must be finite, got {self.angle!r}")
         if (self.key is not None) and self.kind != MEASURE:
             raise ValueError("key is only valid on MEASURE")
         if self.kind == FRAME:

@@ -32,15 +32,13 @@ from .core import (
     Circuit,
     CircuitBuilder,
     ResourceProfile,
-    RZ,
     X,
     cnot,
     gate,
-    rz,
     toffoli,
 )
 from .kickback import emit_controlled_add, emit_register_add, ripple_profile
-from .qvr import build_qft_via_qvr, build_qvr_bitwise, build_qvr_kickback, qvr_params
+from .qvr import build_qft_via_qvr, build_qvr_kickback, emit_qvr_bitwise, qvr_params
 
 __all__ = [
     "IN_PLACE",
@@ -751,10 +749,7 @@ def build_potential_phase_circuit(
     positions = list(x1 + x2)
     _emit_table_write(builder, positions, list(r2), list(work), r2_entry)
     _emit_table_write(builder, list(r2), list(inv_r), list(work), lambda v: inv_entries[v])
-    for g in build_qvr_bitwise(width, xi).gates():
-        if g.kind != RZ:  # the exact bitwise form only emits rotations
-            raise AssertionError(f"unexpected gate {g.kind} in bitwise rotation")
-        builder.append(rz(g.angle, inv_r[g.qubits[0]]))
+    emit_qvr_bitwise(builder, inv_r, xi)
     _emit_table_write(builder, list(r2), list(inv_r), list(work), lambda v: inv_entries[v])
     _emit_table_write(builder, positions, list(r2), list(work), r2_entry)
     layout = PotentialPhaseLayout(x1, x2, r2, inv_r, work, capped, xi)

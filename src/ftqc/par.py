@@ -12,8 +12,9 @@ residual 2^M phi.  The expected number of rounds is below 2, and all the
 expensive synthesis happens at preparation time.
 
 Each preparation method realizes RZ(theta) as a 2x2 action, computed
-once per angle (_rz_action): "exact" writes diag(1, e^{i theta}),
-"sequence" compiles a Clifford+T word with synth.synthesize, and
+once per angle (_rz_action) by the construction every module shares:
+"exact" is core.rz_matrix, "sequence" the matrix of the word
+synth.rz_sequence compiles (the word synth.emit_rz would emit), and
 "kickback" reads a kickback rotation's action on its target off
 sim.effective_unitary, with the gamma register as the helper.  Ancilla
 j is that action at 2^{j-1} phi on |+>, and the fallback is the action
@@ -63,14 +64,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import PLUS, TWO_PI, rz_matrix
+from .core import EXACT, KICKBACK, PLUS, SEQUENCE, TWO_PI, check_epsilon, rz_matrix
 from .kickback import GammaRegister, gamma_state, kickback_rotation
 from .sim import DEFAULT_SEED, QUBIT_CAP, effective_unitary
-from .synth import synthesize
-
-PREPARE_EXACT = "exact"
-PREPARE_KICKBACK = "kickback"
-PREPARE_SEQUENCE = "sequence"
+from .synth import rz_sequence
 
 # uniforms par_statistics reads per rng.random call; bounds its memory at any trial count
 _CHUNK = 4096
@@ -81,8 +78,7 @@ Branch = tuple[complex, complex]
 
 def register_bits_for(epsilon: float) -> int:
     """Smallest register width n with quantization error 2 pi / 2^{n+1} <= epsilon."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    check_epsilon(epsilon)
     n = 1
     while TWO_PI / (1 << (n + 1)) > epsilon:
         n += 1
@@ -108,7 +104,7 @@ class ParAncillaSet:
     def __post_init__(self) -> None:
         if not self.ancillas:
             raise ValueError("need at least one ancilla")
-        if self.method not in (PREPARE_EXACT, PREPARE_KICKBACK, PREPARE_SEQUENCE):
+        if self.method not in (EXACT, KICKBACK, SEQUENCE):
             raise ValueError(f"unknown preparation method {self.method!r}")
 
     @property
@@ -140,22 +136,17 @@ class ParAncillaSet:
 def _rz_action(theta: float, method: str, epsilon: float) -> np.ndarray:
     """The 2x2 action by which a preparation method realizes RZ(theta).
 
-    "exact" is diag(1, e^{i theta}); "sequence" is the Clifford+T word
-    synth.synthesize compiles, which must come within epsilon; "kickback"
-    is a kickback rotation's action on its target, with a register sized
-    from epsilon projected back onto its gamma state.
+    "exact" is rz_matrix(theta), diag(1, e^{i theta}); "sequence" is the
+    matrix of synth.rz_sequence(theta, epsilon), the word synth.emit_rz
+    emits (ValueError when it misses epsilon); "kickback" is a kickback
+    rotation's action on its target, with a register sized from epsilon
+    projected back onto its gamma state.
     """
-    if method == PREPARE_EXACT:
-        return np.array([[1.0, 0.0], [0.0, cmath.exp(1j * theta)]])
-    if method == PREPARE_SEQUENCE:
-        seq = synthesize(rz_matrix(theta), epsilon)
-        if not seq.satisfied:
-            raise ValueError(
-                f"no sequence within epsilon_each={epsilon:g} of RZ({theta!r}) (best "
-                f"{seq.achieved_distance:.3g}); relax the budget"
-            )
-        return seq.matrix()
-    if method != PREPARE_KICKBACK:
+    if method == EXACT:
+        return rz_matrix(theta)
+    if method == SEQUENCE:
+        return rz_sequence(theta, epsilon).matrix()
+    if method != KICKBACK:
         raise ValueError(f"unknown preparation method {method!r}")
     n = register_bits_for(epsilon)
     # a kickback rotation takes up to 1 target + n data + (n - 1) carries
@@ -173,7 +164,7 @@ def _rz_action(theta: float, method: str, epsilon: float) -> np.ndarray:
 def prepare_ancillas(
     phi: float,
     m_count: int,
-    method: str = PREPARE_EXACT,
+    method: str = EXACT,
     epsilon_each: float = 1e-4,
     *,
     controlled: bool = False,
@@ -185,12 +176,13 @@ def prepare_ancillas(
     "exact" writes the amplitudes analytically; "kickback" simulates a
     kickback rotation with a register sized from epsilon_each, at most
     QUBIT_CAP // 2 bits; "sequence" compiles each rotation within
-    epsilon_each by synth.synthesize and raises ValueError when even that
-    misses.  Sequence preparation is for uncontrolled sets only: the
-    sequence alphabet has no controlled member, so controlled sets must
-    use exact or kickback preparation.
+    epsilon_each by synth.rz_sequence, the rule synth.emit_rz follows,
+    and raises ValueError when even the best word misses.  Sequence
+    preparation is for uncontrolled sets only: the sequence alphabet has
+    no controlled member, so controlled sets must use exact or kickback
+    preparation.
     """
-    if method == PREPARE_SEQUENCE and controlled:
+    if method == SEQUENCE and controlled:
         raise ValueError("controlled ancillas need exact or kickback preparation")
     ancillas = tuple(
         (_rz_action((phi * (1 << j)) % TWO_PI, method, epsilon_each) @ np.ones(2)) / math.sqrt(2.0)
@@ -329,7 +321,7 @@ def par_statistics(
     trials: int,
     *,
     seed: int = DEFAULT_SEED,
-    method: str = PREPARE_EXACT,
+    method: str = EXACT,
     epsilon_each: float = 1e-4,
 ) -> dict:
     """Seeded Monte Carlo over the cascade: round histogram and fallback rate.

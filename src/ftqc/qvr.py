@@ -4,9 +4,9 @@ A q-wire register holding the integer u (little-endian: wire j is bit j)
 represents the fraction u / 2^q.  A variable rotation with scale xi
 multiplies each basis state |u> by e^{2 pi i xi u / 2^q}.
 
-The bitwise form spends one single-qubit rotation per wire, each of
-which needs its own Clifford+T synthesis when placeholders are not
-allowed.  The kickback form instead adds the register once into an
+The bitwise form spends one single-qubit rotation per wire, each from
+synth.emit_rz, and each a Clifford+T word of its own when placeholders
+are not allowed.  The kickback form instead adds the register once into an
 eigenstate of modular addition (ftqc.kickback): writing the binary
 approximation [xi] = k / 2^p with k odd, the wanted phase equals
 e^{2 pi i k u / 2^(p+q)}, which is exactly the kick produced by adding u
@@ -35,22 +35,17 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import (
+    EXACT,
     H,
     TWO_PI,
     CircuitBuilder,
     Circuit,
     cnot,
-    crz,
     gate,
-    rz,
-    rz_matrix,
 )
 from .kickback import GammaRegister, emit_controlled_add, emit_register_add, gamma_state
 from .sim import StateVector
-from .synth import synthesize
-
-ROTATION_EXACT = "exact"
-ROTATION_SEQUENCE = "sequence"
+from .synth import emit_rz
 
 DEFAULT_FRAC_BITS = 32
 
@@ -126,36 +121,32 @@ def build_qvr_bitwise(
     xi,
     epsilon_total: float = 1e-3,
     controlled: bool = False,
-    method: str = ROTATION_EXACT,
+    method: str = EXACT,
 ) -> Circuit:
     """One rotation per register wire: bit j turns by 2 pi xi 2^(j-q).
 
     With ``method`` "exact" the rotations are placeholder gates; with
     "sequence" each is compiled to Clifford+T within epsilon_total / q,
     so the whole diagonal lands within epsilon_total by the triangle
-    inequality.  The controlled form (control wire appended after the
-    register) only exists for exact placeholders; controlled synthesis
-    is what the kickback form is for.
+    inequality, and a word that misses its share raises ValueError.  The
+    controlled form (control wire appended after the register) only
+    exists for exact placeholders; controlled synthesis is what the
+    kickback form is for.
     """
     if q < 1:
         raise ValueError("register needs at least one qubit")
-    if method not in (ROTATION_EXACT, ROTATION_SEQUENCE):
-        raise ValueError(f"unknown rotation method {method!r}")
-    if method == ROTATION_SEQUENCE and controlled:
-        raise ValueError("synthesized controlled rotations are not provided; use the kickback form")
-    control = q if controlled else None
     builder = CircuitBuilder(q + 1 if controlled else q)
-    for j in range(q):
-        frac = math.fmod(float(xi) * 2.0 ** (j - q), 1.0)
-        angle = TWO_PI * frac
-        if angle == 0.0:
-            continue
-        if method == ROTATION_EXACT:
-            builder.append(crz(angle, control, j) if controlled else rz(angle, j))
-        else:
-            seq = synthesize(rz_matrix(angle), epsilon_total / q)
-            builder.extend(seq.to_gates(j))
+    emit_qvr_bitwise(builder, range(q), xi, epsilon_total / q, method, q if controlled else None)
     return builder.build()
+
+
+def emit_qvr_bitwise(builder, wires, xi, epsilon_each=None, method: str = EXACT, control=None) -> None:
+    """Append the bitwise rotation of build_qvr_bitwise on the given wires
+    (little-endian: wires[j] is bit j), each through synth.emit_rz."""
+    q = len(wires)
+    for j, wire in enumerate(wires):
+        angle = TWO_PI * math.fmod(float(xi) * 2.0 ** (j - q), 1.0)
+        emit_rz(builder, angle, wire, method, epsilon_each, control)
 
 
 class QvrLayout(NamedTuple):

@@ -51,6 +51,11 @@ from typing import NamedTuple
 
 from .core import (
     ADJOINT,
+    EXACT,
+    KICKBACK,
+    PAR,
+    SEQUENCE,
+    SK,
     H,
     S,
     SDG,
@@ -59,27 +64,21 @@ from .core import (
     CircuitBuilder,
     Pauli,
     ResourceProfile,
+    check_epsilon,
     cnot,
     frame_update,
     gate,
     measure,
-    rz,
     rz_matrix,
     toffoli,
 )
 from .kickback import ripple_profile
 from .par import register_bits_for
-from .qvr import ROTATION_EXACT, ROTATION_SEQUENCE
-from .synth import min_sequence, synthesize
+from .synth import emit_rz, min_sequence
 
-# Rotation methods priced by the estimator.  The first two also exist at
-# gate level (build_excitation); kickback and PAR circuits live in their
-# own modules and enter here through cost models only.
-METHOD_KICKBACK = "kickback"
-METHOD_SEQUENCE = "sequence"
-METHOD_SK = "sk"
-METHOD_PAR = "par"
-METHODS = (METHOD_KICKBACK, METHOD_SEQUENCE, METHOD_SK, METHOD_PAR)
+# Rotation methods priced by the estimator.  At gate level build_excitation
+# takes exact or sequence (synth.emit_rz); the rest enter as cost models.
+METHODS = (KICKBACK, SEQUENCE, SK, PAR)
 
 LADDER_DIRECT = "direct"
 LADDER_TELEPORTED = "teleported"
@@ -395,27 +394,12 @@ def _cancel_adjoints(kinds) -> list[str]:
     return out
 
 
-def _emit_rotation(builder, theta, wire, method, epsilon) -> None:
-    theta %= TWO_PI
-    if theta == 0.0:
-        return
-    if method == ROTATION_EXACT:
-        builder.append(rz(theta, wire))
-    elif method == ROTATION_SEQUENCE:
-        builder.extend(synthesize(rz_matrix(theta), epsilon).to_gates(wire))
-    else:
-        raise ValueError(
-            f"gate-level rotations are {ROTATION_EXACT!r} or {ROTATION_SEQUENCE!r}, "
-            f"got {method!r}; kickback and PAR enter estimates as cost models"
-        )
-
-
 def build_excitation(
     term: Term,
     dt: float,
     *,
     n_orbitals: int | None = None,
-    method: str = ROTATION_EXACT,
+    method: str = EXACT,
     epsilon: float = 1e-4,
     controlled: bool = False,
 ) -> Circuit:
@@ -434,10 +418,11 @@ def build_excitation(
     the 18-orbital double excitation (0, 5, 12, 17) the H, S and S^dag
     counts fall from 96, 16 and 16 to 28, 10 and 10.
     estimate_second_quantized does not price this block yet (ROADMAP
-    item 6).  The plain circuit realizes the propagator up to a global
-    phase.  With controlled=True (wire layout: orbitals, control, AND
-    ancilla) each rotation is wrapped in two Toffolis against a |0>
-    ancilla so the
+    item 6).  Each rotation is synth.emit_rz's, by method "exact" or
+    "sequence"; a sequence word that misses epsilon raises ValueError.
+    The plain circuit realizes the propagator up to a global phase.
+    With controlled=True (wire layout: orbitals, control, AND ancilla)
+    each rotation is wrapped in two Toffolis against a |0> ancilla so the
     phase lands only when the control is set, and the accumulated global
     phase is repaid by one extra rotation on the control itself, making
     the block exactly diag(I, exp(-i A dt)).
@@ -471,16 +456,16 @@ def build_excitation(
         target = wires[-1]
         if controlled:
             builder.append(toffoli(control, target, ancilla))
-            _emit_rotation(builder, theta, ancilla, method, epsilon)
+            emit_rz(builder, theta % TWO_PI, ancilla, method, epsilon)
             builder.append(toffoli(control, target, ancilla))
         else:
-            _emit_rotation(builder, theta, target, method, epsilon)
+            emit_rz(builder, theta % TWO_PI, target, method, epsilon)
         for a, b in reversed(list(zip(wires, wires[1:]))):
             builder.append(cnot(a, b))
     for q, letter in owed.items():
         builder.extend(gate(kind, q) for kind in _BASIS_POST.get(letter, ()))
     if controlled:
-        _emit_rotation(builder, -phase_sum, control, method, epsilon)
+        emit_rz(builder, -phase_sum % TWO_PI, control, method, epsilon)
     return builder.build()
 
 
@@ -597,11 +582,10 @@ def rotation_profile(method: str, epsilon: float, angle: float | None = None) ->
     the T bill of the six ancilla preparations (fit-line sequences)
     attributed to the rotation since they are consumed by it.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if method == METHOD_KICKBACK:
+    check_epsilon(epsilon)
+    if method == KICKBACK:
         return ripple_profile(register_bits_for(epsilon), True)
-    if method == METHOD_SEQUENCE:
+    if method == SEQUENCE:
         if angle is not None and epsilon >= SEQUENCE_SEARCH_REACH:
             seq = min_sequence(rz_matrix(angle), epsilon)
             if seq.satisfied:
@@ -611,7 +595,7 @@ def rotation_profile(method: str, epsilon: float, angle: float | None = None) ->
                 )
         depth, t = _sequence_fit(epsilon)
         return ResourceProfile(depth=depth, t_count=t, total_gates=depth, qubits=1)
-    if method == METHOD_SK:
+    if method == SK:
         scale = math.log10(1.0 / epsilon) ** 4
         return ResourceProfile(
             depth=math.ceil(SK_DEPTH_COEFF * scale),
@@ -619,7 +603,7 @@ def rotation_profile(method: str, epsilon: float, angle: float | None = None) ->
             total_gates=math.ceil(SK_DEPTH_COEFF * scale),
             qubits=1,
         )
-    if method == METHOD_PAR:
+    if method == PAR:
         _, t_prep = _sequence_fit(epsilon)
         return ResourceProfile(
             depth=PAR_MEAN_GATES,
@@ -640,8 +624,8 @@ def controlled_rotation_profile(method: str, epsilon: float, angle: float | None
     saving).  Controlled PARs cascade directly at the same mean four
     gates; their ancillas are simply prepared with controlled rotations.
     """
-    if method == METHOD_PAR:
-        inner = rotation_profile(METHOD_PAR, epsilon)
+    if method == PAR:
+        inner = rotation_profile(PAR, epsilon)
         block = ResourceProfile(
             depth=inner.depth,
             t_count=inner.t_count,
@@ -649,8 +633,8 @@ def controlled_rotation_profile(method: str, epsilon: float, angle: float | None
             qubits=inner.qubits + 1,  # the control wire (closes the angle debt)
         )
         return RotationCost(block=block, rotation_depth=inner.depth)
-    if method == METHOD_SEQUENCE:
-        half = rotation_profile(METHOD_SEQUENCE, epsilon, angle)
+    if method == SEQUENCE:
+        half = rotation_profile(SEQUENCE, epsilon, angle)
         block = ResourceProfile(
             depth=2 + 2 * half.depth,
             t_count=2 * half.t_count,
@@ -693,8 +677,7 @@ class TrotterPlan:
             raise ValueError("need at least one readout bit")
         if self.method not in METHODS:
             raise ValueError(f"unknown rotation method {self.method!r}")
-        if not self.epsilon_max > 0:
-            raise ValueError("epsilon_max must be positive")
+        check_epsilon(self.epsilon_max, "epsilon_max")
 
     @property
     def steps(self) -> int:
@@ -758,7 +741,7 @@ def estimate_second_quantized(
         raise ValueError("seconds_per_gate must be positive")
     # a rotation's price depends on its angle only where sequences are
     # searched exhaustively; otherwise one price serves every string
-    by_angle = plan.method == METHOD_SEQUENCE and plan.epsilon_max >= SEQUENCE_SEARCH_REACH
+    by_angle = plan.method == SEQUENCE and plan.epsilon_max >= SEQUENCE_SEARCH_REACH
     costs: dict[float | None, RotationCost] = {}
     depth = 0
     t_count = 0

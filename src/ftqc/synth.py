@@ -378,8 +378,7 @@ def min_sequence(target: np.ndarray, epsilon: float, max_len: int = 14) -> GateS
     minimal.  If nothing satisfies within the budget, the best sequence
     found is returned with ``satisfied`` False.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    core.check_epsilon(epsilon)
     if not 0 <= max_len <= MAX_NET_LEN:
         raise ValueError(f"max_len {max_len} is outside the enumeration bound 0..{MAX_NET_LEN}")
     target = _check_target(target)
@@ -514,3 +513,31 @@ def synthesize(target: np.ndarray, epsilon: float) -> GateSequence:
         if previous < best.achieved_distance:
             best = GateSequence(cand.kinds, cand.target, previous, tolerance=epsilon)
     return best
+
+
+
+def rz_sequence(theta: float, epsilon: float) -> GateSequence:
+    """synthesize's word for RZ(theta); ValueError when even it misses epsilon."""
+    seq = synthesize(core.rz_matrix(theta), epsilon)
+    if not seq.satisfied:
+        raise ValueError(f"no sequence within epsilon={epsilon:g} of RZ({theta!r}) (best "
+                         f"{seq.achieved_distance:.3g}); relax the budget")
+    return seq
+
+
+def emit_rz(builder, theta: float, wire: int, method: str, epsilon, control: int | None = None) -> None:
+    """Append RZ(theta) on wire (CRZ under a control) the method's way: "exact"
+    is the rz/crz placeholder, "sequence" the word of rz_sequence(theta,
+    epsilon), which has no controlled form.  An angle of exactly 0 appends
+    nothing.  Every gate-level rotation of the package is emitted here."""
+    if method not in (core.EXACT, core.SEQUENCE):
+        raise ValueError(f"gate-level rotations are {core.EXACT!r} or {core.SEQUENCE!r}, "
+                         f"got {method!r}; kickback and PAR have circuits and cost models of their own")
+    if method == core.SEQUENCE and control is not None:
+        raise ValueError("synthesized controlled rotations are not provided; use the kickback form")
+    if theta == 0.0:
+        return
+    if method == core.EXACT:
+        builder.append(core.rz(theta, wire) if control is None else core.crz(theta, control, wire))
+    else:
+        builder.extend(rz_sequence(theta, epsilon).to_gates(wire))

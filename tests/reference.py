@@ -29,6 +29,7 @@ from ftqc import kernels
 from ftqc.core import (
     CNOT,
     CRZ,
+    EXACT,
     FRAME,
     GATE_MATRICES,
     H,
@@ -52,10 +53,11 @@ from ftqc.core import (
     toffoli,
 )
 from ftqc.kickback import GammaRegister, gamma_state
-from ftqc.par import PREPARE_EXACT, execute_par, expected_rounds, prepare_ancillas
+from ftqc.par import execute_par, expected_rounds, prepare_ancillas
 from ftqc.qvr import qft_gamma_width
-from ftqc.secondq import OneBodyTerm, _emit_rotation, excitation_operator_strings
+from ftqc.secondq import OneBodyTerm, excitation_operator_strings
 from ftqc.sim import PauliFrame, SimResult, StateVector, _apply_unitary
+from ftqc.synth import emit_rz
 
 
 def sequential_circuit(n_qubits: int, gates: Iterable[Gate]) -> Circuit:
@@ -258,7 +260,7 @@ def per_trial_par_statistics(
     trials: int,
     *,
     seed: int = 0,
-    method: str = PREPARE_EXACT,
+    method: str = EXACT,
     epsilon_each: float = 1e-4,
 ) -> dict:
     """par.par_statistics as one execute_par call per trial on one generator.
@@ -372,14 +374,14 @@ def excitation_sandwich(
         builder.extend(ladder)
         if controlled:
             builder.append(toffoli(control, wires[-1], ancilla))
-            _emit_rotation(builder, 2.0 * alpha, ancilla, method, epsilon)
+            emit_rz(builder, 2.0 * alpha % TWO_PI, ancilla, method, epsilon)
             builder.append(toffoli(control, wires[-1], ancilla))
         else:
-            _emit_rotation(builder, 2.0 * alpha, wires[-1], method, epsilon)
+            emit_rz(builder, 2.0 * alpha % TWO_PI, wires[-1], method, epsilon)
         builder.extend(reversed(ladder))
         builder.extend(gate(kind, q) for q, letter in ops for kind in _SANDWICH_OUT.get(letter, ()))
     if controlled:
-        _emit_rotation(builder, -phase_sum, control, method, epsilon)
+        emit_rz(builder, -phase_sum % TWO_PI, control, method, epsilon)
     return builder.build()
 
 

@@ -24,7 +24,7 @@ from reference import qft_gamma_state
 from test_firstq import diagonal_oracle
 from test_synth import brute_distinct_by_level, brute_min_length
 
-from ftqc.core import dist, rz_matrix
+from ftqc.core import PAR, SEQUENCE, SK, dist, rz_matrix
 from ftqc.firstq import (
     FULLY_PARALLEL,
     IN_PLACE,
@@ -56,9 +56,6 @@ from ftqc.qvr import (
 from ftqc.secondq import (
     LADDER_DIRECT,
     LADDER_TELEPORTED,
-    METHOD_PAR,
-    METHOD_SEQUENCE,
-    METHOD_SK,
     OneBodyTerm,
     TrotterPlan,
     apply_cutoff,
@@ -343,11 +340,11 @@ def test_13_method_depth_ordering():
     table, _ = apply_cutoff(load_integrals(str(fixture)), 1e-10)
     assert table.n_terms == 99
     depths = {}
-    for method in (METHOD_PAR, METHOD_SEQUENCE, METHOD_SK):
+    for method in (PAR, SEQUENCE, SK):
         plan = TrotterPlan(dt=0.05, readout_bits=10, method=method)
         assert plan.steps == 1023
         depths[method] = estimate_second_quantized(table, plan).profile.depth
-    assert depths[METHOD_PAR] < depths[METHOD_SEQUENCE] < depths[METHOD_SK]
+    assert depths[PAR] < depths[SEQUENCE] < depths[SK]
 
 
 def test_14_frontier_invariants():

@@ -16,7 +16,7 @@ from reference import (
     toffoli_expansion,
 )
 
-from ftqc import core
+from ftqc import core, par, secondq, synth
 from ftqc.core import (
     ADJOINT,
     CNOT,
@@ -89,6 +89,15 @@ class TestGateConstruction:
         with pytest.raises(ValueError):
             Gate(RZ, (0,))  # missing angle
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rotation_angle_rejected(self, angle):
+        with pytest.raises(ValueError, match="finite"):
+            rz(angle, 0)
+        with pytest.raises(ValueError, match="finite"):
+            crz(angle, 0, 1)
+        with pytest.raises(ValueError, match="line 2: RZ angle must be finite"):
+            circuit_from_text(f"qubits 1\nRZ 0@{angle}\n")
+
     def test_measure_and_frame_attributes(self):
         m = measure(3, key=7)
         assert m.key == 7 and not m.is_unitary
@@ -110,6 +119,31 @@ class TestGateConstruction:
             np.testing.assert_allclose(
                 matrix_of(gate(k, 0)).conj().T, matrix_of(gate(adj, 0)), atol=1e-15
             )
+
+
+BAD_EPSILONS = [math.nan, math.inf, -math.inf, 0.0, -1e-3]
+
+
+class TestAccuracyCheck:
+    """One check of an accuracy for every entry point that takes one."""
+
+    ENTRY_POINTS = {
+        "check_epsilon": core.check_epsilon,
+        "register_bits_for": par.register_bits_for,
+        "min_sequence": lambda eps: synth.min_sequence(rz_matrix(0.3), eps),
+        **{f"rotation_profile {m}": lambda eps, m=m: secondq.rotation_profile(m, eps) for m in secondq.METHODS},
+        "TrotterPlan": lambda eps: secondq.TrotterPlan(dt=0.1, readout_bits=3, method=core.PAR, epsilon_max=eps),
+    }
+
+    @pytest.mark.parametrize("epsilon", BAD_EPSILONS)
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_rejects_non_finite_or_non_positive(self, entry, epsilon):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            self.ENTRY_POINTS[entry](epsilon)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_accepts_a_finite_positive_accuracy(self, entry):
+        self.ENTRY_POINTS[entry](0.1)
 
 
 class TestResourceProfile:

@@ -47,7 +47,9 @@ from ftqc.kickback import (
     phase_error,
     solve_mod,
 )
-from ftqc.qvr import build_qft_via_qvr, build_qvr_kickback, qvr_params
+from ftqc.par import prepare_ancillas
+from ftqc.qvr import build_qft_via_qvr, build_qvr_bitwise, build_qvr_kickback, qvr_params
+from ftqc.secondq import OneBodyTerm, TwoBodyTerm, build_excitation
 from ftqc import sim
 from ftqc.sim import (
     QUBIT_CAP,
@@ -368,6 +370,58 @@ def pinned_circuits():
             for controlled in (False, True):
                 circuit = kickback_rotation(phi, GammaRegister(1, n), controlled).circuit
                 yield "kickback_rotation", f"phi={phi} n={n} controlled={controlled}", circuit
+    for q in range(1, 9):
+        for xi in (0.1, 0.375, 1.25, 4.0, 6.0, 8.0):
+            for controlled in (False, True):
+                circuit = build_qvr_bitwise(q, xi, controlled=controlled)
+                yield "build_qvr_bitwise", f"xi={xi} q={q} exact controlled={controlled}", circuit
+            if q <= 4:
+                circuit = build_qvr_bitwise(q, xi, epsilon_total=1e-2, method="sequence")
+                yield "build_qvr_bitwise", f"xi={xi} q={q} sequence", circuit
+    for term, n_orbitals in PINNED_TERMS:
+        for method, epsilon in (("exact", 1e-4), ("sequence", 2e-2)):
+            for controlled in (False, True):
+                circuit = build_excitation(
+                    term, 0.7, n_orbitals=n_orbitals, method=method, epsilon=epsilon, controlled=controlled
+                )
+                yield "build_excitation", f"{term} {method} controlled={controlled}", circuit
+    for p, width, constants in pinned_potential_cases():
+        yield "build_potential_phase_circuit", f"p={p} w={width} {constants}", build_potential_phase_circuit(
+            p, width, constants
+        )[0]
+
+
+PINNED_TERMS = (
+    (OneBodyTerm(0, 2, 0.3), 3),
+    (OneBodyTerm(1, 1, -0.7), 2),
+    (TwoBodyTerm(0, 1, 2, 3, 0.25), 4),
+    (TwoBodyTerm(1, 0, 0, 1, 0.4), 2),
+    (TwoBodyTerm(0, 5, 12, 17, -0.15), 18),
+)
+
+
+def pinned_potential_cases():
+    pair = PhysicalConstants(charges=(1.0, -1.0), masses=(1836.0, 1.0), dt=0.05)
+    repulsive = PhysicalConstants(charges=(1.0, 1.0), masses=(1.0, 1.0), dt=0.3)
+    for p in (1, 2):
+        for width in (3, 4, 6):
+            for constants in (pair, repulsive):
+                yield p, width, constants
+
+
+def pinned_values():
+    """(family, case, bytes) for every non-circuit value tests/data/circuit_pins.json pins:
+    the potential phase layout and the bytes of PAR ancillas and fallbacks."""
+    for p, width, constants in pinned_potential_cases():
+        layout = build_potential_phase_circuit(p, width, constants)[1]
+        yield "potential_phase_layout", f"p={p} w={width} {constants}", repr(layout).encode()
+    for method, epsilon, controls in (("exact", 1e-4, (False, True)), ("sequence", 0.05, (False,)),
+                                      ("kickback", 0.05, (False, True))):
+        for phi in (0.7, 2.345, 5.5):
+            for controlled in controls:
+                aset = prepare_ancillas(phi, 4, method, epsilon, controlled=controlled)
+                data = b"".join(a.tobytes() for a in aset.ancillas) + aset.fallback.tobytes()
+                yield "prepare_ancillas", f"phi={phi} {method} controlled={controlled}", data
 
 
 def circuit_digests() -> dict[str, dict[str, str]]:
@@ -379,11 +433,21 @@ def circuit_digests() -> dict[str, dict[str, str]]:
     return digests
 
 
+def value_digests() -> dict[str, dict[str, str]]:
+    """sha256 of each pinned value's bytes, by family and case."""
+    digests: dict[str, dict[str, str]] = {}
+    for family, case, data in pinned_values():
+        digests.setdefault(family, {})[case] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
 class TestCircuitPins:
     def test_builders_match_their_pinned_digests(self):
         # the register adder, the multiplier, the QFT, kickback QVR and the
         # kickback rotation, gate for gate as they were before the controlled
-        # register add and the kickback layout each got one definition
+        # register add and the kickback layout each got one definition; bitwise
+        # QVR, excitations and the potential phase as they were before each
+        # rotation method got one emitter
         got = circuit_digests()
         assert got.keys() == PINS["sha256"].keys()
         moved = [
@@ -394,6 +458,12 @@ class TestCircuitPins:
         ]
         assert not moved, moved
         assert all(got[f].keys() == PINS["sha256"][f].keys() for f in got)
+
+    def test_layouts_and_ancillas_match_their_pinned_digests(self):
+        # the potential phase layout, and the amplitudes of every PAR method's
+        # ancillas and fallback, byte for byte
+        got = value_digests()
+        assert got == PINS["value_sha256"]
 
 
 class TestEigenstateProperty:

@@ -16,6 +16,9 @@ from reference import crz_matrix, per_trial_par_statistics, project_onto
 
 from ftqc import par
 from ftqc.core import (
+    EXACT,
+    KICKBACK,
+    SEQUENCE,
     H,
     X,
     CircuitBuilder,
@@ -29,9 +32,6 @@ from ftqc.core import (
 )
 from ftqc.kickback import GammaRegister, kickback_rotation
 from ftqc.par import (
-    PREPARE_EXACT,
-    PREPARE_KICKBACK,
-    PREPARE_SEQUENCE,
     ParAncillaSet,
     execute_par,
     expected_rounds,
@@ -79,7 +79,7 @@ class TestPrepareAncillas:
     def test_kickback_prepared_within_quantization(self):
         eps = 0.013  # sized so the register is 8 bits
         assert register_bits_for(eps) == 8
-        aset = prepare_ancillas(1.0, 3, PREPARE_KICKBACK, eps)
+        aset = prepare_ancillas(1.0, 3, KICKBACK, eps)
         for j in range(1, 4):
             nominal = (1.0 * (1 << (j - 1))) % TWO_PI
             diff = abs(aset.phase_of(j) - nominal)
@@ -87,7 +87,7 @@ class TestPrepareAncillas:
             assert diff <= math.pi / 2**8 + 1e-9
 
     def test_sequence_prepared(self):
-        aset = prepare_ancillas(0.7, 2, PREPARE_SEQUENCE, 0.15)
+        aset = prepare_ancillas(0.7, 2, SEQUENCE, 0.15)
         for j in (1, 2):
             exact = np.array([1.0, np.exp(1j * (0.7 * 2 ** (j - 1)))]) / math.sqrt(2)
             assert abs(np.vdot(exact, aset.ancillas[j - 1])) >= 0.97
@@ -98,12 +98,12 @@ class TestPrepareAncillas:
         with pytest.raises(ValueError):
             prepare_ancillas(1.0, 2, "telepathy")
         with pytest.raises(ValueError):
-            prepare_ancillas(1.0, 2, PREPARE_SEQUENCE, controlled=True)
+            prepare_ancillas(1.0, 2, SEQUENCE, controlled=True)
         with pytest.raises(ValueError):
             # needs a register beyond the simulable kickback width
-            prepare_ancillas(1.0, 2, PREPARE_KICKBACK, 1e-6)
+            prepare_ancillas(1.0, 2, KICKBACK, 1e-6)
         with pytest.raises(ValueError, match="at least one ancilla"):
-            ParAncillaSet(1.0, PREPARE_EXACT, 1e-4, ())
+            ParAncillaSet(1.0, EXACT, 1e-4, ())
         # M is the ancilla count, not a second field that could disagree with it
         assert prepare_ancillas(1.0, 3).m_count == 3
 
@@ -114,9 +114,9 @@ class TestPrepareAncillas:
         # 2^10 and no carries: the accepted sets simulate 12 wires.
         assert register_bits_for(1.53e-3) == 12 and register_bits_for(2e-3) == 11
         for controlled in (False, True):
-            prepare_ancillas(math.pi, 1, PREPARE_KICKBACK, 2e-3, controlled=controlled)
+            prepare_ancillas(math.pi, 1, KICKBACK, 2e-3, controlled=controlled)
             with pytest.raises(ValueError, match="relax the budget"):
-                prepare_ancillas(math.pi, 1, PREPARE_KICKBACK, 1.53e-3, controlled=controlled)
+                prepare_ancillas(math.pi, 1, KICKBACK, 1.53e-3, controlled=controlled)
 
 
 class TestSequenceBudget:
@@ -125,10 +125,10 @@ class TestSequenceBudget:
     @pytest.mark.parametrize("eps,m_count", [(0.05, 20), (1e-3, 8)])
     def test_every_action_is_within_budget(self, eps, m_count):
         for phi in (0.7, 1.3, 1.37, 2.31):
-            aset = prepare_ancillas(phi, m_count, PREPARE_SEQUENCE, eps)
+            aset = prepare_ancillas(phi, m_count, SEQUENCE, eps)
             for j in range(m_count):
                 theta = (phi * (1 << j)) % TWO_PI
-                action = par._rz_action(theta, PREPARE_SEQUENCE, eps)
+                action = par._rz_action(theta, SEQUENCE, eps)
                 assert dist(action, rz_matrix(theta)) <= eps, (phi, j)
                 np.testing.assert_array_equal(aset.ancillas[j], action @ np.ones(2) / math.sqrt(2.0))
             residual = (phi * (1 << m_count)) % TWO_PI
@@ -137,7 +137,7 @@ class TestSequenceBudget:
     def test_a_miss_is_an_error(self):
         # 1e-11 is below the Solovay-Kitaev floor (3.8e-10 for RZ(0.7))
         with pytest.raises(ValueError, match="relax the budget"):
-            prepare_ancillas(0.7, 1, PREPARE_SEQUENCE, 1e-11)
+            prepare_ancillas(0.7, 1, SEQUENCE, 1e-11)
 
 
 class TestRotationOncePerAngle:
@@ -146,8 +146,8 @@ class TestRotationOncePerAngle:
 
     @pytest.mark.parametrize(
         "method,eps,controlled",
-        [(PREPARE_EXACT, 1e-4, False), (PREPARE_SEQUENCE, 0.05, False), (PREPARE_KICKBACK, 0.05, False),
-         (PREPARE_EXACT, 1e-4, True), (PREPARE_KICKBACK, 0.05, True)],
+        [(EXACT, 1e-4, False), (SEQUENCE, 0.05, False), (KICKBACK, 0.05, False),
+         (EXACT, 1e-4, True), (KICKBACK, 0.05, True)],
     )
     def test_thousand_trials(self, monkeypatch, method, eps, controlled):
         calls = []
@@ -209,7 +209,7 @@ class TestExecutePar:
         # most the sum of per-ancilla quantization errors
         eps = 0.013
         n = register_bits_for(eps)
-        aset = prepare_ancillas(1.0, 4, PREPARE_KICKBACK, eps)
+        aset = prepare_ancillas(1.0, 4, KICKBACK, eps)
         want = diag_rotation(1.0) @ PLUS
         for pattern in range(16):
             bits = [(pattern >> i) & 1 for i in range(4)]
@@ -242,7 +242,7 @@ class TestExecutePar:
 class TestStatisticsMatchPerTrial:
     TRIALS = (1, 777, 20000)
     SEEDS = (7, 11, 20260816)
-    METHODS = ((PREPARE_EXACT, 1e-4), (PREPARE_SEQUENCE, 0.05), (PREPARE_KICKBACK, 0.05))
+    METHODS = ((EXACT, 1e-4), (SEQUENCE, 0.05), (KICKBACK, 0.05))
 
     @pytest.mark.parametrize("m_count", [1, 2, 6, 20])
     @pytest.mark.parametrize("method,eps", METHODS)
@@ -334,7 +334,7 @@ class TestControlledPar:
         assert saw_fallback
 
     def test_kickback_fallback_branch(self):
-        aset = prepare_ancillas(1.3, 2, PREPARE_KICKBACK, 1e-2, controlled=True)
+        aset = prepare_ancillas(1.3, 2, KICKBACK, 1e-2, controlled=True)
         rng = np.random.default_rng(2)
         psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         psi /= np.linalg.norm(psi)
@@ -348,7 +348,7 @@ class TestControlledPar:
         # addend 651, so its kickback takes every carry: 2 * 11 = 22 wires
         phi = math.pi * 651 / 2048
         assert kickback_rotation(2 * phi, GammaRegister(1, 11)).circuit.n_qubits == 22
-        aset = prepare_ancillas(phi, 1, PREPARE_KICKBACK, 2e-3, controlled=True)
+        aset = prepare_ancillas(phi, 1, KICKBACK, 2e-3, controlled=True)
         psi = np.full(4, 0.5)
         out = execute_par(psi, aset, rng=ForcedDraws([1]))
         assert out.fallback_used

@@ -6,6 +6,7 @@ form, which is itself checked against the diagonal oracle.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import qft_drop_bound, qft_gamma_state
 
-from ftqc.core import H, TOFFOLI, dist
+from ftqc import qvr, secondq, synth
+from ftqc.core import CRZ, RZ, SEQUENCE, T, TDG, TOFFOLI, CircuitBuilder, H, circuit_to_text, dist
+from ftqc.firstq import PhysicalConstants, build_potential_phase_circuit
 from ftqc.qvr import (
-    ROTATION_SEQUENCE,
     build_qft_via_qvr,
     build_qvr_bitwise,
     build_qvr_kickback,
@@ -23,6 +25,7 @@ from ftqc.qvr import (
     qvr_layout,
     qvr_params,
 )
+from ftqc.secondq import OneBodyTerm, TwoBodyTerm, build_excitation
 from ftqc.sim import effective_unitary, to_unitary
 
 TWO_PI = 2 * math.pi
@@ -121,7 +124,7 @@ class TestBitwise:
         assert not list(c.gates())
 
     def test_synthesized_within_budget(self):
-        c = build_qvr_bitwise(4, 1.0, epsilon_total=1e-3, method=ROTATION_SEQUENCE)
+        c = build_qvr_bitwise(4, 1.0, epsilon_total=1e-3, method=SEQUENCE)
         kinds = {g.kind for g in c.gates()}
         assert "RZ" not in kinds and "CRZ" not in kinds
         assert dist(to_unitary(c), diagonal_oracle(4, 1.0).astype(complex)) <= 1e-3
@@ -140,7 +143,64 @@ class TestBitwise:
         with pytest.raises(ValueError):
             build_qvr_bitwise(2, 1.0, method="magic")
         with pytest.raises(ValueError):
-            build_qvr_bitwise(2, 1.0, controlled=True, method=ROTATION_SEQUENCE)
+            build_qvr_bitwise(2, 1.0, controlled=True, method=SEQUENCE)
+        with pytest.raises(ValueError, match="finite"):
+            build_qvr_bitwise(2, math.nan)
+
+    def test_missed_sequence_budget_raises(self):
+        # synthesize's best word for RZ(0.3 pi) is 7.3e-11 away, 7x over budget
+        with pytest.raises(ValueError, match="relax the budget"):
+            build_qvr_bitwise(1, 0.3, epsilon_total=1e-11, method=SEQUENCE)
+
+
+ATTRACTIVE = PhysicalConstants(charges=(1.0, -1.0), masses=(1836.0, 1.0), dt=0.05)
+
+
+class TestOneRotationEmitter:
+    """Every rotation a builder places comes from synth.emit_rz.
+
+    The builders run three ways: as they are, with emit_rz wrapped by a
+    recorder that forwards each call, and with emit_rz muted.  The wrapped
+    circuit must be the plain one, the muted one must hold no rotation and
+    no T gate, and adding the recorded gates to the muted circuit's must
+    give the plain circuit's gates, one for one.
+    """
+
+    BUILDERS = {
+        "bitwise exact": lambda: build_qvr_bitwise(4, 0.8125),
+        "bitwise controlled": lambda: build_qvr_bitwise(3, 6.0, controlled=True),
+        "bitwise sequence": lambda: build_qvr_bitwise(2, 1.25, epsilon_total=1e-2, method=SEQUENCE),
+        "potential phase": lambda: build_potential_phase_circuit(2, 4, ATTRACTIVE)[0],
+        "excitation exact controlled": lambda: build_excitation(TwoBodyTerm(0, 1, 2, 3, 0.25), 0.7, controlled=True),
+        "excitation sequence": lambda: build_excitation(OneBodyTerm(0, 2, 0.3), 0.7, method=SEQUENCE, epsilon=2e-2),
+        "excitation sequence controlled": lambda: build_excitation(
+            TwoBodyTerm(1, 0, 0, 1, 0.4), 0.7, method=SEQUENCE, epsilon=2e-2, controlled=True
+        ),
+    }
+
+    def build_with(self, monkeypatch, emitter, name):
+        with monkeypatch.context() as m:
+            m.setattr(qvr, "emit_rz", emitter)
+            m.setattr(secondq, "emit_rz", emitter)
+            return self.BUILDERS[name]()
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_rotations_are_the_emitted_ones(self, monkeypatch, name):
+        plain = self.BUILDERS[name]()
+        emitted = []
+
+        def recorder(builder, theta, wire, method, epsilon, control=None):
+            scratch = CircuitBuilder(builder.n_qubits)
+            synth.emit_rz(scratch, theta, wire, method, epsilon, control)
+            gates = list(scratch.build().gates())
+            emitted.extend(gates)
+            builder.extend(gates)
+
+        recorded = self.build_with(monkeypatch, recorder, name)
+        muted = self.build_with(monkeypatch, lambda *args, **kw: None, name)
+        assert circuit_to_text(recorded) == circuit_to_text(plain)
+        assert emitted and {g.kind for g in muted.gates()}.isdisjoint({RZ, CRZ, T, TDG})
+        assert Counter(plain.gates()) == Counter(muted.gates()) + Counter(emitted)
 
 
 class TestKickback:
@@ -179,7 +239,7 @@ class TestKickback:
         # one register addition beats per-bit synthesis already at q=4
         params = qvr_params(1.0, 4)
         kb = build_qvr_kickback(params).profile()
-        bw = build_qvr_bitwise(4, 1.0, epsilon_total=1e-3, method=ROTATION_SEQUENCE).profile()
+        bw = build_qvr_bitwise(4, 1.0, epsilon_total=1e-3, method=SEQUENCE).profile()
         assert kb.t_count < bw.t_count
 
 class TestQftViaQvr:

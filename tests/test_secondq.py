@@ -29,10 +29,15 @@ from ftqc import cli, kickback, secondq
 from ftqc.core import (
     ADJOINT,
     CNOT,
+    EXACT,
     FRAME,
+    KICKBACK,
     MEASURE,
+    PAR,
     RZ,
     SDG,
+    SEQUENCE,
+    SK,
     H,
     S,
     CircuitBuilder,
@@ -42,14 +47,9 @@ from ftqc.core import (
 )
 from ftqc.kickback import RIPPLE_CARRY, AdderSpec, build_adder, ripple_profile
 from ftqc.par import register_bits_for
-from ftqc.qvr import ROTATION_EXACT, ROTATION_SEQUENCE
 from ftqc.secondq import (
     LADDER_DIRECT,
     LADDER_TELEPORTED,
-    METHOD_KICKBACK,
-    METHOD_PAR,
-    METHOD_SEQUENCE,
-    METHOD_SK,
     IntegralTable,
     OneBodyTerm,
     TrotterPlan,
@@ -592,13 +592,23 @@ class TestBuildExcitation:
     def test_sequence_rotations_stay_within_budget(self):
         term = OneBodyTerm(0, 1, 0.5)
         eps = 2e-2
-        circ = build_excitation(term, 1.3, method=ROTATION_SEQUENCE, epsilon=eps)
+        circ = build_excitation(term, 1.3, method=SEQUENCE, epsilon=eps)
         assert all(g.kind != RZ for g in circuit_gates(circ))
         oracle = expm_ld(-1j * 1.3 * term_matrix(term, 2))
         # two synthesized rotations, so at most twice the per-rotation budget
         assert dist(to_unitary(circ), oracle) <= 2 * eps
 
-    @pytest.mark.parametrize("method", [METHOD_KICKBACK, METHOD_PAR])
+    def test_missed_sequence_budget_raises(self):
+        # the one rotation is RZ(-0.7 mod 2 pi), whose best word is 1.86e-10 away, 18.6x over budget
+        with pytest.raises(ValueError, match="relax the budget"):
+            build_excitation(OneBodyTerm(0, 0, 0.5), 1.4, method=SEQUENCE, epsilon=1e-11)
+
+    def test_non_finite_time_step_rejected(self):
+        for dt in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                build_excitation(OneBodyTerm(0, 1, 0.5), dt)
+
+    @pytest.mark.parametrize("method", [KICKBACK, PAR])
     def test_estimator_methods_rejected_at_gate_level(self, method):
         with pytest.raises(ValueError, match="cost model"):
             build_excitation(OneBodyTerm(0, 1, 0.5), 0.5, method=method)
@@ -633,7 +643,7 @@ class TestMergedBasisChanges:
     @given(
         st.integers(2, 6).flatmap(lambda m: st.tuples(st.just(m), _terms(m))),
         st.floats(min_value=0.1, max_value=1.5),
-        st.sampled_from([(ROTATION_EXACT, 1e-4), (ROTATION_SEQUENCE, 2e-2)]),
+        st.sampled_from([(EXACT, 1e-4), (SEQUENCE, 2e-2)]),
         st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
@@ -648,7 +658,7 @@ class TestMergedBasisChanges:
             (u, leak), (want, want_leak) = effective_unitary(merged, data), effective_unitary(oracle, data)
             # an exact rotation returns the AND ancilla to |0>; a synthesized
             # one leaks by its own error, the same in both circuits
-            assert leak <= (1e-12 if method == ROTATION_EXACT else want_leak + 1e-12)
+            assert leak <= (1e-12 if method == EXACT else want_leak + 1e-12)
         else:
             u, want = to_unitary(merged), to_unitary(oracle)
         assert float(np.max(np.abs(u - want))) <= 1e-12
@@ -744,46 +754,46 @@ class TestJwLadder:
 
 class TestRotationProfiles:
     def test_sequence_fit_beyond_search_reach(self):
-        prof = rotation_profile(METHOD_SEQUENCE, 1e-4)
+        prof = rotation_profile(SEQUENCE, 1e-4)
         assert (prof.depth, prof.t_count) == (92, 37)
         assert prof.total_gates == 92 and prof.qubits == 1
 
     def test_sequence_fit_tightens_with_epsilon(self):
-        prof = rotation_profile(METHOD_SEQUENCE, 1e-8)
+        prof = rotation_profile(SEQUENCE, 1e-8)
         assert (prof.depth, prof.t_count) == (192, 76)
 
     def test_sequence_search_used_within_reach(self):
-        prof = rotation_profile(METHOD_SEQUENCE, 0.1, angle=math.pi / 4)
+        prof = rotation_profile(SEQUENCE, 0.1, angle=math.pi / 4)
         assert (prof.depth, prof.t_count) == (1, 1)  # the T gate itself
-        prof = rotation_profile(METHOD_SEQUENCE, 0.1, angle=math.pi / 2)
+        prof = rotation_profile(SEQUENCE, 0.1, angle=math.pi / 2)
         assert (prof.depth, prof.t_count) == (1, 0)  # the S gate
 
     def test_sequence_fit_ignores_angle_below_reach(self):
-        assert rotation_profile(METHOD_SEQUENCE, 1e-4, angle=math.pi / 4).depth == 92
+        assert rotation_profile(SEQUENCE, 1e-4, angle=math.pi / 4).depth == 92
 
     def test_sk_power_law(self):
-        prof = rotation_profile(METHOD_SK, 1e-3)
+        prof = rotation_profile(SK, 1e-3)
         assert (prof.depth, prof.t_count) == (2511, 1199)  # coeff * 3^4
-        assert rotation_profile(METHOD_SK, 1e-4).depth == 7936  # coeff * 4^4
+        assert rotation_profile(SK, 1e-4).depth == 7936  # coeff * 4^4
 
     def test_par_profile(self):
-        prof = rotation_profile(METHOD_PAR, 1e-4)
+        prof = rotation_profile(PAR, 1e-4)
         assert prof.depth == 4 and prof.total_gates == 4
         assert prof.qubits == 7  # target plus six precomputed ancillas
         assert prof.t_count == 6 * 37  # six fit-line ancilla preparations
 
     def test_kickback_profile_structure(self):
         n = register_bits_for(1e-4)
-        prof = rotation_profile(METHOD_KICKBACK, 1e-4)
+        prof = rotation_profile(KICKBACK, 1e-4)
         assert prof.qubits > n  # register plus carries
         assert prof.t_count > 0 and prof.depth > 1
-        assert rotation_profile(METHOD_KICKBACK, 1e-8).depth > prof.depth
+        assert rotation_profile(KICKBACK, 1e-8).depth > prof.depth
 
     @pytest.mark.parametrize("epsilon", [1e-2, 1e-4, 1e-6, 1e-8])
     def test_kickback_profile_is_the_built_adder(self, epsilon):
         n = register_bits_for(epsilon)
         circuit = build_adder(AdderSpec(RIPPLE_CARRY, n, controlled=True), (1 << n) - 1)
-        assert rotation_profile(METHOD_KICKBACK, epsilon) == circuit.profile()
+        assert rotation_profile(KICKBACK, epsilon) == circuit.profile()
 
     def test_kickback_estimate_builds_the_adder_once(self, monkeypatch):
         built = []
@@ -795,20 +805,20 @@ class TestRotationProfiles:
         ripple_profile.cache_clear()
         monkeypatch.setattr(kickback, "build_adder", counting_build_adder)
         estimate_second_quantized(
-            load_integrals(FIXTURE), TrotterPlan(dt=0.1, readout_bits=10, method=METHOD_KICKBACK)
+            load_integrals(FIXTURE), TrotterPlan(dt=0.1, readout_bits=10, method=KICKBACK)
         )
         assert len(built) <= 1
 
     def test_single_rotation_depth_ordering(self):
         depths = {
             m: rotation_profile(m, 1e-4).depth
-            for m in (METHOD_PAR, METHOD_SEQUENCE, METHOD_SK)
+            for m in (PAR, SEQUENCE, SK)
         }
-        assert depths[METHOD_PAR] < depths[METHOD_SEQUENCE] < depths[METHOD_SK]
+        assert depths[PAR] < depths[SEQUENCE] < depths[SK]
 
     def test_rejections(self):
         with pytest.raises(ValueError):
-            rotation_profile(METHOD_SK, 0.0)
+            rotation_profile(SK, 0.0)
         with pytest.raises(ValueError):
             rotation_profile("magic", 1e-4)
         with pytest.raises(ValueError):
@@ -817,20 +827,20 @@ class TestRotationProfiles:
 
 class TestControlledRotationProfiles:
     def test_par_cascades_without_wrapper(self):
-        cost = controlled_rotation_profile(METHOD_PAR, 1e-4)
+        cost = controlled_rotation_profile(PAR, 1e-4)
         assert cost.block.depth == 4 and cost.rotation_depth == 4
         assert cost.block.qubits == 8  # six ancillas, target, control
-        assert cost.block.t_count == rotation_profile(METHOD_PAR, 1e-4).t_count
+        assert cost.block.t_count == rotation_profile(PAR, 1e-4).t_count
 
     def test_sequence_uses_two_rotation_decomposition(self):
-        cost = controlled_rotation_profile(METHOD_SEQUENCE, 1e-4)
+        cost = controlled_rotation_profile(SEQUENCE, 1e-4)
         assert cost.block.depth == 2 + 2 * 92
         assert cost.block.t_count == 2 * 37
         assert cost.block.qubits == 2
         assert cost.rotation_depth == 2 * 92
 
     def test_default_wrapper_adds_two_toffolis(self):
-        for method in (METHOD_SK, METHOD_KICKBACK):
+        for method in (SK, KICKBACK):
             inner = rotation_profile(method, 1e-4)
             cost = controlled_rotation_profile(method, 1e-4)
             assert cost.block.depth == inner.depth + 2
@@ -842,17 +852,17 @@ class TestControlledRotationProfiles:
 class TestTrotterPlan:
     @pytest.mark.parametrize("bits,steps", [(1, 1), (4, 15), (10, 1023)])
     def test_steps(self, bits, steps):
-        assert TrotterPlan(dt=0.1, readout_bits=bits, method=METHOD_PAR).steps == steps
+        assert TrotterPlan(dt=0.1, readout_bits=bits, method=PAR).steps == steps
 
     def test_rejections(self):
         with pytest.raises(ValueError):
-            TrotterPlan(dt=0.0, readout_bits=3, method=METHOD_PAR)
+            TrotterPlan(dt=0.0, readout_bits=3, method=PAR)
         with pytest.raises(ValueError):
-            TrotterPlan(dt=0.1, readout_bits=0, method=METHOD_PAR)
+            TrotterPlan(dt=0.1, readout_bits=0, method=PAR)
         with pytest.raises(ValueError):
             TrotterPlan(dt=0.1, readout_bits=3, method="magic")
         with pytest.raises(ValueError):
-            TrotterPlan(dt=0.1, readout_bits=3, method=METHOD_PAR, epsilon_max=0.0)
+            TrotterPlan(dt=0.1, readout_bits=3, method=PAR, epsilon_max=0.0)
 
 
 class TestEstimator:
@@ -865,7 +875,7 @@ class TestEstimator:
 
     def test_empty_table_is_zero_depth_run(self):
         est = estimate_second_quantized(
-            IntegralTable(4), TrotterPlan(dt=0.1, readout_bits=3, method=METHOD_PAR)
+            IntegralTable(4), TrotterPlan(dt=0.1, readout_bits=3, method=PAR)
         )
         assert est.profile.depth == 0 and est.profile.qubits == 0
         assert est.rotation_count == 0 and est.rotation_fraction == 0.0
@@ -874,13 +884,13 @@ class TestEstimator:
     def test_par_rotation_depth_is_four_per_rotation(self):
         for table in (self.TOY, self.fixture_table()):
             est = estimate_second_quantized(
-                table, TrotterPlan(dt=0.05, readout_bits=4, method=METHOD_PAR)
+                table, TrotterPlan(dt=0.05, readout_bits=4, method=PAR)
             )
             assert est.rotation_depth == 4 * est.rotation_count
 
     def test_extra_readout_bit_scales_depth_by_step_ratio(self):
         plans = [
-            TrotterPlan(dt=0.1, readout_bits=b, method=METHOD_SEQUENCE) for b in (3, 4)
+            TrotterPlan(dt=0.1, readout_bits=b, method=SEQUENCE) for b in (3, 4)
         ]
         ests = [estimate_second_quantized(self.TOY, p) for p in plans]
         assert ests[0].per_step == ests[1].per_step
@@ -891,14 +901,14 @@ class TestEstimator:
         table = self.fixture_table()
         assert table.n_terms == 99
         depths = {}
-        for method in (METHOD_PAR, METHOD_SEQUENCE, METHOD_SK):
+        for method in (PAR, SEQUENCE, SK):
             plan = TrotterPlan(dt=0.05, readout_bits=10, method=method)
             assert plan.steps == 1023
             depths[method] = estimate_second_quantized(table, plan).profile.depth
-        assert depths[METHOD_PAR] < depths[METHOD_SEQUENCE] < depths[METHOD_SK]
+        assert depths[PAR] < depths[SEQUENCE] < depths[SK]
 
     def test_teleported_depth_independent_of_register_size(self):
-        plan = TrotterPlan(dt=0.1, readout_bits=2, method=METHOD_SEQUENCE)
+        plan = TrotterPlan(dt=0.1, readout_bits=2, method=SEQUENCE)
         tele, direct = [], []
         for m in (4, 8, 12):
             table = IntegralTable(m, one_body=(OneBodyTerm(0, m - 1, 0.5),))
@@ -914,7 +924,7 @@ class TestEstimator:
         assert direct[0] < direct[1] < direct[2]
 
     def test_depth_splits_into_rotation_and_clifford(self):
-        for method in (METHOD_PAR, METHOD_SEQUENCE, METHOD_SK, METHOD_KICKBACK):
+        for method in (PAR, SEQUENCE, SK, KICKBACK):
             est = estimate_second_quantized(
                 self.TOY, TrotterPlan(dt=0.1, readout_bits=3, method=method)
             )
@@ -922,30 +932,30 @@ class TestEstimator:
             assert 0.0 < est.rotation_fraction < 1.0
 
     def test_wall_clock_uses_seconds_per_gate(self):
-        plan = TrotterPlan(dt=0.1, readout_bits=3, method=METHOD_SEQUENCE)
+        plan = TrotterPlan(dt=0.1, readout_bits=3, method=SEQUENCE)
         est = estimate_second_quantized(self.TOY, plan, seconds_per_gate=2e-3)
         assert est.wall_clock_seconds == pytest.approx(est.profile.depth * 2e-3)
 
     def test_qubit_accounting_on_toy_table(self):
-        plan = TrotterPlan(dt=0.1, readout_bits=3, method=METHOD_SEQUENCE)
+        plan = TrotterPlan(dt=0.1, readout_bits=3, method=SEQUENCE)
         est = estimate_second_quantized(self.TOY, plan)
         # two orbitals, the shared control, and nothing else: the span-2
         # ladder and the two-rotation block bring no extra wires
         assert est.per_step.qubits == 3
         est_par = estimate_second_quantized(
-            self.TOY, TrotterPlan(dt=0.1, readout_bits=3, method=METHOD_PAR)
+            self.TOY, TrotterPlan(dt=0.1, readout_bits=3, method=PAR)
         )
         assert est_par.per_step.qubits == 3 + 6  # plus the PAR ancilla bank
 
     def test_estimate_is_deterministic(self):
-        plan = TrotterPlan(dt=0.05, readout_bits=5, method=METHOD_PAR)
+        plan = TrotterPlan(dt=0.05, readout_bits=5, method=PAR)
         table = self.fixture_table()
         assert estimate_second_quantized(table, plan) == estimate_second_quantized(
             table, plan
         )
 
     def test_rejections(self):
-        plan = TrotterPlan(dt=0.1, readout_bits=3, method=METHOD_PAR)
+        plan = TrotterPlan(dt=0.1, readout_bits=3, method=PAR)
         with pytest.raises(ValueError):
             estimate_second_quantized(self.TOY, plan, ladder_mode="magic")
         with pytest.raises(ValueError):
@@ -963,7 +973,7 @@ class TestEstimator:
         secondq._ladder_profile.cache_clear()
         monkeypatch.setattr(secondq, "build_jw_ladder", counting_build_jw_ladder)
         table = load_integrals(FIXTURE)
-        plan = TrotterPlan(dt=0.05, readout_bits=10, method=METHOD_PAR)
+        plan = TrotterPlan(dt=0.05, readout_bits=10, method=PAR)
         for mode in (LADDER_TELEPORTED, LADDER_DIRECT):
             for _ in range(2):
                 estimate_second_quantized(table, plan, ladder_mode=mode)
@@ -974,7 +984,7 @@ class TestEstimator:
     def test_strings_are_expanded_once_per_index_pattern(self):
         secondq._jw_expansion.cache_clear()
         table = load_integrals(FIXTURE)
-        for method in (METHOD_SK, METHOD_KICKBACK):
+        for method in (SK, KICKBACK):
             estimate_second_quantized(table, TrotterPlan(dt=0.05, readout_bits=10, method=method))
         patterns = {(type(t), t.indices) for t in table.terms()}
         assert len(patterns) == table.n_terms == 231
@@ -983,8 +993,8 @@ class TestEstimator:
 
     @pytest.mark.parametrize(
         "method,epsilon",
-        [(METHOD_KICKBACK, 1e-4), (METHOD_SK, 1e-4), (METHOD_PAR, 1e-4), (METHOD_SEQUENCE, 1e-4),
-         (METHOD_SEQUENCE, 0.1)],
+        [(KICKBACK, 1e-4), (SK, 1e-4), (PAR, 1e-4), (SEQUENCE, 1e-4),
+         (SEQUENCE, 0.1)],
     )
     def test_rotations_priced_once_per_call_or_angle(self, monkeypatch, method, epsilon):
         priced = []
@@ -1110,6 +1120,6 @@ class TestResourceOrderingWithKickback:
             m: estimate_second_quantized(
                 kept, TrotterPlan(dt=0.05, readout_bits=10, method=m)
             ).profile.depth
-            for m in (METHOD_PAR, METHOD_KICKBACK, METHOD_SK)
+            for m in (PAR, KICKBACK, SK)
         }
-        assert depths[METHOD_PAR] < depths[METHOD_KICKBACK] < depths[METHOD_SK]
+        assert depths[PAR] < depths[KICKBACK] < depths[SK]
