@@ -61,8 +61,8 @@ class RunConfig:
     options: dict = field(default_factory=dict)
     seed: int = DEFAULT_SEED
 
-    def opt(self, name: str, default=None):
-        return self.options.get(name, default)
+    def opt(self, name: str):
+        return self.options.get(name)
 
 
 def _profile_record(profile: ResourceProfile) -> dict:
@@ -264,34 +264,27 @@ def _cmd_estimate_1q(config: RunConfig) -> tuple[dict, int]:
 
 def _load_points(paths: list[str]) -> dict[str, list[frontier_mod.FrontierPoint]]:
     """Read estimator JSON records (or explicit point lists) into per-method
-    point clouds."""
+    point clouds; a document of another shape is a ValueError naming it."""
     clouds: dict[str, list[frontier_mod.FrontierPoint]] = {}
     for path in paths:
         doc = json.loads(Path(path).read_text())
-        if "points" in doc:
-            for entry in doc["points"]:
-                method = entry.get("method") or Path(path).stem
-                clouds.setdefault(method, []).append(
-                    frontier_mod.FrontierPoint(
-                        qubits=int(entry["qubits"]),
-                        depth=int(entry["depth"]),
-                        method=method,
-                        params=entry.get("params", ()),
-                    )
-                )
-            continue
-        profile = doc.get("profile")
-        if profile is None:
+        if not isinstance(doc, dict) or ("points" not in doc and doc.get("profile") is None):
             raise ValueError(f"{path}: neither an estimator record nor a point list")
-        method = doc.get("method") or doc.get("mode") or Path(path).stem
-        clouds.setdefault(method, []).append(
-            frontier_mod.FrontierPoint(
-                qubits=int(profile["qubits"]),
-                depth=int(profile["depth"]),
-                method=method,
-                params=(("source", Path(path).name),),
-            )
-        )
+        record = "points" not in doc
+        entries = [doc["profile"]] if record else doc["points"]
+        if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
+            raise ValueError(f"{path}: a point or a profile is not a JSON object")
+        for entry in entries:
+            qubits, depth = entry.get("qubits"), entry.get("depth")
+            if type(qubits) is not int or type(depth) is not int:  # a float, bool, string or null
+                raise ValueError(f"{path}: qubits {qubits!r} and depth {depth!r} are not both integers")
+            if record:  # an estimator record names its method, or its mode, once
+                method = doc.get("method") or doc.get("mode") or Path(path).stem
+            else:
+                method = entry.get("method") or Path(path).stem
+            if not isinstance(method, str):
+                raise ValueError(f"{path}: method {method!r} is not a string")
+            clouds.setdefault(method, []).append(frontier_mod.FrontierPoint(qubits, depth, method))
     return clouds
 
 
@@ -306,6 +299,8 @@ def _cmd_frontier(config: RunConfig) -> tuple[dict, int]:
         cap=config.opt("cap"),
     )
     method, point, value = frontier_mod.optimize_cost(fronts, cost)
+    if value == math.inf and cost_name == frontier_mod.COST_CAPPED:
+        raise ValueError(f"no operating point fits under the cap of {config.opt('cap')} qubits")
     rows = [
         [m, pt.qubits, pt.depth]
         for m in sorted(fronts)
@@ -377,30 +372,27 @@ def _finite(text: str) -> float:
     return value
 
 
-def _width(text: str) -> int:
-    # the built multiplier grows as width^2 gates, and invsqrt_fixed computes in binary64
-    value = int(text)
-    if not 2 <= value <= 64:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in [2, 64]")
-    return value
+def _int_in(lo: int, hi: int, name: str) -> Callable[[str], int]:
+    """An argparse type for integers in [lo, hi]; argparse reports text that
+    is no integer at all as an invalid value of the type called name."""
+    def check(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer in [{lo}, {hi}]")
+        return value
+
+    check.__name__ = name
+    return check
 
 
-def _ancillas(text: str) -> int:
-    # round j prepares 2^(j-1) phi mod 2 pi in binary64: from about 53 rounds on
-    # that angle is rounding noise, and near 1024 rounds the doubling overflows
-    value = int(text)
-    if not 1 <= value <= 64:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in [1, 64]")
-    return value
-
-
-def _readout_bits(text: str) -> int:
-    # n bits take 2^n - 1 Trotter steps, costed in binary64: 64 bits already
-    # resolve the phase past its 53-bit mantissa, and near 1024 the count overflows
-    value = int(text)
-    if not 1 <= value <= 64:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in [1, 64]")
-    return value
+# the built multiplier grows as width^2 gates, and invsqrt_fixed computes in binary64
+_width = _int_in(2, 64, "_width")
+# round j prepares 2^(j-1) phi mod 2 pi in binary64: from about 53 rounds on
+# that angle is rounding noise, and near 1024 rounds the doubling overflows
+_ancillas = _int_in(1, 64, "_ancillas")
+# n bits take 2^n - 1 Trotter steps, costed in binary64: 64 bits already
+# resolve the phase past its 53-bit mantissa, and near 1024 the count overflows
+_readout_bits = _int_in(1, 64, "_readout_bits")
 
 
 def _trials(text: str) -> int:
@@ -505,8 +497,6 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
         seed = options.pop("seed")
         if seed is None:
             seed = int(os.environ.get("FTQC_SEED", DEFAULT_SEED))
-    json_path = options.pop("json", None)
-    options["json"] = json_path
     return RunConfig(command=command, options=options, seed=seed)
 
 

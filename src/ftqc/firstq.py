@@ -151,12 +151,11 @@ class PhysicalConstants:
                 f"constants describe {self.n_particles} particles, the grid has {b}"
             )
 
-    def potential_scale(self, i: int, j: int, dt_factor: float = 1.0) -> float:
+    def potential_scale(self, i: int, j: int) -> float:
         """Rotation scale of the (i, j) pair phase: |q_i q_j| dt / (8 pi^2 eps0 hbar)."""
         return (
             abs(self.charges[i] * self.charges[j])
             * self.dt
-            * dt_factor
             / (8.0 * math.pi**2 * self.eps0 * self.hbar)
         )
 
@@ -452,18 +451,19 @@ class StepModel:
     collects the distinct rotation scales that need prepared eigenstate
     registers -- equal masses or equal charge products share one.
     singular_capped records that same-cell pairs hit the capped 1/r
-    value rather than an infinity.
+    value rather than an infinity, which only the potential step has.
     """
 
     kind: str
-    mode: str
-    width: int
     unit: ResourceProfile
     parts: tuple[tuple[str, ResourceProfile], ...]
     schedule: tuple[tuple[tuple[int, ...], ...], ...]
     profile: ResourceProfile
     gamma_specs: tuple[float, ...]
-    singular_capped: bool = False
+
+    @property
+    def singular_capped(self) -> bool:
+        return self.kind == POTENTIAL_STEP
 
     def part(self, name: str) -> ResourceProfile:
         for label, prof in self.parts:
@@ -544,14 +544,11 @@ def build_potential_step(
     )
     return StepModel(
         kind=POTENTIAL_STEP,
-        mode=mode,
-        width=width,
         unit=unit,
         parts=parts,
         schedule=schedule,
         profile=profile,
         gamma_specs=scales,
-        singular_capped=True,
     )
 
 
@@ -602,14 +599,11 @@ def build_kinetic_step(
     )
     return StepModel(
         kind=KINETIC_STEP,
-        mode=FULLY_PARALLEL,
-        width=width,
         unit=units[0],
         parts=parts,
         schedule=(tuple((j,) for j in range(grid.b)),),
         profile=profile,
         gamma_specs=scales,
-        singular_capped=False,
     )
 
 
@@ -728,12 +722,7 @@ def build_potential_phase_circuit(
     base = 2 * p + r2_bits + width
     work = tuple(range(base, base + work_n))
 
-    signed_scale = (
-        constants.charges[0]
-        * constants.charges[1]
-        * constants.dt
-        / (8.0 * math.pi**2 * constants.eps0 * constants.hbar)
-    )
+    signed_scale = math.copysign(constants.potential_scale(0, 1), constants.charges[0] * constants.charges[1])
     xi = (-signed_scale * (1 << int_bits)) % float(1 << width)
 
     def r2_entry(pattern: int) -> int:

@@ -36,25 +36,16 @@ BUILTIN_COSTS = (COST_DEPTH, COST_QUBITS, COST_WEIGHTED, COST_CAPPED)
 class FrontierPoint:
     """One operating point: machine size against execution depth.
 
-    method tags where the point came from; params is a frozen snapshot
-    of the settings that produced it (a mapping is converted to sorted
-    key/value pairs so points stay hashable).
+    method tags where the point came from.
     """
 
     qubits: int
     depth: int
     method: str = ""
-    params: tuple = ()
 
     def __post_init__(self) -> None:
         if self.qubits < 0 or self.depth < 0:
             raise ValueError("coordinates must be non-negative")
-        if isinstance(self.params, Mapping):
-            object.__setattr__(
-                self, "params", tuple(sorted((str(k), v) for k, v in self.params.items()))
-            )
-        else:
-            object.__setattr__(self, "params", tuple(self.params))
 
 
 def efficient_frontier(points: Iterable[FrontierPoint]) -> list[FrontierPoint]:
@@ -105,19 +96,18 @@ def builtin_cost(
 
 def optimize_cost(
     frontiers: Mapping[str, Sequence[FrontierPoint]],
-    cost: Callable[[int, int], float] | str,
+    cost: Callable[[int, int], float],
 ) -> tuple[str, FrontierPoint, float]:
     """Global argmin of a cost function across per-method frontiers.
 
-    cost is a callable over (qubits, depth) or the name of a built-in.
-    Returns (method, point, cost value); ties break toward fewer qubits,
-    then the lexicographically smaller method name.
+    cost is a callable over (qubits, depth), such as one builtin_cost
+    returns.  Returns (method, point, cost value); ties break toward
+    fewer qubits, then the lexicographically smaller method name.
     """
-    fn = builtin_cost(cost) if isinstance(cost, str) else cost
     best: tuple[float, int, str, FrontierPoint] | None = None
     for method in sorted(frontiers):
         for pt in frontiers[method]:
-            key = (fn(pt.qubits, pt.depth), pt.qubits, method)
+            key = (cost(pt.qubits, pt.depth), pt.qubits, method)
             if best is None or key < (best[0], best[1], best[2]):
                 best = (*key, pt)
     if best is None:

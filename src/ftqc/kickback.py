@@ -79,12 +79,12 @@ def gamma_state(reg: GammaRegister) -> StateVector:
     return StateVector(reg.n, np.exp((-TWO_PI / n_amp) * turns * 1j) / np.sqrt(n_amp))
 
 
-def _reduce_angle(phi: float) -> float:
-    """Map phi into [0, 2 pi)."""
-    out = math.fmod(phi, TWO_PI)
-    if out < 0.0:
-        out += TWO_PI
-    return out
+def _round_to_grid(n: int, phi: float) -> tuple[float, int]:
+    """phi mapped into [0, 2 pi), and round(2^n phi / 2 pi) of that, halves up."""
+    reduced = math.fmod(phi, TWO_PI)
+    if reduced < 0.0:
+        reduced += TWO_PI
+    return reduced, math.floor((1 << n) * reduced / TWO_PI + 0.5)
 
 
 def solve_mod(k: int, n: int, phi: float) -> int:
@@ -96,7 +96,7 @@ def solve_mod(k: int, n: int, phi: float) -> int:
     if k % 2 == 0:
         raise ValueError(f"k={k} is even and has no inverse modulo 2^{n}")
     modulus = 1 << n
-    target = math.floor(modulus * _reduce_angle(phi) / TWO_PI + 0.5)
+    target = _round_to_grid(n, phi)[1]
     return (target * pow(k, -1, modulus)) % modulus
 
 
@@ -106,10 +106,8 @@ def phase_error(n: int, phi: float) -> float:
     Bounded by 2 pi / 2^{n+1} in magnitude; independent of k, which only
     permutes which addend reaches the rounded phase.
     """
-    modulus = 1 << n
-    reduced = _reduce_angle(phi)
-    target = math.floor(modulus * reduced / TWO_PI + 0.5)
-    return reduced - TWO_PI * target / modulus
+    reduced, target = _round_to_grid(n, phi)
+    return reduced - TWO_PI * target / (1 << n)
 
 
 @dataclass(frozen=True)

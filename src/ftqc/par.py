@@ -293,10 +293,8 @@ def execute_par(
     return ParOutcome(out, rounds, fallback)
 
 
-def expected_rounds(m_count: int | None = None) -> float:
-    """Truncated mean round count: sum_{m<=M} m 2^-m + M 2^-M; 2.0 unbounded."""
-    if m_count is None:
-        return 2.0
+def expected_rounds(m_count: int) -> float:
+    """Truncated mean round count: sum_{m<=M} m 2^-m + M 2^-M."""
     if m_count < 1:
         raise ValueError("need at least one round")
     total = sum(m * 2.0**-m for m in range(1, m_count + 1))

@@ -47,14 +47,14 @@ from .kickback import GammaRegister, emit_controlled_add, emit_register_add, gam
 from .sim import StateVector
 from .synth import emit_rz
 
-DEFAULT_FRAC_BITS = 32
+FRAC_BITS = 32  # binary places of the fixed-point scale [xi]
 
 
 @dataclass(frozen=True)
 class QvrParams:
     """Alignment arithmetic for one variable rotation.
 
-    numerator / 2^frac_bits is [xi], the fixed-point value actually
+    numerator / 2^FRAC_BITS is [xi], the fixed-point value actually
     realized (truncated toward zero).  m counts its significant bits
     from the leading 1 through the last 1, w is floor(log2 [xi]), and
     p = (m - 1) - w so that k = 2^p [xi] is odd.  The eigenstate
@@ -64,7 +64,6 @@ class QvrParams:
 
     xi: float
     q: int
-    frac_bits: int
     numerator: int
     m: int
     w: int
@@ -73,7 +72,7 @@ class QvrParams:
 
     @property
     def xi_bits(self) -> Fraction:
-        return Fraction(self.numerator, 1 << self.frac_bits)
+        return Fraction(self.numerator, 1 << FRAC_BITS)
 
     @property
     def n(self) -> int:
@@ -91,27 +90,24 @@ class QvrParams:
         return self.k % (1 << self.n)
 
 
-def qvr_params(xi, q: int, *, frac_bits: int = DEFAULT_FRAC_BITS) -> QvrParams:
+def qvr_params(xi, q: int) -> QvrParams:
     """Fixed-point scale decomposition driving the kickback alignment."""
     if q < 1:
         raise ValueError("register needs at least one qubit")
-    if frac_bits < 0:
-        raise ValueError("frac_bits must be non-negative")
     exact = Fraction(xi)
     if exact < 0:
         raise ValueError("scale must be non-negative")
-    v = math.floor(exact * (1 << frac_bits))
+    v = math.floor(exact * (1 << FRAC_BITS))
     if v == 0:
-        return QvrParams(float(xi), q, frac_bits, 0, 0, 0, 0, 0)
+        return QvrParams(float(xi), q, 0, 0, 0, 0, 0)
     tz = (v & -v).bit_length() - 1
     return QvrParams(
         xi=float(xi),
         q=q,
-        frac_bits=frac_bits,
         numerator=v,
         m=v.bit_length() - tz,
-        w=v.bit_length() - 1 - frac_bits,
-        p=frac_bits - tz,
+        w=v.bit_length() - 1 - FRAC_BITS,
+        p=FRAC_BITS - tz,
         k=v >> tz,
     )
 
@@ -219,16 +215,7 @@ def build_qvr_kickback(params: QvrParams, controlled: bool = False) -> Circuit:
     return builder.build()
 
 
-def qft_gamma_width(q: int, approx_drop: int = 0) -> int:
-    """Width of the |gamma^(1)> register build_qft_via_qvr places on its gamma wires.
-
-    Zero when no block keeps a rotation (q - 1 <= approx_drop): the
-    transform then has no gamma wires.
-    """
-    return q - approx_drop if q - 1 >= approx_drop + 1 else 0
-
-
-def build_qft_via_qvr(q: int, approx_drop: int = 0) -> Circuit:
+def build_qft_via_qvr(q: int) -> Circuit:
     """Fourier transform with each controlled-rotation block one kickback QVR.
 
     Processing wire t after its Hadamard applies phases
@@ -238,31 +225,22 @@ def build_qft_via_qvr(q: int, approx_drop: int = 0) -> Circuit:
     (its top w wires are exactly the width-w eigenstate).  Explicit
     CNOT-triple swaps finish the standard bit reversal.
 
-    approx_drop > 0 truncates the eigenstate register by that many bits,
-    which silently drops each block's smallest rotations; the induced
-    error is bounded by the sum of the dropped angles.  The gamma wires
-    expect |gamma^(1)> of width qft_gamma_width(q, approx_drop): q -
-    approx_drop when q - 1 > approx_drop, and none otherwise.
+    For q > 1 the q gamma wires q..2q-1 expect |gamma^(1)> of width q,
+    and q - 1 scratch wires and one ancilla follow them; a one-wire
+    transform is a single Hadamard.
     """
     if q < 1:
         raise ValueError("transform needs at least one qubit")
-    if approx_drop < 0:
-        raise ValueError("approx_drop must be non-negative")
-    drop = approx_drop
-    gamma_width = qft_gamma_width(q, drop)
-    scratch_count = max(0, q - 1 - drop)
-    total = q + gamma_width + scratch_count + (1 if gamma_width else 0)
-    builder = CircuitBuilder(total)
-    gamma = tuple(range(q, q + gamma_width))
-    scratch = tuple(range(q + gamma_width, q + gamma_width + scratch_count))
-    ancilla = q + gamma_width + scratch_count
+    builder = CircuitBuilder(3 * q if q > 1 else 1)
+    gamma = tuple(range(q, 2 * q))
+    scratch = tuple(range(2 * q, 3 * q - 1))
+    ancilla = 3 * q - 1
     for t in range(q - 1, -1, -1):
         builder.append(gate(H, t))
-        bits = tuple(range(drop, t))
+        bits = tuple(range(t))
         if not bits:
             continue
-        gamma_slice = gamma[gamma_width - (t + 1 - drop) :]
-        emit_controlled_add(builder, t, bits, scratch[: len(bits)], gamma_slice, ancilla)
+        emit_controlled_add(builder, t, bits, scratch[:t], gamma[q - 1 - t :], ancilla)
     for i in range(q // 2):
         j = q - 1 - i
         builder.extend([cnot(i, j), cnot(j, i), cnot(i, j)])

@@ -473,6 +473,13 @@ def build_excitation(
 # CNOT parity ladders
 
 
+def _check_ladder(span: int, mode: str) -> None:
+    if span < 2:
+        raise ValueError("ladder needs at least two wires")
+    if mode not in (LADDER_DIRECT, LADDER_TELEPORTED):
+        raise ValueError(f"unknown ladder mode {mode!r}")
+
+
 def build_jw_ladder(span: int, mode: str = LADDER_DIRECT) -> Circuit:
     """Prefix-parity CNOT ladder over `span` wires.
 
@@ -490,10 +497,7 @@ def build_jw_ladder(span: int, mode: str = LADDER_DIRECT) -> Circuit:
     built circuit is channel-equal to the direct ladder on the relocated
     outputs of ladder_output_map.
     """
-    if span < 2:
-        raise ValueError("ladder needs at least two wires")
-    if mode not in (LADDER_DIRECT, LADDER_TELEPORTED):
-        raise ValueError(f"unknown ladder mode {mode!r}")
+    _check_ladder(span, mode)
     if mode == LADDER_DIRECT or span == 2:
         builder = CircuitBuilder(span if mode == LADDER_DIRECT else 2)
         for a in range(span - 1):
@@ -530,12 +534,9 @@ def build_jw_ladder(span: int, mode: str = LADDER_DIRECT) -> Circuit:
 
 def ladder_output_map(span: int, mode: str = LADDER_DIRECT) -> tuple[int, ...]:
     """Where each logical ladder wire ends up in the built circuit."""
-    if span < 2:
-        raise ValueError("ladder needs at least two wires")
+    _check_ladder(span, mode)
     if mode == LADDER_DIRECT or span == 2:
         return tuple(range(span))
-    if mode != LADDER_TELEPORTED:
-        raise ValueError(f"unknown ladder mode {mode!r}")
     return (0,) + tuple(span + 2 * j + 1 for j in range(span - 2)) + (span - 1,)
 
 
@@ -735,8 +736,7 @@ def estimate_second_quantized(
     each call, so pricing a table again under another plan repeats only
     the arithmetic.
     """
-    if ladder_mode not in (LADDER_DIRECT, LADDER_TELEPORTED):
-        raise ValueError(f"unknown ladder mode {ladder_mode!r}")
+    _check_ladder(2, ladder_mode)  # also when no string needs a ladder
     if not seconds_per_gate > 0:
         raise ValueError("seconds_per_gate must be positive")
     # a rotation's price depends on its angle only where sequences are

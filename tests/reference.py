@@ -54,7 +54,6 @@ from ftqc.core import (
 )
 from ftqc.kickback import GammaRegister, gamma_state
 from ftqc.par import execute_par, expected_rounds, prepare_ancillas
-from ftqc.qvr import qft_gamma_width
 from ftqc.secondq import OneBodyTerm, excitation_operator_strings
 from ftqc.sim import PauliFrame, SimResult, StateVector, _apply_unitary
 from ftqc.synth import emit_rz
@@ -237,21 +236,10 @@ def block_overlap(state: StateVector, qubits: tuple[int, ...], block: np.ndarray
     return float(np.sum(np.abs(res) ** 2))
 
 
-def qft_gamma_state(q: int, approx_drop: int = 0) -> StateVector | None:
-    """Eigenstate to feed build_qft_via_qvr's gamma wires (None if it has none)."""
-    gamma_width = qft_gamma_width(q, approx_drop)
-    if gamma_width == 0:
-        return None
-    return gamma_state(GammaRegister(1, gamma_width))
-
-
-def qft_drop_bound(q: int, approx_drop: int) -> float:
-    """Sum of the rotation angles approx_drop removes from the transform."""
-    total = 0.0
-    for t in range(1, q):
-        for i in range(min(approx_drop, t)):
-            total += TWO_PI / 2.0 ** (t + 1 - i)
-    return total
+def qft_gamma_state(q: int) -> StateVector | None:
+    """Eigenstate to feed build_qft_via_qvr's gamma wires: |gamma^(1)> of
+    width q, or None for the one-wire transform, which has no gamma wires."""
+    return gamma_state(GammaRegister(1, q)) if q > 1 else None
 
 
 def per_trial_par_statistics(

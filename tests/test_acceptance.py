@@ -197,7 +197,7 @@ def test_05_qvr_cross_validation():
 def test_06_qft_via_qvr(q):
     # The eigenstate-driven Fourier transform matches the DFT matrix.
     circuit = build_qft_via_qvr(q)
-    g = qft_gamma_state(q, 0)
+    g = qft_gamma_state(q)
     fixed = {}
     if g is not None:
         gw = tuple(range(q, q + g.n_qubits))

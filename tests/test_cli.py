@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -23,10 +24,25 @@ from ftqc.sim import SimulationError
 from ftqc.synth import GateSequence
 
 
+CLI_PINS = json.loads((Path(__file__).parent / "data" / "cli_pins.json").read_text())
+
+
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def pinned_argv(label: str, folder: Path) -> list[str]:
+    """The argv of one cli_pins.json run, with its inputs written to folder
+    and each pinned output going to folder/out.<kind>."""
+    for name, doc in CLI_PINS["inputs"].items():
+        (folder / name).write_text(json.dumps(doc, sort_keys=True))
+    run = CLI_PINS["runs"][label]
+    argv = [arg.replace("{inputs}", str(folder)) for arg in run["argv"]]
+    for kind in run["sha256"]:
+        argv += [f"--{kind}", str(folder / f"out.{kind}")]
+    return argv
 
 
 class TestSynth:
@@ -504,6 +520,53 @@ class TestFrontier:
         )
         assert status == 2
         assert json.loads(err)["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"points": [1, 2]},
+        {"points": {"qubits": 3}},
+        {"points": [{"qubits": 1.5, "depth": 4}]},
+        {"points": [{"qubits": "3", "depth": 4}]},
+        {"points": [{"qubits": True, "depth": 4}]},
+        {"points": [{"depth": 4}]},
+        {"points": [{"qubits": 3, "depth": 4, "method": 5}, {"qubits": 4, "depth": 2, "method": "a"}]},
+        {"method": ["par"], "profile": {"qubits": 3, "depth": 4}},
+        {"profile": 5},
+        {"profile": {"qubits": 3, "depth": None}},
+        "points",
+    ])
+    def test_malformed_input_is_one_error_record(self, tmp_path, capsys, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        status, out, err = run_cli(capsys, "frontier", "--in", str(bad))
+        assert status == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["command"] == "frontier"
+        assert record["error"]["type"] == "ValueError"
+        assert str(bad) in record["error"]["message"]
+
+    def test_no_point_under_the_cap_is_an_error_record(self, clouds, capsys):
+        status, out, err = run_cli(
+            capsys, "frontier", "--in", str(clouds), "--cost", "depth-with-qubit-cap", "--cap", "9"
+        )
+        assert status == 2
+        assert out == ""
+        message = json.loads(err)["error"]["message"]
+        assert message == "no operating point fits under the cap of 9 qubits"
+
+
+class TestPinnedOutputs:
+    """estimate-1q, qvr, kickback and frontier outputs, byte for byte: their
+    sha256 digests are pinned in tests/data/cli_pins.json."""
+
+    @pytest.mark.parametrize("label", sorted(CLI_PINS["runs"]))
+    def test_outputs_match_their_pinned_digests(self, tmp_path, label):
+        assert main(pinned_argv(label, tmp_path)) == 0
+        pinned = CLI_PINS["runs"][label]["sha256"]
+        got = {kind: hashlib.sha256((tmp_path / f"out.{kind}").read_bytes()).hexdigest() for kind in pinned}
+        assert got == pinned
 
 
 class TestVerify:

@@ -434,9 +434,9 @@ class TestKineticStep:
         # one grid width, so one built QFT serves them all
         built = []
 
-        def counting_build_qft_via_qvr(q, approx_drop=0):
-            built.append((q, approx_drop))
-            return build_qft_via_qvr(q, approx_drop)
+        def counting_build_qft_via_qvr(q):
+            built.append(q)
+            return build_qft_via_qvr(q)
 
         firstq._qft_profile.cache_clear()
         monkeypatch.setattr(firstq, "build_qft_via_qvr", counting_build_qft_via_qvr)
@@ -444,7 +444,7 @@ class TestKineticStep:
                 "--mode", "parallel", "--width", "8"]
         assert main(argv) == 0 and main(argv) == 0
         capsys.readouterr()
-        assert built == [(5, 0)]
+        assert built == [5]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -33,11 +33,6 @@ class TestFrontierPoint:
         with pytest.raises(ValueError):
             FrontierPoint(5, -1)
 
-    def test_params_mapping_is_frozen_sorted(self):
-        pt = FrontierPoint(4, 5, "par", params={"epsilon": 1e-4, "ancillas": 6})
-        assert pt.params == (("ancillas", 6), ("epsilon", 1e-4))
-        hash(pt)  # stays hashable
-
 
 class TestEfficientFrontier:
     def test_single_point(self):
@@ -106,11 +101,11 @@ class TestOptimizeCost:
     }
 
     def test_depth_only(self):
-        method, point, cost = optimize_cost(self.FIXTURE, "depth")
+        method, point, cost = optimize_cost(self.FIXTURE, builtin_cost("depth"))
         assert (method, point.depth, cost) == ("kickback", 40, 40.0)
 
     def test_qubits_only(self):
-        method, point, cost = optimize_cost(self.FIXTURE, "qubits")
+        method, point, cost = optimize_cost(self.FIXTURE, builtin_cost("qubits"))
         assert (method, point.qubits, cost) == ("par", 10, 10.0)
 
     def test_weighted_sum_matches_brute_force(self):
@@ -130,7 +125,7 @@ class TestOptimizeCost:
             "alpha": [FrontierPoint(5, 50, "alpha")],
             "mid": [FrontierPoint(9, 50, "mid")],
         }
-        method, point, _ = optimize_cost(tied, "depth")
+        method, point, _ = optimize_cost(tied, builtin_cost("depth"))
         assert method == "alpha"
         assert point.qubits == 5
 
@@ -142,7 +137,7 @@ class TestOptimizeCost:
 
     def test_empty_mapping_rejected(self):
         with pytest.raises(ValueError):
-            optimize_cost({}, "depth")
+            optimize_cost({}, builtin_cost("depth"))
 
     def test_unknown_builtin_rejected(self):
         with pytest.raises(ValueError):

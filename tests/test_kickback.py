@@ -301,11 +301,11 @@ class TestRegisterAdder:
             for q in (1, 3, 5)
             for controlled in (False, True)
         ]
-        texts += [circuit_to_text(build_qft_via_qvr(q, d)) for q in range(1, 7) for d in range(3)]
+        texts += [circuit_to_text(build_qft_via_qvr(q)) for q in range(1, 7)]
         constants = PhysicalConstants(charges=(-1.0, 1.0), masses=(1.0, 1.0), dt=0.1)
         texts.append(circuit_to_text(build_potential_phase_circuit(2, 4, constants)[0]))
         digest = hashlib.sha256("".join(texts).encode()).hexdigest()
-        assert digest == "0966107b27e6790721a888d157a60938ed8f04e3e27c69702cbc9a1d576ad731"
+        assert digest == "b2401d120021ca346886401e281760549c8f101a05ea5adf20a53072908d9c84"
 
 
 class TestControlledAdd:
@@ -359,8 +359,7 @@ def pinned_circuits():
         yield "build_register_adder", f"w={w}", build_register_adder(w)
         yield "build_multiplier", f"w={w}", build_multiplier(w)
     for q in range(1, 9):
-        for drop in range(3):
-            yield "build_qft_via_qvr", f"q={q} drop={drop}", build_qft_via_qvr(q, drop)
+        yield "build_qft_via_qvr", f"q={q} drop=0", build_qft_via_qvr(q)
         for xi in (0.1, 0.375, 1.25, 4.0):
             for controlled in (False, True):
                 circuit = build_qvr_kickback(qvr_params(xi, q), controlled)

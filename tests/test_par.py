@@ -439,8 +439,6 @@ class TestExpectedRounds:
     def test_examples(self):
         assert expected_rounds(1) == 1.0
         assert expected_rounds(2) == 1.5
-        assert expected_rounds() == 2.0
-        assert expected_rounds(None) == 2.0
 
     def test_closed_form(self):
         # sum_{m<=M} m 2^-m + M 2^-M collapses to 2 - 2^{1-M}

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import qft_drop_bound, qft_gamma_state
+from reference import qft_gamma_state
 
 from ftqc import qvr, secondq, synth
-from ftqc.core import CRZ, RZ, SEQUENCE, T, TDG, TOFFOLI, CircuitBuilder, H, circuit_to_text, dist
+from ftqc.core import CRZ, RZ, SEQUENCE, T, TDG, CircuitBuilder, H, circuit_to_text, dist
 from ftqc.firstq import PhysicalConstants, build_potential_phase_circuit
 from ftqc.qvr import (
+    FRAC_BITS,
     build_qft_via_qvr,
     build_qvr_bitwise,
     build_qvr_kickback,
@@ -85,19 +86,16 @@ class TestQvrParams:
             qvr_params(-1.0, 3)
         with pytest.raises(ValueError):
             qvr_params(1.0, 0)
-        with pytest.raises(ValueError):
-            qvr_params(1.0, 3, frac_bits=-1)
 
     @given(
         st.floats(min_value=1e-6, max_value=64.0, allow_nan=False),
         st.integers(min_value=1, max_value=8),
-        st.integers(min_value=0, max_value=40),
     )
     @settings(max_examples=150, deadline=None)
-    def test_decomposition_properties(self, xi, q, frac_bits):
-        p = qvr_params(xi, q, frac_bits=frac_bits)
+    def test_decomposition_properties(self, xi, q):
+        p = qvr_params(xi, q)
         # truncation toward zero at the stated grid
-        assert p.xi_bits <= xi < float(p.xi_bits) + 2.0**-frac_bits + 1e-12 * xi
+        assert p.xi_bits <= xi < float(p.xi_bits) + 2.0**-FRAC_BITS + 1e-12 * xi
         if p.numerator:
             assert p.k % 2 == 1
             assert p.k * 2**-p.p == float(p.xi_bits)
@@ -243,9 +241,9 @@ class TestKickback:
         assert kb.t_count < bw.t_count
 
 class TestQftViaQvr:
-    def qft_unitary(self, q, drop=0):
-        c = build_qft_via_qvr(q, drop)
-        g = qft_gamma_state(q, drop)
+    def qft_unitary(self, q):
+        c = build_qft_via_qvr(q)
+        g = qft_gamma_state(q)
         fixed = {}
         if g is not None:
             gw = tuple(range(q, q + g.n_qubits))
@@ -268,24 +266,6 @@ class TestQftViaQvr:
         u, leak = self.qft_unitary(5)
         assert dist(u, dft_matrix(5)) <= 1e-8
 
-    def test_approximate_within_drop_bound(self):
-        for q, drop in [(3, 1), (4, 1), (4, 2), (5, 2)]:
-            u, _ = self.qft_unitary(q, drop)
-            assert dist(u, dft_matrix(q)) <= qft_drop_bound(q, drop)
-
-    def test_error_grows_with_drop(self):
-        dists = [dist(self.qft_unitary(4, d)[0], dft_matrix(4)) for d in (0, 1, 2)]
-        assert dists[0] < dists[1] < dists[2]
-
-    def test_full_drop_leaves_hadamards_and_swaps(self):
-        q = 3
-        c = build_qft_via_qvr(q, q)
-        assert c.n_qubits == q
-        kinds = [g.kind for g in c.gates()]
-        assert kinds.count(H) == q and TOFFOLI not in kinds
-
     def test_rejections(self):
         with pytest.raises(ValueError):
             build_qft_via_qvr(0)
-        with pytest.raises(ValueError):
-            build_qft_via_qvr(3, -1)

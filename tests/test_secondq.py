@@ -711,6 +711,10 @@ class TestJwLadder:
             ladder_output_map(1)
         with pytest.raises(ValueError):
             ladder_output_map(4, "magic")
+        with pytest.raises(ValueError):
+            build_jw_ladder(2, "bogus")
+        with pytest.raises(ValueError):
+            ladder_output_map(2, "bogus")
 
     @pytest.mark.parametrize("span", [3, 4, 5])
     def test_channel_equal_to_direct_ladder(self, span):
