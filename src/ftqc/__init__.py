@@ -12,7 +12,7 @@ from .core import (
     dist,
     rz_matrix,
 )
-from .sim import StateVector, SimResult, PauliFrame, run, to_unitary, channel_equal
+from .sim import StateVector, SimResult, run, to_unitary, channel_equal
 
 __version__ = "0.1.0"
 
@@ -21,7 +21,6 @@ __all__ = [
     "CircuitBuilder",
     "Gate",
     "ResourceProfile",
-    "PauliFrame",
     "SimResult",
     "StateVector",
     "channel_equal",

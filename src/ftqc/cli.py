@@ -301,6 +301,8 @@ def _cmd_frontier(config: RunConfig) -> tuple[dict, int]:
     method, point, value = frontier_mod.optimize_cost(fronts, cost)
     if value == math.inf and cost_name == frontier_mod.COST_CAPPED:
         raise ValueError(f"no operating point fits under the cap of {config.opt('cap')} qubits")
+    if not math.isfinite(value):
+        raise ValueError(f"the weights --alpha and --beta overflow the {cost_name} cost: {value} at the argmin")
     rows = [
         [m, pt.qubits, pt.depth]
         for m in sorted(fronts)
@@ -372,7 +374,7 @@ def _finite(text: str) -> float:
     return value
 
 
-def _int_in(lo: int, hi: int, name: str) -> Callable[[str], int]:
+def _int_in(lo: int, hi: float, name: str) -> Callable[[str], int]:
     """An argparse type for integers in [lo, hi]; argparse reports text that
     is no integer at all as an invalid value of the type called name."""
     def check(text: str) -> int:
@@ -393,13 +395,13 @@ _ancillas = _int_in(1, 64, "_ancillas")
 # n bits take 2^n - 1 Trotter steps, costed in binary64: 64 bits already
 # resolve the phase past its 53-bit mantissa, and near 1024 the count overflows
 _readout_bits = _int_in(1, 64, "_readout_bits")
-
-
-def _trials(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
+# phi is a binary64, so from about 53 bits on the kickback grid 2 pi / 2^n is
+# finer than phi's own rounding, and near 1024 bits 2^n overflows a float
+_bits = _int_in(1, 64, "_bits")
+# bitwise QVR turns wire j by 2 pi xi 2^(j-q), with 2^(j-q) a binary64: it is
+# zero from q - j = 1075 on, so a wider register loses its low wires' turns
+_value_bits = _int_in(1, 1074, "_value_bits")
+_trials = _int_in(1, math.inf, "_trials")
 
 
 def _tolerance(text: str) -> float:
@@ -430,14 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kickback", help="build a kickback rotation circuit")
     p.add_argument("--phi", type=_finite, required=True)
-    p.add_argument("--bits", type=int, required=True, help="eigenstate register width")
+    p.add_argument("--bits", type=_bits, required=True, help="eigenstate register width, 1 to 64")
     p.add_argument("--k", type=int, default=1, help="odd eigenstate index")
     p.add_argument("--controlled", action="store_true")
     add_common(p, circuit=True)
 
     p = sub.add_parser("qvr", help="build a variable-rotation circuit")
     p.add_argument("--xi", type=_finite, required=True)
-    p.add_argument("--q", type=int, required=True, help="value register width")
+    p.add_argument("--q", type=_value_bits, required=True, help="value register width, 1 to 1074")
     p.add_argument("--mode", choices=("bitwise", "kickback"), default="kickback")
     add_common(p, circuit=True)
 

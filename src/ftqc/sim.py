@@ -60,8 +60,8 @@ the amplitudes it selects, and anything else on such a wire, a MEASURE
 and the end of a run first apply the map with one gather.  A
 Jordan-Wigner ladder and its mirror compose to the identity, so the
 CNOTs of a Trotter step move nothing.  The bytes are those of the
-gate-by-gate kernel loop.  A Pauli frame's X part is applied the same
-way, as one copy that reads the state at flipped indices (_flipped).
+gate-by-gate kernel loop.  apply_frame applies a frame's X part the
+same way, as one copy that reads the state at flipped indices (_flipped).
 """
 
 from __future__ import annotations
@@ -205,97 +205,61 @@ def _flipped(amps: np.ndarray, n: int, mask: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Pauli frames
+# Pauli frames: a frame is the correction E = i^s Z^z X^x as one core.Pauli,
+# and the corrected state is E|psi_sim> for the tracked state |psi_sim>
 
 
-class PauliFrame:
-    """Deferred Pauli correction E = i^s * prod_q Z^{z_q} X^{x_q}, held as one core.Pauli.
+def _propagate(frame: Pauli, g: Gate) -> Pauli:
+    """G E G^dag for a gate G the frame E can cross, phase included, so a
+    materialized frame reproduces an explicit-gate run exactly."""
+    kind = g.kind
+    x, z, _ = frame
+    if kind in core.CLIFFORD_KINDS:
+        return frame.conjugate(kind, g.qubits) if x | z else frame  # a pure phase commutes
+    if kind in (core.T, core.TDG, core.RZ):
+        if x >> g.qubits[0] & 1:
+            raise SimulationError(f"X frame cannot cross diagonal gate {kind}")
+    elif kind == core.CRZ:
+        if any(x >> q & 1 for q in g.qubits):
+            raise SimulationError("X frame cannot cross CRZ")
+    elif kind == core.TOFFOLI:
+        c1, c2, t = g.qubits
+        if x >> c1 & 1 or x >> c2 & 1 or z >> t & 1:
+            raise SimulationError("frame cannot cross Toffoli on these qubits")
+    else:
+        raise SimulationError(f"cannot propagate frame through {kind}")
+    return frame
 
-    ``pauli.x`` and ``pauli.z`` are its integer bit masks (bit q for qubit
-    q) and ``pauli.phase`` its exponent s of i, mod 4.  The tracked
-    simulation holds |psi_sim> while the corrected state is E|psi_sim>.
-    Updates and composition are Pauli products; propagation conjugates E
-    through a Clifford gate, phase included, so materializing the frame
-    reproduces the explicit-gate simulation exactly (not just up to phase).
-    Composing a frame with itself cancels every X/Z factor but can leave a
-    global sign in ``pauli.phase``.
+
+def apply_frame(frame: Pauli, state: StateVector) -> StateVector:
+    """Materialize a frame E: returns E|state>, in a new state.
+
+    X^x is one copy of the amplitudes that reads them at index i ^ x
+    (_flipped); the Z factors and i^s then multiply that copy in place,
+    so the call allocates one state.  The bytes are those of applying
+    the factors one kernel pass at a time.  A frame with a factor on a
+    qubit the state does not have raises ValueError.
     """
-
-    __slots__ = ("n_qubits", "pauli")
-
-    def __init__(self, n_qubits: int, pauli: Pauli = Pauli()):
-        self.n_qubits = n_qubits
-        self.pauli = pauli
-
-    def copy(self) -> "PauliFrame":
-        return PauliFrame(self.n_qubits, self.pauli)
-
-    def update(self, qubit: int, pauli: str) -> None:
-        """Fold a new X or Z correction onto the existing frame (left side)."""
-        if not 0 <= qubit < self.n_qubits:
-            raise ValueError(f"qubit {qubit} outside a frame of {self.n_qubits}")
-        if pauli == "X":
-            self.pauli = Pauli(x=1 << qubit) * self.pauli
-        elif pauli == "Z":
-            self.pauli = Pauli(z=1 << qubit) * self.pauli
-        else:
-            raise ValueError(f"unknown pauli {pauli!r}")
-
-    def compose(self, other: "PauliFrame") -> "PauliFrame":
-        """Frame for other applied first, then self."""
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("frame size mismatch")
-        return PauliFrame(self.n_qubits, self.pauli * other.pauli)
-
-    def propagate(self, g: Gate) -> None:
-        """Replace E by G E G^dag for a gate G the frame can cross."""
-        kind = g.kind
-        x, z, _ = self.pauli
-        if kind in core.CLIFFORD_KINDS:
-            if x | z:  # a pure phase commutes with every gate
-                self.pauli = self.pauli.conjugate(kind, g.qubits)
-        elif kind in (core.T, core.TDG, core.RZ):
-            if x >> g.qubits[0] & 1:
-                raise SimulationError(f"X frame cannot cross diagonal gate {kind}")
-        elif kind == core.CRZ:
-            if any(x >> q & 1 for q in g.qubits):
-                raise SimulationError("X frame cannot cross CRZ")
-        elif kind == core.TOFFOLI:
-            c1, c2, t = g.qubits
-            if x >> c1 & 1 or x >> c2 & 1 or z >> t & 1:
-                raise SimulationError("frame cannot cross Toffoli on these qubits")
-        else:
-            raise SimulationError(f"cannot propagate frame through {kind}")
-
-    def apply_to(self, state: StateVector) -> StateVector:
-        """Materialize the correction: returns E|state>, in a new state.
-
-        X^x is one copy of the amplitudes that reads them at index i ^ x
-        (_flipped); the Z factors and i^s then multiply that copy in place,
-        so the call allocates one state.  The bytes are those of applying
-        the factors one kernel pass at a time.  A state of another size
-        raises ValueError.
-        """
-        if state.n_qubits != self.n_qubits:
-            raise ValueError("frame size mismatch")
-        n = state.n_qubits
-        x, z, phase = self.pauli
-        amps = _flipped(state.amps, n, x)
-        for q in range(n):
-            if z >> q & 1:
-                kernels.apply_diag_1q(amps, n, q, 1.0, -1.0)
-        if phase:
-            amps *= 1j ** phase
-        return StateVector(n, amps)
+    n = state.n_qubits
+    x, z, phase = frame
+    if (x | z) >> n:
+        raise ValueError(f"frame {frame} has a factor outside a {n}-qubit state")
+    amps = _flipped(state.amps, n, x)
+    for q in range(n):
+        if z >> q & 1:
+            kernels.apply_diag_1q(amps, n, q, 1.0, -1.0)
+    if phase:
+        amps *= 1j ** phase
+    return StateVector(n, amps)
 
 
-def _corrected_at(frame: PauliFrame, amps: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _corrected_at(frame: Pauli, amps: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """The amplitudes of E|psi> at the basis indices idx alone, for the frame
     E = i^s Z^z X^x: entry y is i^s (-1)^|z & y| psi[y ^ x], with no copy of
     the state.  Each Z factor negates the entries whose index has its bit
-    set, as apply_to's pass does on the whole state, so the bytes (signed
-    zeros included) are apply_to's at idx."""
-    x, z, phase = frame.pauli
+    set, as apply_frame's pass does on the whole state, so the bytes (signed
+    zeros included) are apply_frame's at idx."""
+    x, z, phase = frame
     out = amps[idx ^ x]
     for q in range(z.bit_length()):
         if z >> q & 1:
@@ -307,13 +271,15 @@ def _corrected_at(frame: PauliFrame, amps: np.ndarray, idx: np.ndarray) -> np.nd
 
 @dataclass
 class SimResult:
+    """A run's state, frame-corrected outcomes and frame E, a core.Pauli; E|state> is the corrected state."""
+
     state: StateVector
     record: dict[int, int]
-    frame: PauliFrame
+    frame: Pauli
     qubit_outcomes: dict[int, int] = field(default_factory=dict)
 
     def corrected_state(self) -> StateVector:
-        return self.frame.apply_to(self.state)
+        return apply_frame(self.frame, self.state)
 
 
 # the gate table run() dispatches on: dense 1q matrices, and diagonal entries
@@ -375,10 +341,9 @@ def _run(circuit: Circuit, amps: np.ndarray | None, support: _Support | None, rn
     """run()'s loop, on the support when one is given and else on amps, which it overwrites."""
     n = circuit.n_qubits
     dense = None if support is not None else _Relabel(amps, n)
-    frame = PauliFrame(n)
+    frame = Pauli()
     record: dict[int, int] = {}
     qubit_outcomes: dict[int, int] = {}
-    K = kernels
 
     for layer in circuit.layers:
         for g in layer:
@@ -387,24 +352,25 @@ def _run(circuit: Circuit, amps: np.ndarray | None, support: _Support | None, rn
                 q = g.qubits[0]
                 if dense is not None:
                     amps = dense.flushed()
-                    outcome, prob = _draw(K.prob_one(amps, n, q), rng)
-                    K.collapse(amps, n, q, outcome, prob)  # in place
+                    outcome, prob = _draw(kernels.prob_one(amps, n, q), rng)
+                    kernels.collapse(amps, n, q, outcome, prob)  # in place
                 else:
                     outcome = support.measure(q, rng)
-                x, z, phase = frame.pauli
+                x, z, phase = frame
                 true_outcome = outcome ^ (x >> q & 1)
                 if z >> q & 1:
                     # Z^z X^x |m_sim> = (-1)^(z * m_true) X^x |m_sim>: the Z
                     # factor on a collapsed qubit reduces to a phase
-                    frame.pauli = Pauli(x, z ^ 1 << q, (phase + 2 * true_outcome) % 4)
+                    frame = Pauli(x, z ^ 1 << q, (phase + 2 * true_outcome) % 4)
                 record[g.key] = true_outcome
                 qubit_outcomes[q] = true_outcome
                 continue
             if kind == core.FRAME:
                 if g.cond is None or record.get(g.cond, 0) == 1:
-                    frame.update(g.qubits[0], g.pauli)
+                    bit = 1 << g.qubits[0]  # folded onto the left of the frame
+                    frame = (Pauli(x=bit) if g.pauli == "X" else Pauli(z=bit)) * frame
                 continue
-            frame.propagate(g)
+            frame = _propagate(frame, g)
             if dense is not None:
                 dense.apply(g)
             elif not support.apply(g):

@@ -55,7 +55,7 @@ from ftqc.core import (
 from ftqc.kickback import GammaRegister, gamma_state
 from ftqc.par import execute_par, expected_rounds, prepare_ancillas
 from ftqc.secondq import OneBodyTerm, excitation_operator_strings
-from ftqc.sim import PauliFrame, SimResult, StateVector, _apply_unitary
+from ftqc.sim import SimResult, StateVector, _apply_unitary, _propagate
 from ftqc.synth import emit_rz
 
 
@@ -160,7 +160,7 @@ def dense_measured_run(circuit: Circuit, amps: np.ndarray, seed: int) -> SimResu
     n = circuit.n_qubits
     out = np.array(amps, dtype=np.complex128)
     rng = np.random.default_rng(seed)
-    frame = PauliFrame(n)
+    frame = Pauli()
     record: dict[int, int] = {}
     qubit_outcomes: dict[int, int] = {}
     for g in circuit.gates():
@@ -170,31 +170,32 @@ def dense_measured_run(circuit: Circuit, amps: np.ndarray, seed: int) -> SimResu
             p0 = 1.0 - p1
             outcome = 0 if rng.random() < p0 else 1
             out = kernels.collapse(out, n, q, outcome, p0 if outcome == 0 else p1)
-            x, z, phase = frame.pauli
+            x, z, phase = frame
             true_outcome = outcome ^ (x >> q & 1)
             if z >> q & 1:
-                frame.pauli = Pauli(x, z ^ 1 << q, (phase + 2 * true_outcome) % 4)
+                frame = Pauli(x, z ^ 1 << q, (phase + 2 * true_outcome) % 4)
             record[g.key] = true_outcome
             qubit_outcomes[q] = true_outcome
         elif g.kind == FRAME:
             if g.cond is None or record.get(g.cond, 0) == 1:
-                frame.update(g.qubits[0], g.pauli)
+                bit = 1 << g.qubits[0]
+                frame = (Pauli(x=bit) if g.pauli == "X" else Pauli(z=bit)) * frame
         else:
-            frame.propagate(g)
+            frame = _propagate(frame, g)
             out = _apply_unitary(out, n, g)
     return SimResult(state=StateVector(n, out), record=record, frame=frame, qubit_outcomes=qubit_outcomes)
 
 
-def apply_frame_by_factors(frame: PauliFrame, state: StateVector) -> StateVector:
+def apply_frame_by_factors(frame: Pauli, state: StateVector) -> StateVector:
     """E|state> for a frame E, one kernel pass per X or Z factor after a copy.
 
-    The oracle PauliFrame.apply_to must match bit for bit: for each qubit in
+    The oracle sim.apply_frame must match bit for bit: for each qubit in
     ascending order its X swaps the halves, then its Z negates the set half,
     and i^s multiplies the result.
     """
     out = state.amps.copy()
     n = state.n_qubits
-    x, z, phase = frame.pauli
+    x, z, phase = frame
     for q in range(n):
         if x >> q & 1:
             out = kernels.apply_1q(out, n, q, GATE_MATRICES[X])

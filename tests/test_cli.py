@@ -9,16 +9,21 @@ minimize by hand.  Determinism is checked at the byte level: one
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftqc import cli
 from ftqc.cli import DEFAULT_SEED, main, parse_args
+from ftqc.frontier import BUILTIN_COSTS
 from ftqc.core import circuit_from_text
 from ftqc.sim import SimulationError
 from ftqc.synth import GateSequence
@@ -246,6 +251,17 @@ class TestKickback:
         assert out == ""
         error = json.loads(err)
         assert error["error"]["type"] == "ValueError"
+
+
+    @pytest.mark.parametrize("bits", ["0", "65", "1100"])
+    def test_bits_outside_one_to_sixty_four_is_an_error_record(self, capsys, bits):
+        status, out, err = run_cli(capsys, "kickback", "--phi", "0.7", "--bits", bits)
+        assert status == 2
+        assert out == ""
+        assert err.count("\n") == 1  # one record, no traceback
+        record = json.loads(err)
+        assert record["command"] == "kickback"
+        assert record["error"]["message"] == f"argument --bits: {bits!r} is not an integer in [1, 64]"
 
 
 class TestQvr:
@@ -556,6 +572,19 @@ class TestFrontier:
         message = json.loads(err)["error"]["message"]
         assert message == "no operating point fits under the cap of 9 qubits"
 
+    @pytest.mark.parametrize("alpha,beta,value", [("1e308", "1e308", "inf"), ("1e308", "-1e308", "nan")])
+    def test_overflowing_weights_are_an_error_record(self, tmp_path, capsys, alpha, beta, value):
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps({"points": [{"qubits": 3, "depth": 5, "method": "a"}]}))
+        status, out, err = run_cli(
+            capsys, "frontier", "--in", str(one), "--cost", "weighted-sum", f"--alpha={alpha}", f"--beta={beta}"
+        )
+        assert status == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        message = json.loads(err)["error"]["message"]
+        assert message == f"the weights --alpha and --beta overflow the weighted-sum cost: {value} at the argmin"
+
 
 class TestPinnedOutputs:
     """estimate-1q, qvr, kickback and frontier outputs, byte for byte: their
@@ -742,3 +771,80 @@ class TestArgumentHandling:
         assert record["schema"] == 1
         assert record["command"] == "par-sim"
         assert "ancilla" in record["error"]["message"]
+
+
+def _wild(hi: int | None = None):
+    """Any value a flag can get: integers of any size (none above hi), and
+    floats of every kind, +-inf and NaN included."""
+    ints = st.integers(max_value=hi) if hi is not None else st.integers() | st.sampled_from([1100, 2**64])
+    return st.one_of(ints.map(str), st.floats().map(repr), st.sampled_from(["1e308", "-1e308", "5e-324"]))
+
+
+def _counts(lo: int, hi: int):
+    return st.integers(lo, hi).map(str)
+
+
+def _argv(command, switch=None, **flags):
+    """argv strategies for a command: each flag is a (tame, wild) pair of
+    strategies, the tame values reaching just past its bounds; every flag is
+    drawn tame but at most one, which is drawn wild.  Each flag goes as
+    --name=value, so a negative value is not read as a flag."""
+
+    @st.composite
+    def argv(draw):
+        values = {name: draw(tame) for name, (tame, _) in flags.items()}
+        wild = draw(st.sampled_from([None, *flags]))
+        if wild is not None:
+            values[wild] = draw(flags[wild][1])
+        switches = [switch] if switch and draw(st.booleans()) else []
+        return [command, *(f"--{name}={value}" for name, value in values.items()), *switches]
+
+    return argv()
+
+
+_WILD = _wild()
+_PHI = (st.floats(-10.0, 10.0).map(repr), _WILD)
+NUMERIC_ARGV = {
+    "kickback": _argv("kickback", "--controlled", phi=_PHI, bits=(_counts(0, 65), _WILD), k=(_counts(-1, 70), _WILD)),
+    "qvr": _argv("qvr", xi=_PHI, q=(_counts(-1, 300), _WILD), mode=(st.sampled_from(["bitwise", "kickback"]), _WILD)),
+    # --trials has no upper bound: a larger count is a longer run in the
+    # same memory, so its draws stop at a count that runs in milliseconds
+    "par-sim": _argv("par-sim", phi=_PHI, ancillas=(_counts(0, 65), _WILD), trials=(_counts(-1, 5000), _wild(5000)),
+                     seed=(_counts(-1, 9), _WILD)),
+    "frontier": _argv("frontier", alpha=_PHI, beta=_PHI, cap=(_counts(-1, 4), _WILD),
+                      cost=(st.sampled_from(BUILTIN_COSTS), _WILD)),
+}
+
+
+@pytest.fixture(scope="module")
+def two_points(tmp_path_factory):
+    path = tmp_path_factory.mktemp("frontier") / "points.json"
+    path.write_text(json.dumps({"points": [
+        {"qubits": 3, "depth": 5, "method": "a"}, {"qubits": 0, "depth": 9, "method": "b"},
+    ]}))
+    return path
+
+
+class TestNumericFlagProperties:
+    """Whatever numbers the flags get, a call ends in exit 0 with one JSON
+    object on stdout, or in exit 2 with one error record on stderr."""
+
+    @pytest.mark.parametrize("command", sorted(NUMERIC_ARGV))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_a_record_or_one_error_record(self, two_points, command, data):
+        argv = data.draw(NUMERIC_ARGV[command])
+        if command == "frontier":
+            argv += ["--in", str(two_points)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        if status == 0:
+            assert err == ""
+            assert isinstance(json.loads(out), dict)  # json.loads rejects a second document
+        else:
+            assert status == 2 and out == ""
+            assert err.endswith("\n") and err.count("\n") == 1
+            record = json.loads(err)
+            assert record["command"] == command and set(record["error"]) == {"type", "message"}

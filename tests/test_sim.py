@@ -24,6 +24,7 @@ from reference import (
 
 from ftqc import core, firstq, kernels, kickback, secondq, sim
 from ftqc.core import (
+    Circuit,
     CircuitBuilder,
     Pauli,
     cnot,
@@ -36,9 +37,9 @@ from ftqc.core import (
 )
 from ftqc.sim import (
     QUBIT_CAP,
-    PauliFrame,
     SimulationError,
     StateVector,
+    apply_frame,
     channel_equal,
     effective_unitary,
     product_state,
@@ -200,50 +201,70 @@ class TestRun:
         assert u[0b001, 0b001] == 1.0
 
 
-def frame_matrix(f: PauliFrame) -> np.ndarray:
-    """Dense matrix of the tracked correction, for oracle comparisons."""
+def frame_matrix(f: Pauli, n: int) -> np.ndarray:
+    """Dense matrix of the tracked correction on n qubits, for oracle comparisons."""
     m = np.array([[1.0 + 0j]])
-    for q in reversed(range(f.n_qubits)):
+    for q in reversed(range(n)):
         p = np.eye(2, dtype=complex)
-        if f.pauli.x >> q & 1:
+        if f.x >> q & 1:
             p = matrix_of(gate(core.X, 0)) @ p
-        if f.pauli.z >> q & 1:
+        if f.z >> q & 1:
             p = matrix_of(gate(core.Z, 0)) @ p
         m = np.kron(m, p)
-    return (1j ** f.pauli.phase) * m
+    return (1j ** f.phase) * m
 
 
-def random_frame(n, rng) -> PauliFrame:
-    f = PauliFrame(n)
+def random_frame(n, rng) -> Pauli:
+    """X and Z corrections on random qubits, each folded onto the left."""
+    f = Pauli()
     for q in range(n):
-        for p in ("X", "Z"):
+        for p in (Pauli(x=1 << q), Pauli(z=1 << q)):
             if rng.integers(2):
-                f.update(q, p)
+                f = p * f
     return f
+
+
+def random_pauli(n, rng) -> Pauli:
+    return Pauli(int(rng.integers(1 << n)), int(rng.integers(1 << n)), int(rng.integers(4)))
+
+
+def frame_run(n, *corrections) -> Pauli:
+    """The frame run() leaves after FRAME gates of the given (qubit, letter) pairs, in order."""
+    return run(sequential_circuit(n, [frame_update(q, p) for q, p in corrections])).frame
 
 
 class TestPauliFrame:
     def test_update_is_involutive_on_masks(self):
-        f = PauliFrame(2)
-        f.update(0, "X")
-        f.update(0, "X")
-        assert not f.pauli.x and f.pauli.phase == 0
+        assert frame_run(2, (0, "X"), (0, "X")) == Pauli()
+        assert frame_run(2, (1, "Z"), (0, "X"), (1, "Z"), (0, "X")) == Pauli()
+
+    def test_fold_order_and_phase(self):
+        # a later correction multiplies from the left: X then Z is Z X = i Y,
+        # Z then X is X Z = -Z X; each matches its explicit-gate run
+        rng = np.random.default_rng(4)
+        for order, want in (("XZ", Pauli(0b10, 0b10, 0)), ("ZX", Pauli(0b10, 0b10, 2))):
+            f = frame_run(2, *((1, p) for p in order))
+            assert f == want
+            psi = random_state(2, rng)
+            explicit = run(sequential_circuit(2, [gate(p, 1) for p in order]), psi).state
+            np.testing.assert_array_equal(apply_frame(f, psi).amps, explicit.amps)
 
     def test_update_rejects_qubit_outside_frame(self):
-        # the masks have no length of their own, so the frame checks the index
-        f = PauliFrame(2)
-        for q in (2, -1):
-            with pytest.raises(ValueError, match="outside"):
-                f.update(q, "X")
-        assert f.pauli == Pauli()
+        # a frame has no size of its own: the circuit checks a correction's
+        # qubit, and the gate its letter
+        with pytest.raises(ValueError, match="outside register"):
+            Circuit(2, [[frame_update(2, "X")]])
+        for q, p in ((-1, "X"), (0, "Y")):
+            with pytest.raises(ValueError):
+                frame_update(q, p)
 
     def test_apply_to_matches_dense_matrix(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             f = random_frame(3, rng)
             psi = random_state(3, rng)
-            out = f.apply_to(psi)
-            np.testing.assert_allclose(out.amps, frame_matrix(f) @ psi.amps, atol=1e-14)
+            out = apply_frame(f, psi)
+            np.testing.assert_allclose(out.amps, frame_matrix(f, 3) @ psi.amps, atol=1e-14)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_apply_to_matches_the_factor_loop(self, n):
@@ -251,11 +272,11 @@ class TestPauliFrame:
         # bit one kernel pass per factor, signed zeros included
         rng = np.random.default_rng(360 + n)
         for _ in range(20):
-            f = PauliFrame(n, Pauli(int(rng.integers(1 << n)), int(rng.integers(1 << n)), int(rng.integers(4))))
+            f = random_pauli(n, rng)
             psi = random_state(n, rng)
             psi.amps[rng.integers(0, 1 << n, 2)] = [complex(-0.0, 0.0), complex(0.0, -0.0)]
             kept = bits(psi.amps).copy()
-            got = f.apply_to(psi)
+            got = apply_frame(f, psi)
             np.testing.assert_array_equal(bits(got.amps), bits(apply_frame_by_factors(f, psi).amps))
             np.testing.assert_array_equal(bits(psi.amps), kept)  # the input is left alone
 
@@ -265,13 +286,13 @@ class TestPauliFrame:
         # of materializing E|psi>: the same values, signed zeros included
         rng = np.random.default_rng(390 + n)
         for _ in range(20):
-            f = PauliFrame(n, Pauli(int(rng.integers(1 << n)), int(rng.integers(1 << n)), int(rng.integers(4))))
+            f = random_pauli(n, rng)
             psi = random_state(n, rng)
             psi.amps[rng.integers(0, 1 << n, 2)] = [complex(-0.0, 0.0), complex(0.0, -0.0)]
             out_map = tuple(int(q) for q in rng.choice(n, size=int(rng.integers(1, n)), replace=False))
             fixed = sum(int(rng.integers(2)) << q for q in range(n) if q not in out_map)
             idx = np.concatenate((sim._spread(out_map) | fixed, rng.integers(0, 1 << n, 16)))
-            want = f.apply_to(psi).amps[idx]
+            want = apply_frame(f, psi).amps[idx]
             got = sim._corrected_at(f, psi.amps, idx)
             assert np.array_equal(got, want)
             np.testing.assert_array_equal(bits(got), bits(want))
@@ -282,7 +303,7 @@ class TestPauliFrame:
         flips = 0
         for seed in range(371, 377):
             res = run(c, psi, seed=seed)
-            flips += res.frame.pauli.x != 0
+            flips += res.frame.x != 0
             want = apply_frame_by_factors(res.frame, res.state)
             np.testing.assert_array_equal(bits(res.corrected_state().amps), bits(want.amps))
         assert flips  # the case the reversed-stride copy serves
@@ -291,10 +312,10 @@ class TestPauliFrame:
         # one copy of the state, and the Z passes' ufunc buffers
         n = 18
         psi = random_state(n, np.random.default_rng(380))
-        f = PauliFrame(n, Pauli(0b101011000000100101, 0b010100000011000110, 3))
+        f = Pauli(0b101011000000100101, 0b010100000011000110, 3)
         tracemalloc.start()
         try:
-            out = f.apply_to(psi)
+            out = apply_frame(f, psi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -303,12 +324,14 @@ class TestPauliFrame:
 
     @pytest.mark.parametrize("state_qubits", [4, 7])
     def test_apply_to_rejects_a_state_of_another_size(self, state_qubits):
-        # a 6-qubit frame with X on qubit 5 once returned a 4-qubit state
-        # unchanged, dropping the factor that lies beyond it
-        f = PauliFrame(6)
-        f.update(5, "X")
-        with pytest.raises(ValueError, match="frame size mismatch"):
-            f.apply_to(StateVector.zero(state_qubits))
+        # a factor on the first qubit past the state, or further out, once
+        # was dropped and the state returned unchanged
+        above = 1 << state_qubits
+        for f in (Pauli(x=above, z=above << 1), Pauli(z=above << 3), Pauli(x=1, z=above | 1, phase=2)):
+            with pytest.raises(ValueError, match=f"outside a {state_qubits}-qubit state"):
+                apply_frame(f, StateVector.zero(state_qubits))
+        widest = Pauli(x=above >> 1, z=above - 1)  # every qubit of the state is in range
+        assert apply_frame(widest, StateVector.zero(state_qubits)).n_qubits == state_qubits
 
     @pytest.mark.parametrize("kind", [core.X, core.Y, core.Z, core.H, core.S, core.SDG])
     def test_single_qubit_propagation_exact(self, kind):
@@ -318,50 +341,54 @@ class TestPauliFrame:
         c = sequential_circuit(1, [gate(kind, 0)])
         for z in (0, 1):
             for x in (0, 1):
-                f = PauliFrame(1)
-                f.pauli = Pauli(x, z)
+                f = Pauli(x, z)
                 psi = random_state(1, rng)
-                direct = run(c, f.apply_to(psi)).state.amps
-                f2 = f.copy()
-                f2.propagate(gate(kind, 0))
-                deferred = f2.apply_to(run(c, psi.copy()).state).amps
+                direct = run(c, apply_frame(f, psi)).state.amps
+                deferred = apply_frame(sim._propagate(f, gate(kind, 0)), run(c, psi.copy()).state).amps
                 np.testing.assert_allclose(direct, deferred, atol=1e-14)
 
     def test_cnot_propagation_exact(self):
         rng = np.random.default_rng(8)
         c = sequential_circuit(2, [cnot(0, 1)])
         for code in range(16):
-            f = PauliFrame(2)
-            f.pauli = Pauli(x=(code >> 1 & 1) | (code >> 3 & 1) << 1, z=(code & 1) | (code >> 2 & 1) << 1)
+            f = Pauli(x=(code >> 1 & 1) | (code >> 3 & 1) << 1, z=(code & 1) | (code >> 2 & 1) << 1)
             psi = random_state(2, rng)
-            direct = run(c, f.apply_to(psi)).state.amps
-            f2 = f.copy()
-            f2.propagate(cnot(0, 1))
-            deferred = f2.apply_to(run(c, psi.copy()).state).amps
+            direct = run(c, apply_frame(f, psi)).state.amps
+            deferred = apply_frame(sim._propagate(f, cnot(0, 1)), run(c, psi.copy()).state).amps
             np.testing.assert_allclose(direct, deferred, atol=1e-14)
 
     def test_diagonal_gates_block_x_frames(self):
-        f = PauliFrame(1)
-        f.pauli = Pauli(x=0b1)
         with pytest.raises(SimulationError):
-            f.propagate(gate(core.T, 0))
-        f2 = PauliFrame(1)
-        f2.pauli = Pauli(z=0b1)
-        f2.propagate(gate(core.T, 0))  # Z commutes with any Z rotation
-        assert f2.pauli.z == 0b1 and f2.pauli.phase == 0
+            sim._propagate(Pauli(x=0b1), gate(core.T, 0))
+        f = Pauli(z=0b1, phase=1)
+        assert sim._propagate(f, gate(core.T, 0)) == f  # Z commutes with any Z rotation
+
+    @pytest.mark.parametrize(
+        "frame,g,message",
+        [
+            (Pauli(x=0b1), gate(core.T, 0), "X frame cannot cross diagonal gate T$"),
+            (Pauli(x=0b1), gate(core.TDG, 0), "X frame cannot cross diagonal gate TDG"),
+            (Pauli(x=0b10), rz(0.3, 1), "X frame cannot cross diagonal gate RZ"),
+            (Pauli(x=0b01), crz(0.3, 0, 1), "X frame cannot cross CRZ"),
+            (Pauli(x=0b10), crz(0.3, 0, 1), "X frame cannot cross CRZ"),
+            (Pauli(x=0b001), toffoli(0, 1, 2), "frame cannot cross Toffoli on these qubits"),
+            (Pauli(x=0b010), toffoli(0, 1, 2), "frame cannot cross Toffoli on these qubits"),
+            (Pauli(z=0b100), toffoli(0, 1, 2), "frame cannot cross Toffoli on these qubits"),
+            (Pauli(), measure(0, key=0), "cannot propagate frame through MEASURE"),
+        ],
+        ids=["T", "TDG", "RZ", "CRZ-control", "CRZ-target", "Toffoli-c1", "Toffoli-c2", "Toffoli-target",
+             "MEASURE"],
+    )
+    def test_each_crossing_error(self, frame, g, message):
+        with pytest.raises(SimulationError, match=message):
+            sim._propagate(frame, g)
 
     def test_toffoli_crossing_rules(self):
-        ok = PauliFrame(3)
-        ok.pauli = Pauli(x=0b100, z=0b011)
-        ok.propagate(toffoli(0, 1, 2))  # commuting combination passes
-        bad = PauliFrame(3)
-        bad.pauli = Pauli(x=0b001)
-        with pytest.raises(SimulationError):
-            bad.propagate(toffoli(0, 1, 2))
-        bad2 = PauliFrame(3)
-        bad2.pauli = Pauli(z=0b100)
-        with pytest.raises(SimulationError):
-            bad2.propagate(toffoli(0, 1, 2))
+        ok = Pauli(x=0b100, z=0b011, phase=3)
+        assert sim._propagate(ok, toffoli(0, 1, 2)) == ok  # commuting combination passes
+        for bad in (Pauli(x=0b001), Pauli(z=0b100)):
+            with pytest.raises(SimulationError):
+                sim._propagate(bad, toffoli(0, 1, 2))
 
     def test_compose_matches_sequential_application(self):
         rng = np.random.default_rng(9)
@@ -369,16 +396,16 @@ class TestPauliFrame:
             f1 = random_frame(2, rng)
             f2 = random_frame(2, rng)
             psi = random_state(2, rng)
-            seq = f2.apply_to(f1.apply_to(psi)).amps
-            combo = f2.compose(f1).apply_to(psi).amps
+            seq = apply_frame(f2, apply_frame(f1, psi)).amps
+            combo = apply_frame(f2 * f1, psi).amps
             np.testing.assert_allclose(seq, combo, atol=1e-14)
 
     def test_compose_with_self_cancels_masks(self):
         rng = np.random.default_rng(10)
         f = random_frame(3, rng)
-        sq = f.compose(f)
-        assert not sq.pauli.x and not sq.pauli.z
-        assert sq.pauli.phase in (0, 2)  # at most a leftover global sign
+        sq = f * f
+        assert not sq.x and not sq.z
+        assert sq.phase in (0, 2)  # at most a leftover global sign
 
     def test_frame_gate_flips_reported_outcome(self):
         b = CircuitBuilder(1)
@@ -431,11 +458,10 @@ class TestPauliFrame:
         c = sequential_circuit(n, gates)
         f = random_frame(n, rng)
         psi = random_state(n, rng)
-        direct = run(c, f.apply_to(psi)).state.amps
-        f2 = f.copy()
+        direct = run(c, apply_frame(f, psi)).state.amps
         for g in gates:
-            f2.propagate(g)
-        deferred = f2.apply_to(run(c, psi.copy()).state).amps
+            f = sim._propagate(f, g)
+        deferred = apply_frame(f, run(c, psi.copy()).state).amps
         np.testing.assert_allclose(direct, deferred, atol=1e-13)
 
 
@@ -935,7 +961,7 @@ class TestSparseRun:
         got = [run(c, s) for s in inputs] + [run(c)]
         for res, want in zip(got, oracle):
             np.testing.assert_array_equal(bits(res.state.amps), bits(want))
-            assert res.record == {} and res.qubit_outcomes == {} and res.frame.pauli == Pauli()
+            assert res.record == {} and res.qubit_outcomes == {} and res.frame == Pauli()
         for s, before in zip(inputs, kept):
             np.testing.assert_array_equal(bits(s.amps), before)  # the input is left alone
 
@@ -1117,7 +1143,7 @@ def assert_same_run(got, want):
     amplitudes up to rounding."""
     assert got.record == want.record
     assert got.qubit_outcomes == want.qubit_outcomes
-    assert got.frame.pauli == want.frame.pauli
+    assert got.frame == want.frame
     np.testing.assert_allclose(got.state.amps, want.state.amps, rtol=0, atol=1e-14)
 
 
@@ -1326,7 +1352,7 @@ class TestRelabel:
             kept = bits(psi.amps).copy()
             res = run(c, psi)
             np.testing.assert_array_equal(bits(res.state.amps), bits(dense_run(c, psi.amps)))
-            assert res.frame.pauli == Pauli() and res.record == {}
+            assert res.frame == Pauli() and res.record == {}
             np.testing.assert_array_equal(bits(psi.amps), kept)  # the input is left alone
         assert relabel_paths["diagonal"] and relabel_paths["gather"]
 
@@ -1339,7 +1365,7 @@ class TestRelabel:
             want = dense_measured_run(c, psi.amps, seed)
             got = run(c, psi, seed=seed)
             assert got.record == want.record and got.qubit_outcomes == want.qubit_outcomes
-            assert got.frame.pauli == want.frame.pauli
+            assert got.frame == want.frame
             np.testing.assert_array_equal(bits(got.state.amps), bits(want.state.amps))
         assert relabel_paths["diagonal"] and relabel_paths["gather"]
 
