@@ -402,6 +402,8 @@ _bits = _int_in(1, 64, "_bits")
 # zero from q - j = 1075 on, so a wider register loses its low wires' turns
 _value_bits = _int_in(1, 1074, "_value_bits")
 _trials = _int_in(1, math.inf, "_trials")
+# numpy seeds its generator from any non-negative integer, however large
+_seed = _int_in(0, math.inf, "_seed")
 
 
 def _tolerance(text: str) -> float:
@@ -447,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=_finite, required=True)
     p.add_argument("--ancillas", type=_ancillas, required=True, help="cascade rounds, 1 to 64")
     p.add_argument("--trials", type=_trials, required=True, help="Monte Carlo trials, at least 1")
-    p.add_argument("--seed", type=int, help="override the run seed")
+    p.add_argument("--seed", type=_seed, help="override the run seed, a non-negative integer")
     add_common(p)
 
     p = sub.add_parser("estimate-2q", help="second-quantized resource report")
@@ -498,7 +500,11 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     if "seed" in options:  # only par-sim takes --seed, and only it reads FTQC_SEED
         seed = options.pop("seed")
         if seed is None:
-            seed = int(os.environ.get("FTQC_SEED", DEFAULT_SEED))
+            env = os.environ.get("FTQC_SEED", str(DEFAULT_SEED))
+            try:
+                seed = _seed(env)
+            except (ValueError, argparse.ArgumentTypeError):
+                raise ValueError(f"FTQC_SEED={env!r} is not a non-negative integer") from None
     return RunConfig(command=command, options=options, seed=seed)
 
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, NamedTuple
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -242,6 +243,13 @@ class Circuit:
 
     def __repr__(self) -> str:
         return f"Circuit(n_qubits={self.n_qubits}, depth={self.depth}, gates={sum(len(l) for l in self.layers)})"
+
+
+@lru_cache(maxsize=None)
+def built_profile(build: Callable[..., Circuit], *args) -> ResourceProfile:
+    """build(*args).profile(), built once per (build, args) for the process:
+    the one way the estimators price a circuit they construct."""
+    return build(*args).profile()
 
 
 class CircuitBuilder:

@@ -15,9 +15,10 @@ small reversible arithmetic it leans on (register adder, schoolbook
 multiplier whose rows are ftqc.kickback.emit_controlled_add,
 copy-expansion tree).  The step models price every adder,
 subtractor, multiplier and copy-expansion tree from those built circuits
-at the estimator's width, so the fully-parallel potential step costs its
-fan-out with the tree it would run and the 1/r pipeline its multiplies
-with the multiplier the tests check.  Only the composition into Newton
+at the estimator's width (core.built_profile, once per circuit), so the
+fully-parallel potential step costs its fan-out with the tree it would
+run and the 1/r pipeline its multiplies with the multiplier the tests
+check.  Only the composition into Newton
 iterations, pair units and whole steps is a ResourceProfile model.
 """
 
@@ -33,6 +34,7 @@ from .core import (
     CircuitBuilder,
     ResourceProfile,
     X,
+    built_profile,
     cnot,
     gate,
     toffoli,
@@ -58,12 +60,11 @@ __all__ = [
     "pair_schedule",
     "emit_register_add",
     "build_register_adder",
+    "build_register_subtractor",
     "MultiplierLayout",
     "multiplier_layout",
     "build_multiplier",
     "build_copy_expansion",
-    "register_adder_profile",
-    "multiply_profile",
     "newton_profile",
     "build_potential_step",
     "build_kinetic_step",
@@ -309,6 +310,17 @@ def build_register_adder(width: int) -> Circuit:
     return builder.build()
 
 
+def build_register_subtractor(width: int) -> Circuit:
+    """|a>|b>|0> -> |a>|b - a mod 2^width>|0>: build_register_adder
+    conjugated by X on its target, since NOT(NOT b + a) = b - a.
+
+    Wires as build_register_adder's.
+    """
+    flips = [gate(X, w) for w in range(width, 2 * width)]
+    builder = CircuitBuilder(2 * width + 1).extend(flips)
+    return builder.extend(build_register_adder(width).gates()).extend(flips).build()
+
+
 class MultiplierLayout(NamedTuple):
     """Wire map of build_multiplier."""
 
@@ -338,9 +350,10 @@ def build_multiplier(width: int) -> Circuit:
     without modular wrap.  The copy register and the carry ancilla return
     to |0> on every input.
 
-    This is the multiplier the cost models price (multiply_profile) at
-    every width: width rows of 2*width Toffolis and one MAJ/UMA register
-    add, so the gate count grows as width^2.
+    This is the multiplier the cost models price, through
+    core.built_profile(build_multiplier, width), at every width: width
+    rows of 2*width Toffolis and one MAJ/UMA register add, so the gate
+    count grows as width^2.
     """
     if width < 1:
         raise ValueError("multiplier needs at least one bit")
@@ -378,34 +391,6 @@ def build_copy_expansion(width: int, instances: int) -> Circuit:
     return builder.build()
 
 
-@lru_cache(maxsize=None)
-def register_adder_profile(width: int) -> ResourceProfile:
-    """Register-register addition cost, taken from the circuit we ship."""
-    return build_register_adder(width).profile()
-
-
-@lru_cache(maxsize=None)
-def _subtractor_profile(width: int) -> ResourceProfile:
-    """Register subtraction cost: build_register_adder conjugated by X on
-    its target, since NOT(NOT b + a) = b - a, built and counted."""
-    flips = [gate(X, w) for w in range(width, 2 * width)]
-    builder = CircuitBuilder(2 * width + 1).extend(flips)
-    builder.extend(build_register_adder(width).gates()).extend(flips)
-    return builder.build().profile()
-
-
-@lru_cache(maxsize=None)
-def _copy_tree_profile(width: int, instances: int) -> ResourceProfile:
-    """Copy-expansion cost, taken from the doubling tree we ship."""
-    return build_copy_expansion(width, instances).profile()
-
-
-@lru_cache(maxsize=None)
-def multiply_profile(width: int) -> ResourceProfile:
-    """Multiplication cost, taken from the schoolbook multiplier we ship."""
-    return build_multiplier(width).profile()
-
-
 def _multiply_scratch(width: int) -> int:
     """Wires build_multiplier holds besides its operands: product, copy, carry."""
     lay = multiplier_layout(width)
@@ -417,25 +402,16 @@ def newton_profile(width: int = DEFAULT_WIDTH) -> ResourceProfile:
     """One full inverse-square-root evaluation at the iteration budget.
 
     Each iteration is three multiplies (a*a, that times r^2, a times the
-    polynomial) priced from build_multiplier, and one constant add for the
-    3 - x step priced from ripple_profile's worst addend.  Register budget:
-    the multiplier's wires plus the persistent iterate register.
+    polynomial) priced from the built multiplier's core.built_profile, and
+    one constant add for the 3 - x step priced from ripple_profile's worst
+    addend.  Register budget: the multiplier's wires plus the persistent
+    iterate register.  It composes built prices and builds no circuit, so
+    its per-width cache is its own.
     """
-    per_iter = multiply_profile(width).times(3).in_series(ripple_profile(width))
+    multiply = built_profile(build_multiplier, width)
+    per_iter = multiply.times(3).in_series(ripple_profile(width))
     budget = newton_iterations_bound(width)
-    return per_iter.times(budget).with_qubits(multiply_profile(width).qubits + width)
-
-
-@lru_cache(maxsize=None)
-def _qft_profile(q: int) -> ResourceProfile:
-    """Fourier-transform cost on a q-wire axis register, taken from build_qft_via_qvr."""
-    return build_qft_via_qvr(q).profile()
-
-
-@lru_cache(maxsize=None)
-def _qvr_profile(xi: float, width: int) -> ResourceProfile:
-    """Kickback rotation cost on a width-bit value register at scale xi."""
-    return build_qvr_kickback(qvr_params(xi, width)).profile()
+    return per_iter.times(budget).with_qubits(multiply.qubits + width)
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +480,11 @@ def build_potential_step(
     pairs = [(i, j) for i in range(b) for j in range(i + 1, b)]
     scales = tuple(sorted({constants.potential_scale(i, j) for i, j in pairs}))
 
-    sub = _subtractor_profile(width)
-    axis = sub.in_series(multiply_profile(width)).in_series(sub)
+    sub = built_profile(build_register_subtractor, width)
+    axis = sub.in_series(built_profile(build_multiplier, width)).in_series(sub)
     distance = axis.times(3)
     newton = newton_profile(width)
-    qvr = _qvr_profile(scales[-1], width)
+    qvr = built_profile(build_qvr_kickback, qvr_params(scales[-1], width))
     mirror = newton.in_series(distance)
     unit_seq = distance.in_series(newton).in_series(qvr).in_series(mirror)
     # one pair holds, besides its two position registers: three per-axis
@@ -531,7 +507,7 @@ def build_potential_step(
         qubits = grid.position_qubits + concurrent * workspace
     else:
         # every particle fans out to its b - 1 pairs and back (no gates at b = 2)
-        tree = _copy_tree_profile(grid.particle_width, b - 1)
+        tree = built_profile(build_copy_expansion, grid.particle_width, b - 1)
         copy_gates = 2 * b * tree.total_gates
         schedule = (tuple(pairs),)
         depth = unit.depth + 2 * tree.depth
@@ -571,11 +547,12 @@ def build_kinetic_step(
     constants.check_particles(grid.b)
     if not dt_factor > 0.0:
         raise ValueError("dt_factor must be positive")
-    qft = _qft_profile(grid.p)
+    qft = built_profile(build_qft_via_qvr, grid.p)
     fourier = qft.in_parallel(qft).in_parallel(qft)  # three axes at once
-    ksq = multiply_profile(width).times(3).in_series(register_adder_profile(width).times(2))
+    multiply = built_profile(build_multiplier, width)
+    ksq = multiply.times(3).in_series(built_profile(build_register_adder, width).times(2))
     scales = tuple(sorted({constants.kinetic_scale(j, dt_factor) for j in range(grid.b)}))
-    qvr_by_scale = {s: _qvr_profile(s, width) for s in scales}
+    qvr_by_scale = {s: built_profile(build_qvr_kickback, qvr_params(s, width)) for s in scales}
 
     def unit_for(j: int) -> ResourceProfile:
         qvr = qvr_by_scale[constants.kinetic_scale(j, dt_factor)]

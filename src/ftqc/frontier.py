@@ -102,12 +102,16 @@ def optimize_cost(
 
     cost is a callable over (qubits, depth), such as one builtin_cost
     returns.  Returns (method, point, cost value); ties break toward
-    fewer qubits, then the lexicographically smaller method name.
+    fewer qubits, then the lexicographically smaller method name.  A
+    cost of +inf is a value like any other; a NaN cost orders against
+    nothing, so it raises ValueError naming its point.
     """
     best: tuple[float, int, str, FrontierPoint] | None = None
     for method in sorted(frontiers):
         for pt in frontiers[method]:
             key = (cost(pt.qubits, pt.depth), pt.qubits, method)
+            if math.isnan(key[0]):
+                raise ValueError(f"the cost of {method} at {pt.qubits} qubits and depth {pt.depth} is NaN")
             if best is None or key < (best[0], best[1], best[2]):
                 best = (*key, pt)
     if best is None:

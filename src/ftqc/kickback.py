@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +31,7 @@ from .core import (
     CircuitBuilder,
     Gate,
     ResourceProfile,
+    built_profile,
     cnot,
     gate,
     toffoli,
@@ -239,11 +239,10 @@ def emit_controlled_add(builder: CircuitBuilder, control: int, addend, copies, t
     builder.extend(copy)
 
 
-@lru_cache(maxsize=None)
 def ripple_profile(n: int, controlled: bool = False) -> ResourceProfile:
     """Worst-case ripple-carry constant-adder cost at this width: addend
-    2^n - 1 maximizes the carry chain.  Built once per (n, controlled)."""
-    return build_adder(AdderSpec(RIPPLE_CARRY, n, controlled), (1 << n) - 1).profile()
+    2^n - 1 maximizes the carry chain."""
+    return built_profile(build_adder, AdderSpec(RIPPLE_CARRY, n, controlled), (1 << n) - 1)
 
 
 def build_adder(spec: AdderSpec, addend: int) -> Circuit:

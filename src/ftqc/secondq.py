@@ -32,11 +32,11 @@ Trotter-step propagator circuits:
 controlled Trotter steps for n readout bits) without simulating it, using
 per-method rotation cost models; ``rotation_profile`` documents those
 models.  It walks the same masks, expands each term's strings once per
-index pattern and builds each parity ladder once per (span, mode) for
-the process (a term value only scales its pattern's strings), and
-prices a rotation once per call, or once per angle where the price
-depends on it.  Gate-level circuits stay
-exactly verifiable on the statevector simulator; the estimator is pure
+index pattern and prices each parity ladder once per (span, mode) for
+the process with core.built_profile (a term value only scales its
+pattern's strings), and prices a rotation once per call, or once per
+angle where the price depends on it.  Gate-level circuits stay exactly
+verifiable on the statevector simulator; the estimator is pure
 arithmetic over term structure.
 """
 
@@ -64,6 +64,7 @@ from .core import (
     CircuitBuilder,
     Pauli,
     ResourceProfile,
+    built_profile,
     check_epsilon,
     cnot,
     frame_update,
@@ -575,8 +576,9 @@ def rotation_profile(method: str, epsilon: float, angle: float | None = None) ->
     """Cost model for one single-qubit phase rotation at accuracy epsilon.
 
     kickback: gate-level ripple-carry controlled addition at the register
-    width that quantizes angles to epsilon (worst-case addend); the width
-    depends on epsilon alone, so the adder is built and priced once per width.
+    width that quantizes angles to epsilon (ripple_profile's worst-case
+    addend); the width depends on epsilon alone, so every epsilon that
+    quantizes to one width shares that adder's core.built_profile entry.
     sequence: exhaustive minimal sequence when epsilon (and the angle) is
     within search reach, else the fit lines.  sk: power law
     coeff * log10(1/eps)^4 in depth and T.  par: four gates mean, with
@@ -707,14 +709,6 @@ class SecondQuantizedEstimate:
         return self.rotation_depth / self.profile.depth
 
 
-@lru_cache(maxsize=None)
-def _ladder_profile(span: int, mode: str) -> ResourceProfile:
-    """The parity ladder's cost, built once per (span, mode)."""
-    if span < 2:
-        return ResourceProfile(0, 0, 0, span)
-    return build_jw_ladder(span, mode).profile()
-
-
 def estimate_second_quantized(
     table: IntegralTable,
     plan: TrotterPlan,
@@ -760,11 +754,12 @@ def estimate_second_quantized(
             basis_depth = 3 if n_y else (1 if n_x else 0)
             depth += 2 * basis_depth
             gates += 2 * (n_x + 3 * n_y)
-            ladder = _ladder_profile(weight, ladder_mode)
-            depth += 2 * ladder.depth
-            t_count += 2 * ladder.t_count
-            gates += 2 * ladder.total_gates
-            ladder_extra_qubits = max(ladder_extra_qubits, ladder.qubits - weight)
+            if weight >= 2:  # a one-wire string needs no ladder
+                ladder = built_profile(build_jw_ladder, weight, ladder_mode)
+                depth += 2 * ladder.depth
+                t_count += 2 * ladder.t_count
+                gates += 2 * ladder.total_gates
+                ladder_extra_qubits = max(ladder_extra_qubits, ladder.qubits - weight)
             angle = 2.0 * coeff * plan.dt if by_angle else None
             cost = costs.get(angle)
             if cost is None:

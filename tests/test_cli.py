@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from ftqc import cli
 from ftqc.cli import DEFAULT_SEED, main, parse_args
 from ftqc.frontier import BUILTIN_COSTS
-from ftqc.core import circuit_from_text
+from ftqc.core import Circuit, built_profile, circuit_from_text
 from ftqc.sim import SimulationError
 from ftqc.synth import GateSequence
 
@@ -583,7 +583,27 @@ class TestFrontier:
         assert out == ""
         assert err.count("\n") == 1
         message = json.loads(err)["error"]["message"]
-        assert message == f"the weights --alpha and --beta overflow the weighted-sum cost: {value} at the argmin"
+        if value == "inf":
+            assert message == "the weights --alpha and --beta overflow the weighted-sum cost: inf at the argmin"
+        else:  # a NaN orders against nothing, so optimize_cost names the point where it arose
+            assert message == "the cost of a at 3 qubits and depth 5 is NaN"
+
+    def test_a_nan_cost_is_not_passed_over(self, tmp_path, capsys):
+        # b's cost is 3e308 - 5e308 = inf - inf; a NaN loses every comparison,
+        # so skipping it would report a at -1e308 as the argmin
+        two = tmp_path / "two.json"
+        two.write_text(json.dumps({"points": [
+            {"qubits": 0, "depth": 1, "method": "a"}, {"qubits": 3, "depth": 5, "method": "b"},
+        ]}))
+        status, out, err = run_cli(
+            capsys, "frontier", "--in", str(two), "--cost", "weighted-sum", "--alpha=1e308", "--beta=-1e308"
+        )
+        assert status == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["command"] == "frontier"
+        assert record["error"] == {"type": "ValueError", "message": "the cost of b at 3 qubits and depth 5 is NaN"}
 
 
 class TestPinnedOutputs:
@@ -695,6 +715,38 @@ class TestSharedParser:
         assert json.loads(out2)["cutoff"]["threshold"] == 0.0
 
 
+class TestBuiltPrices:
+    """Every circuit an estimate prices is priced once, through the one
+    core.built_profile cache."""
+
+    ESTIMATES = (
+        ("estimate-2q", "--integrals", "tests/data/integrals_12.txt",
+         "--readout-bits", "10", "--dt", "0.05", "--method", "kickback"),
+        ("estimate-1q", "--particles", "6", "--grid-bits", "4", "--steps", "2",
+         "--mode", "parallel", "--width", "8"),
+    )
+
+    def test_one_cache_accounts_for_every_built_price(self, capsys, monkeypatch):
+        profiled = []
+        profile = Circuit.profile
+
+        def counting_profile(circuit):
+            profiled.append(circuit)
+            return profile(circuit)
+
+        monkeypatch.setattr(Circuit, "profile", counting_profile)
+        built_profile.cache_clear()
+        for argv in self.ESTIMATES:
+            assert run_cli(capsys, *argv)[0] == 0
+        cold = built_profile.cache_info()
+        assert cold.misses == cold.currsize == len(profiled) > 0
+        for argv in self.ESTIMATES:
+            assert run_cli(capsys, *argv)[0] == 0
+        warm = built_profile.cache_info()
+        assert (warm.misses, warm.currsize, len(profiled)) == (cold.misses, cold.currsize, cold.misses)
+        assert warm.hits > cold.hits
+
+
 class TestArgumentHandling:
     def test_unknown_flag_is_rejected(self, capsys):
         status, _, err = run_cli(
@@ -714,6 +766,38 @@ class TestArgumentHandling:
         record = json.loads(err)
         assert record["command"] == "synth"
         assert "unrecognized arguments: --seed 5" in record["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "flag,env,message",
+        [
+            ("--seed=-1", None, "argument --seed: '-1' is not an integer in [0, inf]"),
+            (None, "-3", "FTQC_SEED='-3' is not a non-negative integer"),
+            (None, "abc", "FTQC_SEED='abc' is not a non-negative integer"),
+        ],
+        ids=["flag-negative", "env-negative", "env-not-an-integer"],
+    )
+    def test_a_bad_seed_names_where_it_came_from(self, capsys, monkeypatch, flag, env, message):
+        monkeypatch.delenv("FTQC_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("FTQC_SEED", env)
+        argv = ["par-sim", "--phi", "1.0", "--ancillas", "3", "--trials", "10", *([flag] if flag else [])]
+        status, out, err = run_cli(capsys, *argv)
+        assert (status, out) == (2, "")
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["command"] == "par-sim"
+        assert record["error"] == {"type": "ValueError", "message": message}
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_a_seed_above_two_to_the_64_is_accepted(self, capsys, monkeypatch, source):
+        seed = 2**64 + 1
+        monkeypatch.setenv("FTQC_SEED", str(seed) if source == "env" else "5")
+        argv = ["par-sim", "--phi", "1.0", "--ancillas", "3", "--trials", "10"]
+        if source == "flag":
+            argv.append(f"--seed={seed}")
+        status, out, err = run_cli(capsys, *argv)
+        assert (status, err) == (0, "")
+        assert json.loads(out)["seed"] == seed
 
     def test_seedless_commands_ignore_ftqc_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("FTQC_SEED", "not-a-seed")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from ftqc import firstq, sim
 from ftqc.cli import main
-from ftqc.core import CircuitBuilder, X, gate
+from ftqc.core import CircuitBuilder, X, built_profile, gate
 from ftqc.firstq import (
     FULLY_PARALLEL,
     IN_PLACE,
@@ -26,23 +26,21 @@ from ftqc.firstq import (
     POTENTIAL_STEP,
     GridSpec,
     PhysicalConstants,
-    _subtractor_profile,
     build_copy_expansion,
     build_kinetic_step,
     build_multiplier,
     build_potential_phase_circuit,
     build_potential_step,
     build_register_adder,
+    build_register_subtractor,
     estimate_first_quantized,
     fixed_format,
     invsqrt_fixed,
     multiplier_layout,
-    multiply_profile,
     newton_invsqrt,
     newton_iterations_bound,
     newton_profile,
     pair_schedule,
-    register_adder_profile,
 )
 from ftqc.kickback import ripple_profile
 from ftqc.qvr import build_qft_via_qvr
@@ -227,15 +225,16 @@ class TestRegisterAdder:
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
     def test_subtraction_prices_the_x_conjugated_adder(self, width):
-        flips = [gate(X, w) for w in range(width, 2 * width)]
-        builder = CircuitBuilder(2 * width + 1).extend(flips)
-        circuit = builder.extend(build_register_adder(width).gates()).extend(flips).build()
+        circuit = build_register_subtractor(width)
         mask = (1 << width) - 1
         pairs = [(a, b) for a in range(1 << width) for b in range(1 << width)]
         for (a, b), out in zip(pairs, evaluate(circuit, [a | (b << width) for a, b in pairs])):
             assert out == a | ((b - a) & mask) << width
-        assert _subtractor_profile(width) == circuit.profile()
-        assert _subtractor_profile(width).total_gates == register_adder_profile(width).total_gates + 2 * width
+        flips = [gate(X, w) for w in range(width, 2 * width)]
+        builder = CircuitBuilder(2 * width + 1).extend(flips)
+        assert circuit == builder.extend(build_register_adder(width).gates()).extend(flips).build()
+        sub, add = built_profile(build_register_subtractor, width), built_profile(build_register_adder, width)
+        assert sub.total_gates == add.total_gates + 2 * width
 
     def test_rejects_zero_width(self):
         with pytest.raises(ValueError):
@@ -318,15 +317,15 @@ class TestCopyExpansion:
 class TestArithmeticModels:
     def test_multiply_prices_the_built_multiplier(self):
         for width in range(1, 33):
-            assert multiply_profile(width) == build_multiplier(width).profile()
+            assert built_profile(build_multiplier, width) == build_multiplier(width).profile()
 
     def test_newton_charges_the_iteration_budget(self):
-        per_iter = multiply_profile(32).times(3).in_series(ripple_profile(32))
+        per_iter = built_profile(build_multiplier, 32).times(3).in_series(ripple_profile(32))
         assert newton_profile(32).t_count == newton_iterations_bound(32) * per_iter.t_count
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            multiply_profile(0)
+            built_profile(build_multiplier, 0)
 
 
 class TestPotentialStep:
@@ -438,7 +437,7 @@ class TestKineticStep:
             built.append(q)
             return build_qft_via_qvr(q)
 
-        firstq._qft_profile.cache_clear()
+        built_profile.cache_clear()
         monkeypatch.setattr(firstq, "build_qft_via_qvr", counting_build_qft_via_qvr)
         argv = ["estimate-1q", "--particles", "12", "--grid-bits", "5", "--steps", "3",
                 "--mode", "parallel", "--width", "8"]

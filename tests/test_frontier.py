@@ -5,6 +5,8 @@ all points, and property tests (idempotence, dominated-point insertion,
 frontier membership of every monotone optimum) on random point clouds.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,6 +136,13 @@ class TestOptimizeCost:
         assert cost == min(
             p.qubits * p.depth for front in self.FIXTURE.values() for p in front
         )
+
+    def test_a_nan_cost_raises_and_an_infinite_one_is_kept(self):
+        # NaN compares false against every key, so it must not be skipped
+        with pytest.raises(ValueError, match="^the cost of sequence at 12 qubits and depth 95 is NaN$"):
+            optimize_cost(self.FIXTURE, lambda q, d: math.nan if q == 12 else float(d))
+        method, point, cost = optimize_cost(self.FIXTURE, builtin_cost("depth-with-qubit-cap", cap=5))
+        assert (method, point.qubits, cost) == ("par", 10, math.inf)
 
     def test_empty_mapping_rejected(self):
         with pytest.raises(ValueError):

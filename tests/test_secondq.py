@@ -41,11 +41,12 @@ from ftqc.core import (
     H,
     S,
     CircuitBuilder,
+    built_profile,
     dist,
     gate,
     measure,
 )
-from ftqc.kickback import RIPPLE_CARRY, AdderSpec, build_adder, ripple_profile
+from ftqc.kickback import RIPPLE_CARRY, AdderSpec, build_adder
 from ftqc.par import register_bits_for
 from ftqc.secondq import (
     LADDER_DIRECT,
@@ -806,7 +807,7 @@ class TestRotationProfiles:
             built.append((spec, addend))
             return build_adder(spec, addend)
 
-        ripple_profile.cache_clear()
+        built_profile.cache_clear()
         monkeypatch.setattr(kickback, "build_adder", counting_build_adder)
         estimate_second_quantized(
             load_integrals(FIXTURE), TrotterPlan(dt=0.1, readout_bits=10, method=KICKBACK)
@@ -974,7 +975,7 @@ class TestEstimator:
             built.append((span, mode))
             return build_jw_ladder(span, mode)
 
-        secondq._ladder_profile.cache_clear()
+        built_profile.cache_clear()
         monkeypatch.setattr(secondq, "build_jw_ladder", counting_build_jw_ladder)
         table = load_integrals(FIXTURE)
         plan = TrotterPlan(dt=0.05, readout_bits=10, method=PAR)
